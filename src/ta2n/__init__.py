@@ -3,14 +3,14 @@
 Library layout:
 
 - :mod:`ta2n.autodiff` — reverse-mode tensor core and gradient checker
+- :mod:`ta2n.container` — the one binary file format (datasets, checkpoints)
 - :mod:`ta2n.synth` — synthetic misaligned episode data, persistence
 - :mod:`ta2n.ttm` — temporal transform stage (duration alignment)
 - :mod:`ta2n.acm` — temporal/spatial coordination stage (evolution alignment)
-- :mod:`ta2n.metric` — prototypes, frame-wise cosine metric, episode loss
-- :mod:`ta2n.model` — full network assembly and checkpoints
+- :mod:`ta2n.metric` — frame-wise cosine metric, classification, episode loss
+- :mod:`ta2n.model` — full network assembly, prototypes and checkpoints
 - :mod:`ta2n.engine` — episodic training, evaluation, ablations
-- :mod:`ta2n.misalign` — duration/evolution misalignment analytics
-- :mod:`ta2n.cli` — operator command line
+- :mod:`ta2n.gradcheck` — gradient-check cases for each stage and the full model
 """
 
 __version__ = "0.1.0"

@@ -75,11 +75,6 @@ class TemporalCoordination:
         return v_s, ad.mix_time(corr, v_q), corr
 
 
-def rearranged_with(corr: Var, values: Var) -> Var:
-    """Apply an externally supplied correlation matrix to a value map."""
-    return ad.mix_time(corr, values)
-
-
 # ---------------------------------------------------------------------------
 # offset masks
 
@@ -121,20 +116,6 @@ class PerturbSchedule:
         angles = np.arange(8) * (np.pi / 4.0)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return np.concatenate([np.zeros((1, 2)), amp * dirs], axis=0)
-
-
-def perturb_offsets(
-    offsets: Array, epoch: int, schedule: PerturbSchedule, *, training: bool
-) -> list[Array]:
-    """Training-time exploration: the original offsets plus 8 displaced copies.
-
-    Disabled outside training; calling it in eval mode is an error (the eval
-    pipeline simply never perturbs).
-    """
-    if not training:
-        raise RuntimeError("offset perturbation is a training-only operation")
-    offsets = np.asarray(offsets, dtype=float)
-    return [offsets + d for d in schedule.displacements(epoch)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +213,6 @@ class OffsetPredictor:
         sy = (self.height - 1) / 2.0
         scaled = ad.mul(raw, raw.tape.const(np.array([sx, sy]).reshape(2, 1, 1)))
         return ad.transpose(scaled, (1, 2, 0))  # (B, T, 2)
-
-
-def predict_offset(
-    predictor: OffsetPredictor, tape: Tape, support: Var, query: Var, training: bool = False
-) -> Var:
-    """Channel-concatenate one aligned pair and regress its (T, 2) offsets."""
-    stacked = ad.concat_channels(support, query)
-    b, t = 1, stacked.shape[1]
-    out = predictor.forward(
-        tape, ad.reshape(stacked, (b, *stacked.shape)), training
-    )
-    return ad.reshape(out, (t, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,10 @@ class TrainConfig:
             raise ValueError("decay_factor must lie in (0, 1]")
         if self.decay_interval < 1 or self.epochs < 0 or self.episodes_per_epoch < 1:
             raise ValueError("schedule fields must be positive")
-        if min(self.n_way, self.k_shot, self.n_query) < 1:
-            raise ValueError("episode shape fields must be positive")
+        if self.n_way < 2:
+            raise ValueError("n_way must be at least 2: classification needs two classes")
+        if min(self.k_shot, self.n_query) < 1:
+            raise ValueError("k_shot and n_query must be positive")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.decay_factor ** (epoch // self.decay_interval)

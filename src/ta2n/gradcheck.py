@@ -212,7 +212,8 @@ def metric_case(seed: int) -> GradCase:
     protos = [Parameter(rng.standard_normal((4, 6)), f"proto{i}") for i in range(3)]
 
     def build(tape):
-        probs, _ = metric.classify(tape.param(query), [tape.param(p) for p in protos])
+        q = tape.param(query)
+        probs, _ = metric.classify([(tape.param(p), q) for p in protos])
         return metric.cross_entropy_loss([probs], [1])
 
     return GradCase("metric.classify_loss", build, [query, *protos])

@@ -1,24 +1,13 @@
-"""Prototype construction, frame-wise cosine metric and the episode loss."""
+"""Frame-wise cosine metric, classification over classes and the episode loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import autodiff as ad
-from .autodiff import Array, Var
+from .autodiff import Var
 
 NORM_EPS = 1e-12
-
-
-@dataclass
-class Prototype:
-    """Per-class representative feature a query is compared against."""
-
-    class_index: int
-    feature: Array
 
 
 def frame_cosine_distance(f: Var, p: Var) -> Var:
@@ -36,49 +25,17 @@ def frame_cosine_distance(f: Var, p: Var) -> Var:
     return ad.reduce_sum(ad.affine(cos, -1.0, 1.0))
 
 
-def frame_cosine_distance_arrays(f: Array, p: Array) -> float:
-    """Forward-only twin of :func:`frame_cosine_distance` on plain arrays."""
-    dots = (f * p).sum(axis=0)
-    nf = np.sqrt((f * f).sum(axis=0)) + NORM_EPS
-    np_ = np.sqrt((p * p).sum(axis=0)) + NORM_EPS
-    return float((1.0 - dots / (nf * np_)).sum())
-
-
-def build_prototype(
-    features: Sequence[Array],
-    class_index: int,
-    rng: np.random.Generator,
-    align: Callable[[Array, Array], Array] | None = None,
-) -> Prototype:
-    """Fuse K same-class support features into one representative.
-
-    With a single shot the feature is the prototype. With several, one
-    feature is drawn as the reference and every shot is aligned to it with
-    the supplied alignment function (temporal coordination in the full
-    pipeline; plain averaging when ``align`` is None), then the aligned
-    features are averaged.
-    """
-    if len(features) == 0:
-        raise ValueError("prototype needs at least one support feature")
-    if len(features) == 1:
-        return Prototype(class_index, np.array(features[0]))
-    ref = int(rng.integers(len(features)))
-    if align is None:
-        stacked = np.stack(features)
-    else:
-        stacked = np.stack([align(features[ref], f) for f in features])
-    return Prototype(class_index, stacked.mean(axis=0))
-
-
-def classify(query: Var, prototypes: Sequence[Var]) -> tuple[Var, Var]:
+def classify(pairs: Sequence[tuple[Var, Var]]) -> tuple[Var, Var]:
     """Probabilities over classes from negative frame-wise cosine distances.
 
-    Returns (probabilities, logits); logits are the negated distances, so
-    the loss can be computed through a numerically settled path.
+    ``pairs`` holds one (prototype, query) pair per class; the query may be
+    represented differently in each pair, as aligned to that class. Returns
+    (probabilities, logits); logits are the negated distances, so the loss
+    can be computed through a numerically settled path.
     """
-    if len(prototypes) < 2:
-        raise ValueError("classification needs at least two prototypes")
-    distances = [frame_cosine_distance(query, p) for p in prototypes]
+    if len(pairs) < 2:
+        raise ValueError("classification needs at least two classes")
+    distances = [frame_cosine_distance(q, p) for p, q in pairs]
     logits = ad.neg(ad.stack_vec(distances))
     return ad.softmax(logits, axis=0), logits
 

@@ -9,9 +9,7 @@ between the pooled pair representations.
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -19,19 +17,12 @@ import numpy as np
 from . import __version__
 from . import acm
 from . import autodiff as ad
+from . import container
 from . import metric
 from . import ttm as ttm_mod
 from .acm import OffsetPredictor, PerturbSchedule, TemporalCoordination
 from .autodiff import Array, Parameter, Tape, Var
 from .synth import Episode
-
-CHECKPOINT_MAGIC = b"TA2M"
-CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(Exception):
-    pass
-
 
 @dataclass
 class ModelConfig:
@@ -56,10 +47,6 @@ class ModelConfig:
 
     def schedule(self) -> PerturbSchedule:
         return PerturbSchedule(self.perturb_amplitude, self.perturb_decay, self.perturb_interval)
-
-    def toggles(self) -> str:
-        on = [n for n, f in (("ttm", self.use_ttm), ("tc", self.use_tc), ("sc", self.use_sc)) if f]
-        return "+".join(on) if on else "baseline"
 
 
 @dataclass
@@ -152,9 +139,6 @@ class AlignmentModel:
                 warps_out[key] = (float(scale.value), float(shift.value))
         return f
 
-    def _pooled(self, x: Var) -> Var:
-        return ad.global_avg_pool_spatial(x)
-
     def episode_forward(
         self,
         tape: Tape,
@@ -203,16 +187,7 @@ class AlignmentModel:
         pooled = self._pool_pairs(tape, pair_support, pair_query, training, epoch)
 
         for qi in range(len(query_feats)):
-            protos, queries = [], []
-            for ci in range(n_way):
-                f_s, f_q = pooled[qi * n_way + ci]
-                protos.append(f_s)
-                queries.append(f_q)
-            distances = [
-                metric.frame_cosine_distance(q, p) for q, p in zip(queries, protos)
-            ]
-            logits = ad.neg(ad.stack_vec(distances))
-            probs = ad.softmax(logits, axis=0)
+            probs, logits = metric.classify(pooled[qi * n_way : (qi + 1) * n_way])
             out.probs.append(probs)
             out.logits.append(logits)
             if collect:
@@ -254,7 +229,7 @@ class AlignmentModel:
         """Spatially coordinate (or plainly pool) every pair -> (d,T) pairs."""
         if self.sc is None:
             return [
-                (self._pooled(s), self._pooled(q))
+                (ad.global_avg_pool_spatial(s), ad.global_avg_pool_spatial(q))
                 for s, q in zip(pair_support, pair_query)
             ]
         stacks = []
@@ -293,64 +268,26 @@ def _named_arrays(model: AlignmentModel) -> dict[str, Array]:
 
 
 def save_checkpoint(model: AlignmentModel, path: str | os.PathLike, extra: dict | None = None) -> None:
-    """Versioned binary of the model config plus every parameter and buffer."""
-    header = {
-        "format": CHECKPOINT_VERSION,
+    """Checkpoint container of the model config plus every parameter and buffer."""
+    meta = {
         "package_version": __version__,
         "config": asdict(model.config),
         "extra": extra or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        arrays = _named_arrays(model)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in sorted(arrays.items()):
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    container.save(path, container.CHECKPOINT, meta, dict(sorted(_named_arrays(model).items())))
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[AlignmentModel, dict]:
+    """The saved model and the checkpoint's meta (config, package version, extra)."""
+    meta, arrays = container.load(path, container.CHECKPOINT)
     try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise CheckpointError(f"cannot open checkpoint: {e}") from e
-    with fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError("bad checkpoint magic")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        cfg_dict = dict(header["config"])
-        cfg_dict["offset_channels"] = tuple(cfg_dict["offset_channels"])
-        model = AlignmentModel(ModelConfig(**cfg_dict))
-        arrays = _named_arrays(model)
-        (count,) = struct.unpack("<I", fh.read(4))
-        seen = set()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            data = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-            if name not in arrays:
-                raise CheckpointError(f"unexpected array {name!r} in checkpoint")
-            if arrays[name].shape != data.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}")
-            arrays[name][...] = data
-            seen.add(name)
-        missing = set(arrays) - seen
-        if missing:
-            raise CheckpointError(f"checkpoint is missing arrays: {sorted(missing)}")
-    return model, header
+        cfg = dict(meta["config"])
+        cfg["offset_channels"] = tuple(cfg["offset_channels"])
+        model = AlignmentModel(ModelConfig(**cfg))
+    except (KeyError, TypeError, ValueError) as e:
+        raise container.ContainerError(f"malformed checkpoint config: {e}") from e
+    targets = _named_arrays(model)
+    container.expect_shapes(arrays, {name: a.shape for name, a in targets.items()})
+    for name, a in arrays.items():
+        targets[name][...] = a
+    return model, meta

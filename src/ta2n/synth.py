@@ -16,37 +16,17 @@ behaviour can be verified against known answers.
 from __future__ import annotations
 
 import os
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import container
 from .autodiff import Array
 
-MAGIC = b"TA2N"
-FORMAT_VERSION = 1
 WARP_KNOTS = 3  # interior knots of the evolution warp
 SIGNATURE_LENGTH = 64
 TEMPLATE_SIZE = 3
 SIGNATURE_COSINE_CEILING = 0.3
-
-
-class DatasetIOError(Exception):
-    """Base class for dataset file problems."""
-
-    code = "io"
-
-
-class BadMagicError(DatasetIOError):
-    code = "bad_magic"
-
-
-class UnsupportedVersionError(DatasetIOError):
-    code = "unsupported_version"
-
-
-class TruncatedFileError(DatasetIOError):
-    code = "truncated"
 
 
 @dataclass(frozen=True)
@@ -337,30 +317,7 @@ def noise_free_signal(dataset: Dataset, video: VideoFeature) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# frame sampling and episodes
-
-
-def tsn_sample(
-    frames: Array, t_out: int, mode: str = "center", seed: int | None = None
-) -> Array:
-    """Segment-wise frame selection of a C,T_raw,H,W block down to T frames.
-
-    The raw timeline is split into ``t_out`` contiguous segments as equal as
-    possible; one frame is kept per segment (its centre in deterministic
-    mode, a seeded uniform draw in stochastic mode).
-    """
-    t_raw = frames.shape[1]
-    if t_raw < t_out:
-        raise ValueError(f"cannot sample {t_out} frames from {t_raw}")
-    edges = np.linspace(0, t_raw, t_out + 1).astype(int)
-    if mode == "center":
-        idx = [(edges[i] + edges[i + 1]) // 2 for i in range(t_out)]
-    elif mode == "random":
-        rng = np.random.default_rng(seed)
-        idx = [int(rng.integers(edges[i], edges[i + 1])) for i in range(t_out)]
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return frames[:, idx]
+# episodes
 
 
 def sample_episode(
@@ -399,98 +356,73 @@ def sample_episode(
 
 
 # ---------------------------------------------------------------------------
-# persistence (little-endian binary, magic "TA2N")
+# persistence
 
 
-def _write(fh, fmt: str, *values) -> None:
-    fh.write(struct.pack(fmt, *values))
-
-
-def _read(fh, fmt: str):
-    size = struct.calcsize(fmt)
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise TruncatedFileError(f"expected {size} bytes, file ended early")
-    return struct.unpack(fmt, raw)
+def _array_shapes(n_videos: int, dims: tuple[int, int, int, int]) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each per-video field, stacked over the videos of a file."""
+    return {
+        "features": (n_videos, *dims),
+        "centers": (n_videos, dims[1], 2),
+        "warp_knots": (n_videos, WARP_KNOTS + 2),
+        "labels": (n_videos,),
+        "warp_ids": (n_videos,),
+        "spans": (n_videos, 2),  # (start, end)
+    }
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
-    """Atomic binary dump; layout documented in the README."""
-    tmp = f"{path}.tmp"
-    cfg = dataset.config
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        _write(fh, "<H", FORMAT_VERSION)
-        _write(
-            fh,
-            "<9I",
-            len(dataset.videos),
-            dataset.channels,
-            dataset.frames,
-            dataset.height,
-            dataset.width,
-            dataset.num_classes,
-            *dataset.split_counts,
-        )
-        _write(fh, "<Q", dataset.seed)
-        _write(
-            fh,
-            "<4d",
-            cfg.duration_jitter,
-            cfg.evolution_severity,
-            cfg.spatial_jitter,
-            cfg.background_noise_scale,
-        )
-        for v in dataset.videos:
-            _write(fh, "<2I", v.label, v.warp_id)
-            _write(fh, "<2d", v.start, v.end)
-            fh.write(np.ascontiguousarray(v.centers, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(v.warp_knots, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(v.feature, dtype="<f8").tobytes())
-    os.replace(tmp, path)
-
-
-def _read_array(fh, count: int, shape: tuple[int, ...]) -> Array:
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
-        raise TruncatedFileError("array payload ended early")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    """Atomic dump into a dataset container, one stacked array per video field."""
+    videos = dataset.videos
+    meta = {
+        "videos": len(videos),
+        "dims": list(dataset.dims()),
+        "num_classes": dataset.num_classes,
+        "split_counts": list(dataset.split_counts),
+        "seed": dataset.seed,
+        "config": asdict(dataset.config),
+    }
+    rows = {
+        "features": [v.feature for v in videos],
+        "centers": [v.centers for v in videos],
+        "warp_knots": [v.warp_knots for v in videos],
+        "labels": [v.label for v in videos],
+        "warp_ids": [v.warp_id for v in videos],
+        "spans": [(v.start, v.end) for v in videos],
+    }
+    arrays = {
+        name: np.array(rows[name], dtype=np.float64).reshape(shape)  # reshape: zero videos
+        for name, shape in _array_shapes(len(videos), dataset.dims()).items()
+    }
+    container.save(path, container.DATASET, meta, arrays)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}")
-        (version,) = _read(fh, "<H")
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(f"unsupported format version {version}")
-        n_videos, channels, frames, height, width, num_classes, n_train, n_val, n_test = _read(
-            fh, "<9I"
-        )
-        (seed,) = _read(fh, "<Q")
-        dj, es, sj, noise = _read(fh, "<4d")
+    """Inverse of :func:`save_dataset`; a malformed file raises a ``ContainerError``."""
+    meta, arrays = container.load(path, container.DATASET)
+    try:
+        n = int(meta["videos"])
+        channels, frames, height, width = (int(d) for d in meta["dims"])
         dataset = Dataset(
             channels=channels,
             frames=frames,
             height=height,
             width=width,
-            num_classes=num_classes,
-            split_counts=(n_train, n_val, n_test),
-            config=MisalignmentConfig(dj, es, sj, noise),
-            seed=seed,
+            num_classes=int(meta["num_classes"]),
+            split_counts=tuple(int(c) for c in meta["split_counts"]),
+            config=MisalignmentConfig(**meta["config"]),
+            seed=int(meta["seed"]),
         )
-        for _ in range(n_videos):
-            label, warp_id = _read(fh, "<2I")
-            start, end = _read(fh, "<2d")
-            centers = _read_array(fh, frames * 2, (frames, 2))
-            knots = _read_array(fh, WARP_KNOTS + 2, (WARP_KNOTS + 2,))
-            feature = _read_array(
-                fh, channels * frames * height * width, (channels, frames, height, width)
-            )
-            dataset.videos.append(
-                VideoFeature(feature, label, start, end, centers, warp_id, knots)
-            )
-        if fh.read(1):
-            raise TruncatedFileError("trailing bytes after the last record")
+    except (KeyError, TypeError, ValueError) as e:
+        raise container.ContainerError(f"malformed dataset meta: {e}") from e
+    container.expect_shapes(arrays, _array_shapes(n, dataset.dims()))
+    features, centers, knots = arrays["features"], arrays["centers"], arrays["warp_knots"]
+    labels, warp_ids, spans = arrays["labels"], arrays["warp_ids"], arrays["spans"]
+    dataset.videos = [
+        VideoFeature(
+            features[i], int(labels[i]), float(spans[i, 0]), float(spans[i, 1]),
+            centers[i], int(warp_ids[i]), knots[i],
+        )
+        for i in range(n)
+    ]
     return dataset

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Parameter, Tape, Var
+from .autodiff import Parameter, Tape, Var
 
 MIN_DURATION_SCALE = 0.25
 
@@ -36,14 +36,6 @@ class WarpParams:
             raise ValueError(f"duration scale {self.scale} outside [{MIN_DURATION_SCALE}, 1]")
         if not -1e-9 <= self.shift <= 1.0 - self.scale + 1e-9:
             raise ValueError(f"start shift {self.shift} outside [0, {1.0 - self.scale}]")
-
-    @staticmethod
-    def identity() -> "WarpParams":
-        return WarpParams(1.0, 0.0)
-
-    def compose(self, inner: "WarpParams") -> "WarpParams":
-        """Parameters of applying ``self`` first, then ``inner``."""
-        return WarpParams(self.scale * inner.scale, self.shift + self.scale * inner.shift)
 
 
 class LocalizationNet:
@@ -108,12 +100,3 @@ def temporal_affine_warp(feature: Var, scale: Var, shift: Var) -> Var:
     WarpParams(float(scale.value), float(shift.value)).validate()
     return ad.time_linear_sample(feature, scale, shift)
 
-
-def warp_array(feature: Array, params: WarpParams) -> Array:
-    """Forward-only warp of a plain array with fixed parameters."""
-    params.validate()
-    tape = Tape(grad=False)
-    out = ad.time_linear_sample(
-        tape.const(feature), tape.const(params.scale), tape.const(params.shift)
-    )
-    return np.array(out.value)

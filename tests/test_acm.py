@@ -10,7 +10,6 @@ from ta2n.acm import (
     TemporalCoordination,
     generate_offset_mask,
     masked_spatial_average,
-    perturb_offsets,
     sc_enumerate_oracle,
     spatial_coordinate,
 )
@@ -21,6 +20,13 @@ def spatially_constant(frames):
     """(C,T) frame vectors broadcast over a 5x5 grid."""
     c, t = frames.shape
     return np.broadcast_to(frames[:, :, None, None], (c, t, 5, 5)).copy()
+
+
+def predict(pred, support, query, training=False):
+    """Offsets of one pair, through the batched forward on a (1,C,T,H,W) stack."""
+    tape = Tape(grad=False)
+    both = np.concatenate([support, query])[None]
+    return pred.forward(tape, tape.const(both), training).value[0]
 
 
 def identity_tc(channels):
@@ -51,7 +57,7 @@ class TestTemporalCoordination:
         tape = Tape(grad=False)
         q = tape.const(rng.standard_normal((4, 6, 5, 5)))
         values = tc.project_values(tape, q)
-        out = acm.rearranged_with(tape.const(np.eye(6)), values)
+        out = ad.mix_time(tape.const(np.eye(6)), values)
         npt.assert_allclose(out.value, values.value, atol=1e-12)
 
     def test_uniform_features_give_uniform_correlation(self):
@@ -133,30 +139,26 @@ class TestOffsetPredictor:
     def test_zero_init_final_layer_gives_zero_offsets(self):
         rng = np.random.default_rng(7)
         pred = OffsetPredictor(8, 7, 7, conv_channels=(12, 12), hidden=8, rng=rng)
-        tape = Tape(grad=False)
-        s = tape.const(rng.standard_normal((4, 6, 7, 7)))
-        q = tape.const(rng.standard_normal((4, 6, 7, 7)))
-        out = acm.predict_offset(pred, tape, s, q, training=False)
-        npt.assert_array_equal(out.value, np.zeros((6, 2)))
+        s = rng.standard_normal((4, 6, 7, 7))
+        q = rng.standard_normal((4, 6, 7, 7))
+        npt.assert_array_equal(predict(pred, s, q), np.zeros((6, 2)))
 
     def test_offsets_strictly_inside_half_grid(self):
         rng = np.random.default_rng(8)
         pred = OffsetPredictor(8, 7, 7, conv_channels=(12, 12), hidden=8, rng=rng)
         pred.fc2_w.value[:] = rng.standard_normal((8, 2)) * 0.2
-        tape = Tape(grad=False)
-        s = tape.const(rng.standard_normal((4, 6, 7, 7)) * 5)
-        q = tape.const(rng.standard_normal((4, 6, 7, 7)) * 5)
-        out = acm.predict_offset(pred, tape, s, q, training=False).value
+        s = rng.standard_normal((4, 6, 7, 7)) * 5
+        q = rng.standard_normal((4, 6, 7, 7)) * 5
+        out = predict(pred, s, q)
         assert np.all(np.abs(out[:, 0]) < 3.0)
         assert np.all(np.abs(out[:, 1]) < 3.0)
 
     def test_output_shape(self):
         rng = np.random.default_rng(9)
         pred = OffsetPredictor(32, 7, 7, conv_channels=(16, 16), hidden=8, rng=rng)
-        tape = Tape(grad=False)
-        s = tape.const(rng.standard_normal((16, 8, 7, 7)))
-        q = tape.const(rng.standard_normal((16, 8, 7, 7)))
-        assert acm.predict_offset(pred, tape, s, q).value.shape == (8, 2)
+        s = rng.standard_normal((16, 8, 7, 7))
+        q = rng.standard_normal((16, 8, 7, 7))
+        assert predict(pred, s, q).shape == (8, 2)
 
     def test_grid_too_small_at_construction(self):
         with pytest.raises(ValueError):
@@ -168,27 +170,20 @@ class TestOffsetPredictor:
         rng = np.random.default_rng(10)
         pred = OffsetPredictor(8, 7, 7, conv_channels=(12, 12), hidden=8, rng=rng)
         before = pred.bn1_mean.copy()
-        tape = Tape(grad=False)
-        s = tape.const(rng.standard_normal((4, 6, 7, 7)))
-        q = tape.const(rng.standard_normal((4, 6, 7, 7)))
-        acm.predict_offset(pred, tape, s, q, training=False)
+        s = rng.standard_normal((4, 6, 7, 7))
+        q = rng.standard_normal((4, 6, 7, 7))
+        predict(pred, s, q, training=False)
         npt.assert_array_equal(pred.bn1_mean, before)
-        acm.predict_offset(pred, tape, s, q, training=True)
+        predict(pred, s, q, training=True)
         assert not np.array_equal(pred.bn1_mean, before)
 
 
 class TestPerturbation:
-    def test_eval_mode_is_an_error(self):
-        with pytest.raises(RuntimeError):
-            perturb_offsets(np.zeros((4, 2)), 0, PerturbSchedule(), training=False)
-
     def test_epoch_zero_unit_circle(self):
-        sched = PerturbSchedule(initial_amplitude=1.0)
-        variants = perturb_offsets(np.zeros((1, 2)), 0, sched, training=True)
-        assert len(variants) == 9
-        npt.assert_array_equal(variants[0], np.zeros((1, 2)))
-        for v in variants[1:]:
-            npt.assert_allclose(np.linalg.norm(v[0]), 1.0, atol=1e-12)
+        disp = PerturbSchedule(initial_amplitude=1.0).displacements(0)
+        assert disp.shape == (9, 2)
+        npt.assert_array_equal(disp[0], np.zeros(2))
+        npt.assert_allclose(np.linalg.norm(disp[1:], axis=1), np.ones(8), atol=1e-12)
 
     def test_amplitude_decay(self):
         sched = PerturbSchedule(initial_amplitude=1.0, decay=0.5, interval_epochs=40)

@@ -4,9 +4,13 @@ import pytest
 
 from ta2n import autodiff as ad
 from ta2n import metric
-from ta2n.acm import TemporalCoordination
 from ta2n.autodiff import Parameter, Tape
-from ta2n.metric import build_prototype, classify, cross_entropy_loss, frame_cosine_distance
+from ta2n.metric import classify, cross_entropy_loss, frame_cosine_distance
+
+
+def classify_one(query, prototypes):
+    """Classification of one query representation against every prototype."""
+    return classify([(p, query) for p in prototypes])
 
 
 def dist(f, p):
@@ -48,57 +52,12 @@ class TestFrameCosineDistance:
             frame_cosine_distance(tape.const(np.zeros((4, 5))), tape.const(np.zeros((4, 6))))
 
 
-class TestBuildPrototype:
-    def test_single_shot_is_identity(self):
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal((4, 8, 5, 5))
-        proto = build_prototype([f], 2, rng)
-        npt.assert_array_equal(proto.feature, f)
-        assert proto.class_index == 2
-
-    def test_identical_constant_in_time_features_preserved(self):
-        # identical shots whose frames are constant in time: any row-stochastic
-        # rearrangement preserves them, so with an identity value projection
-        # the prototype equals the shot
-        rng = np.random.default_rng(4)
-        c = 6
-        frame = rng.standard_normal(c)
-        f = np.broadcast_to(frame[:, None, None, None], (c, 8, 5, 5)).copy()
-        tc = TemporalCoordination(c, proj_dim=c, rng=rng)
-        tc.value_w.value[:] = np.eye(c)
-        tc.value_b.value[:] = 0.0
-
-        def align(ref, feat):
-            tape = Tape(grad=False)
-            _, aligned, _ = tc.forward(tape, tape.const(ref), tape.const(feat))
-            return np.array(aligned.value)
-
-        proto = build_prototype([f, f, f], 0, np.random.default_rng(0), align=align)
-        npt.assert_allclose(proto.feature, f, atol=1e-9)
-
-    def test_deterministic_reference_choice(self):
-        rng = np.random.default_rng(5)
-        shots = [rng.standard_normal((3, 4)) for _ in range(5)]
-        p1 = build_prototype(shots, 0, np.random.default_rng(77))
-        p2 = build_prototype(shots, 0, np.random.default_rng(77))
-        npt.assert_array_equal(p1.feature, p2.feature)
-
-    def test_plain_average_without_aligner(self):
-        shots = [np.full((2, 3), 1.0), np.full((2, 3), 3.0)]
-        proto = build_prototype(shots, 1, np.random.default_rng(0))
-        npt.assert_allclose(proto.feature, np.full((2, 3), 2.0))
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            build_prototype([], 0, np.random.default_rng(0))
-
-
 class TestClassify:
     def test_equal_distances_uniform(self):
         tape = Tape(grad=False)
         q = tape.const(np.ones((3, 4)))
         protos = [tape.const(np.ones((3, 4))) for _ in range(5)]
-        probs, _ = classify(q, protos)
+        probs, _ = classify_one(q, protos)
         npt.assert_allclose(probs.value, np.full(5, 0.2), atol=1e-12)
 
     def test_matching_prototype_hand_value(self):
@@ -113,7 +72,7 @@ class TestClassify:
             other = np.zeros((5, t_len))
             other[i + 1] = 1.0
             protos.append(tape.const(other))
-        probs, _ = classify(tape.const(q), protos)
+        probs, _ = classify_one(tape.const(q), protos)
         npt.assert_allclose(probs.value[0], 0.99866, atol=5e-6)
         assert probs.value.argmax() == 0
 
@@ -123,22 +82,31 @@ class TestClassify:
             tape = Tape(grad=False)
             q = tape.const(rng.standard_normal((4, 6)))
             protos = [tape.const(rng.standard_normal((4, 6))) for _ in range(5)]
-            probs, _ = classify(q, protos)
+            probs, _ = classify_one(q, protos)
             npt.assert_allclose(probs.value.sum(), 1.0, atol=1e-9)
             assert probs.value.min() >= 0.0
+
+    def test_query_aligned_per_class(self):
+        # each class compares its own representation of the query
+        rng = np.random.default_rng(11)
+        pairs = [(rng.standard_normal((4, 6)), rng.standard_normal((4, 6))) for _ in range(3)]
+        tape = Tape(grad=False)
+        probs, logits = classify([(tape.const(p), tape.const(q)) for p, q in pairs])
+        npt.assert_array_equal(logits.value, [-dist(q, p) for p, q in pairs])
+        npt.assert_allclose(probs.value, np.exp(logits.value) / np.exp(logits.value).sum())
 
     def test_needs_two_prototypes(self):
         tape = Tape(grad=False)
         with pytest.raises(ValueError):
-            classify(tape.const(np.ones((2, 2))), [tape.const(np.ones((2, 2)))])
+            classify_one(tape.const(np.ones((2, 2))), [tape.const(np.ones((2, 2)))])
 
     def test_shared_positive_rescale_keeps_prediction(self):
         rng = np.random.default_rng(7)
         q = rng.standard_normal((4, 6))
         protos = [rng.standard_normal((4, 6)) for _ in range(4)]
         tape = Tape(grad=False)
-        p1, _ = classify(tape.const(q), [tape.const(p) for p in protos])
-        p2, _ = classify(tape.const(5.5 * q), [tape.const(5.5 * p) for p in protos])
+        p1, _ = classify_one(tape.const(q), [tape.const(p) for p in protos])
+        p2, _ = classify_one(tape.const(5.5 * q), [tape.const(5.5 * p) for p in protos])
         npt.assert_allclose(p1.value, p2.value, atol=1e-8)
         assert p1.value.argmax() == p2.value.argmax()
 
@@ -150,7 +118,7 @@ class TestCrossEntropy:
         f[0] = 1.0
         away = np.zeros((3, 4))
         away[1] = 1.0
-        probs, _ = classify(tape.const(f), [tape.const(f), tape.const(away)])
+        probs, _ = classify_one(tape.const(f), [tape.const(f), tape.const(away)])
         loss = cross_entropy_loss([probs], [0])
         assert float(loss.value) < 0.02  # e^-4 tail from the single distractor
 
@@ -158,7 +126,7 @@ class TestCrossEntropy:
         tape = Tape(grad=False)
         q = tape.const(np.ones((3, 4)))
         protos = [tape.const(np.ones((3, 4))) for _ in range(5)]
-        probs, _ = classify(q, protos)
+        probs, _ = classify_one(q, protos)
         loss = cross_entropy_loss([probs], [3])
         npt.assert_allclose(float(loss.value), np.log(5.0), atol=1e-9)
 
@@ -169,7 +137,7 @@ class TestCrossEntropy:
         for i in range(6):
             q = tape.const(rng.standard_normal((4, 5)))
             protos = [tape.const(rng.standard_normal((4, 5))) for _ in range(3)]
-            probs, _ = classify(q, protos)
+            probs, _ = classify_one(q, protos)
             all_probs.append(probs)
             labels.append(i % 3)
         loss = cross_entropy_loss(all_probs, labels)
@@ -180,7 +148,7 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         tape = Tape(grad=False)
         q = tape.const(np.ones((2, 2)))
-        probs, _ = classify(q, [tape.const(np.ones((2, 2))), tape.const(np.ones((2, 2)))])
+        probs, _ = classify_one(q, [tape.const(np.ones((2, 2))), tape.const(np.ones((2, 2)))])
         with pytest.raises(ValueError):
             cross_entropy_loss([probs], [2])
 
@@ -192,7 +160,7 @@ class TestCrossEntropy:
         p2 = Parameter(rng.standard_normal((4, 6)), "p2")
 
         def build(tape):
-            probs, _ = classify(
+            probs, _ = classify_one(
                 tape.param(q), [tape.param(p0), tape.param(p1), tape.param(p2)]
             )
             return cross_entropy_loss([probs], [1])

@@ -8,6 +8,13 @@ from ta2n.autodiff import Parameter, Tape
 from ta2n.ttm import LocalizationNet, WarpParams
 
 
+def warp(feature, scale, shift):
+    """Forward-only run of the pipeline's warp with fixed parameters."""
+    tape = Tape(grad=False)
+    out = ttm.temporal_affine_warp(tape.const(feature), tape.const(scale), tape.const(shift))
+    return out.value
+
+
 def ramp_feature(values):
     """C=1, H=W=1 sequence with the given per-frame scalar values."""
     v = np.asarray(values, dtype=float)
@@ -56,15 +63,15 @@ class TestWarp:
     def test_identity_is_exact(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((3, 8, 4, 4))
-        out = ttm.warp_array(f, WarpParams.identity())
+        out = warp(f, 1.0, 0.0)
         npt.assert_array_equal(out, f)
 
     def test_hand_case_zoom(self):
-        out = ttm.warp_array(ramp_feature([0.0, 1.0, 2.0, 3.0]), WarpParams(0.5, 0.0))
+        out = warp(ramp_feature([0.0, 1.0, 2.0, 3.0]), 0.5, 0.0)
         npt.assert_allclose(out.ravel(), [0.0, 0.5, 1.0, 1.5])
 
     def test_hand_case_zoom_with_shift(self):
-        out = ttm.warp_array(ramp_feature([0.0, 1.0, 2.0, 3.0]), WarpParams(0.5, 0.5))
+        out = warp(ramp_feature([0.0, 1.0, 2.0, 3.0]), 0.5, 0.5)
         npt.assert_allclose(out.ravel(), [1.5, 2.0, 2.5, 3.0])
 
     def test_convex_hull_bound(self):
@@ -73,32 +80,15 @@ class TestWarp:
             f = rng.standard_normal((2, 6, 3, 3))
             scale = rng.uniform(0.25, 1.0)
             shift = rng.uniform(0.0, 1.0 - scale)
-            out = ttm.warp_array(f, WarpParams(scale, shift))
+            out = warp(f, scale, shift)
             assert out.min() >= f.min() - 1e-12
             assert out.max() <= f.max() + 1e-12
 
     def test_out_of_range_params_error(self):
         f = np.zeros((1, 4, 1, 1))
-        for bad in (WarpParams(0.1, 0.0), WarpParams(1.2, 0.0), WarpParams(0.5, 0.6)):
+        for scale, shift in ((0.1, 0.0), (1.2, 0.0), (0.5, 0.6)):
             with pytest.raises(ValueError):
-                ttm.warp_array(f, bad)
-
-    def test_composition(self):
-        # time-affine features make linear interpolation exact, so composing
-        # two warps equals the single composed warp
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            slope = rng.standard_normal((3, 1, 2, 2))
-            base = rng.standard_normal((3, 1, 2, 2))
-            tgrid = np.arange(6.0).reshape(1, 6, 1, 1)
-            f = base + slope * tgrid
-            p1 = WarpParams(rng.uniform(0.5, 1.0), 0.0)
-            p1 = WarpParams(p1.scale, rng.uniform(0.0, 1.0 - p1.scale))
-            p2 = WarpParams(rng.uniform(0.5, 1.0), 0.0)
-            p2 = WarpParams(p2.scale, rng.uniform(0.0, 1.0 - p2.scale))
-            two_step = ttm.warp_array(ttm.warp_array(f, p1), p2)
-            one_step = ttm.warp_array(f, p1.compose(p2))
-            npt.assert_allclose(two_step, one_step, atol=1e-6)
+                warp(f, scale, shift)
 
     def test_gradients_wrt_params_and_feature(self):
         rng = np.random.default_rng(5)
@@ -121,17 +111,3 @@ class TestWarp:
         )
         assert report.passed, report.summary()
 
-
-class TestWarpParams:
-    def test_compose_algebra(self):
-        p1 = WarpParams(0.5, 0.2)
-        p2 = WarpParams(0.8, 0.1)
-        c = p1.compose(p2)
-        npt.assert_allclose([c.scale, c.shift], [0.4, 0.25])
-        c.validate()
-
-    def test_identity_compose_neutral(self):
-        p = WarpParams(0.6, 0.3)
-        i = WarpParams.identity()
-        for c in (p.compose(i), i.compose(p)):
-            npt.assert_allclose([c.scale, c.shift], [p.scale, p.shift])
