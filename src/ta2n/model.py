@@ -206,6 +206,8 @@ class AlignmentModel:
 
     def _class_prototype(self, tape: Tape, feats: list[Var], rng: np.random.Generator) -> Var:
         """Fuse K support features; single shots pass through untouched."""
+        if not feats:
+            raise ValueError("a class prototype needs at least one shot")
         if len(feats) == 1:
             return feats[0]
         ref = int(rng.integers(len(feats)))

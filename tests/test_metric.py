@@ -6,11 +6,20 @@ from ta2n import autodiff as ad
 from ta2n import metric
 from ta2n.autodiff import Parameter, Tape
 from ta2n.metric import classify, cross_entropy_loss, frame_cosine_distance
+from ta2n.model import AlignmentModel, ModelConfig
 
 
 def classify_one(query, prototypes):
     """Classification of one query representation against every prototype."""
     return classify([(p, query) for p in prototypes])
+
+
+def prototype_model(**kw):
+    """A small model whose ``_class_prototype`` fuses (6, 8, 5, 5) shots."""
+    return AlignmentModel(ModelConfig(
+        channels=6, frames=8, height=5, width=5, proj_dim=6,
+        ttm_hidden=8, offset_channels=(8, 8), offset_hidden=8, **kw,
+    ))
 
 
 def dist(f, p):
@@ -50,6 +59,49 @@ class TestFrameCosineDistance:
         tape = Tape(grad=False)
         with pytest.raises(ValueError):
             frame_cosine_distance(tape.const(np.zeros((4, 5))), tape.const(np.zeros((4, 6))))
+
+
+class TestBuildPrototype:
+    """K-shot fusion as the pipeline runs it, ``AlignmentModel._class_prototype``."""
+
+    def test_single_shot_is_identity(self):
+        model = prototype_model()
+        tape = Tape(grad=False)
+        f = tape.const(np.random.default_rng(3).standard_normal((6, 8, 5, 5)))
+        assert model._class_prototype(tape, [f], np.random.default_rng(0)) is f
+
+    def test_identical_constant_in_time_features_preserved(self):
+        # identical shots whose frames are constant in time: any row-stochastic
+        # rearrangement preserves them, and the value projection starts at the
+        # identity, so the prototype equals the shot
+        model = prototype_model()
+        frame = np.random.default_rng(4).standard_normal(6)
+        f = np.broadcast_to(frame[:, None, None, None], (6, 8, 5, 5)).copy()
+        tape = Tape(grad=False)
+        proto = model._class_prototype(tape, [tape.const(f)] * 3, np.random.default_rng(0))
+        npt.assert_allclose(proto.value, f, atol=1e-9)
+
+    def test_deterministic_reference_choice(self):
+        model = prototype_model()
+        rng = np.random.default_rng(5)
+        shots = [rng.standard_normal((6, 8, 5, 5)) for _ in range(5)]
+        protos = []
+        for _ in range(2):
+            tape = Tape(grad=False)
+            feats = [tape.const(s) for s in shots]
+            protos.append(model._class_prototype(tape, feats, np.random.default_rng(77)).value)
+        npt.assert_array_equal(protos[0], protos[1])
+
+    def test_plain_average_without_aligner(self):
+        model = prototype_model(use_tc=False)
+        tape = Tape(grad=False)
+        shots = [tape.const(np.full((6, 8, 5, 5), v)) for v in (1.0, 3.0)]
+        proto = model._class_prototype(tape, shots, np.random.default_rng(0))
+        npt.assert_allclose(proto.value, np.full((6, 8, 5, 5), 2.0))
+
+    def test_empty_errors(self):
+        with pytest.raises(ValueError, match="at least one shot"):
+            prototype_model()._class_prototype(Tape(grad=False), [], np.random.default_rng(0))
 
 
 class TestClassify:

@@ -4,6 +4,7 @@ import pytest
 
 from ta2n import gradcheck, metric
 from ta2n.autodiff import Tape, finite_diff_gradcheck
+from ta2n.container import BadMagicError, UnsupportedVersionError
 from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkpoint
 from ta2n.synth import MisalignmentConfig, generate_dataset, sample_episode
 
@@ -112,43 +113,6 @@ class TestEpisodeForward:
         assert report.passed, report.summary()
 
 
-class TestClassPrototype:
-    def test_single_shot_passes_through(self):
-        model = AlignmentModel(tiny_config())
-        tape = Tape(grad=False)
-        f = tape.const(np.random.default_rng(3).standard_normal((6, 8, 5, 5)))
-        assert model._class_prototype(tape, [f], np.random.default_rng(0)) is f
-
-    def test_identical_constant_in_time_shots_preserved(self):
-        # identical shots whose frames are constant in time: any row-stochastic
-        # rearrangement preserves them, and the value projection starts at the
-        # identity, so the prototype equals the shot
-        model = AlignmentModel(tiny_config())
-        frame = np.random.default_rng(4).standard_normal(6)
-        f = np.broadcast_to(frame[:, None, None, None], (6, 8, 5, 5)).copy()
-        tape = Tape(grad=False)
-        proto = model._class_prototype(tape, [tape.const(f)] * 3, np.random.default_rng(0))
-        npt.assert_allclose(proto.value, f, atol=1e-9)
-
-    def test_deterministic_reference_choice(self):
-        model = AlignmentModel(tiny_config())
-        rng = np.random.default_rng(5)
-        shots = [rng.standard_normal((6, 8, 5, 5)) for _ in range(5)]
-        protos = []
-        for _ in range(2):
-            tape = Tape(grad=False)
-            feats = [tape.const(s) for s in shots]
-            protos.append(model._class_prototype(tape, feats, np.random.default_rng(77)).value)
-        npt.assert_array_equal(protos[0], protos[1])
-
-    def test_plain_average_without_tc(self):
-        model = AlignmentModel(tiny_config(use_tc=False))
-        tape = Tape(grad=False)
-        shots = [tape.const(np.full((6, 8, 5, 5), v)) for v in (1.0, 3.0)]
-        proto = model._class_prototype(tape, shots, np.random.default_rng(0))
-        npt.assert_allclose(proto.value, np.full((6, 8, 5, 5), 2.0))
-
-
 class TestCheckpoints:
     def test_round_trip(self, dataset, tmp_path):
         model = AlignmentModel(tiny_config())
@@ -165,6 +129,24 @@ class TestCheckpoints:
             npt.assert_array_equal(a.value, b.value)
         npt.assert_array_equal(loaded.sc.bn1_mean, model.sc.bn1_mean)
         assert loaded.config == model.config
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        raw = bytearray(path.read_bytes())
+        raw[:4] = b"NOPE"
+        path.write_bytes(raw)
+        with pytest.raises(BadMagicError):
+            load_checkpoint(path)
+
+    def test_version_mismatch(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (7).to_bytes(2, "little")
+        path.write_bytes(raw)
+        with pytest.raises(UnsupportedVersionError):
+            load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

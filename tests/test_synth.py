@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from ta2n import synth
+from ta2n.container import BadMagicError, TruncatedFileError, UnsupportedVersionError
 from ta2n.synth import (
     Dataset,
     MisalignmentConfig,
@@ -174,6 +175,32 @@ class TestPersistence:
         path = tmp_path / "data.ta2n"
         save_dataset(ds, path)
         assert dataset_equal(ds, load_dataset(path))
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "data.ta2n"
+        save_dataset(small_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        raw[0] ^= 0xFF
+        path.write_bytes(raw)
+        with pytest.raises(BadMagicError):
+            load_dataset(path)
+
+    def test_future_version(self, tmp_path):
+        path = tmp_path / "data.ta2n"
+        save_dataset(small_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (99).to_bytes(2, "little")
+        path.write_bytes(raw)
+        with pytest.raises(UnsupportedVersionError):
+            load_dataset(path)
+
+    def test_truncated(self, tmp_path):
+        path = tmp_path / "data.ta2n"
+        save_dataset(small_dataset(), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(TruncatedFileError):
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -90,6 +90,19 @@ class TestWarp:
             with pytest.raises(ValueError):
                 warp(f, scale, shift)
 
+    def test_composition(self):
+        # time-affine features make linear interpolation exact, so two warps
+        # in a row equal one warp whose window is the second inside the first
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            slope = rng.standard_normal((3, 1, 2, 2))
+            base = rng.standard_normal((3, 1, 2, 2))
+            f = base + slope * np.arange(6.0).reshape(1, 6, 1, 1)
+            s1, s2 = rng.uniform(0.5, 1.0, 2)
+            t1, t2 = rng.uniform(0.0, 1.0 - s1), rng.uniform(0.0, 1.0 - s2)
+            two_step = warp(warp(f, s1, t1), s2, t2)
+            npt.assert_allclose(two_step, warp(f, s1 * s2, t1 + s1 * t2), atol=1e-6)
+
     def test_gradients_wrt_params_and_feature(self):
         rng = np.random.default_rng(5)
         feat = Parameter(rng.standard_normal((2, 6, 3, 3)), "feat")
@@ -111,3 +124,19 @@ class TestWarp:
         )
         assert report.passed, report.summary()
 
+
+
+class TestWarpParams:
+    """The composition algebra of warp windows, on the pipeline's warp."""
+
+    def test_compose_algebra(self):
+        # window (0.8, 0.1) inside window (0.5, 0.2) is window (0.4, 0.25)
+        f = ramp_feature(np.arange(11.0))
+        npt.assert_allclose(warp(warp(f, 0.5, 0.2), 0.8, 0.1), warp(f, 0.4, 0.25), atol=1e-12)
+        WarpParams(0.4, 0.25).validate()
+
+    def test_identity_compose_neutral(self):
+        f = np.random.default_rng(7).standard_normal((2, 6, 3, 3))
+        once = warp(f, 0.6, 0.3)
+        npt.assert_array_equal(warp(warp(f, 0.6, 0.3), 1.0, 0.0), once)
+        npt.assert_array_equal(warp(warp(f, 1.0, 0.0), 0.6, 0.3), once)
