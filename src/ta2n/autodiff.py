@@ -5,6 +5,9 @@ masks, the metric head) is composed from the primitives in this module.
 Gradients are computed by recording every primitive application on an
 explicit :class:`Tape` and replaying the record backwards; the record is a
 plain list, so tests can inspect exactly what ran and in which order.
+Backward consumes a tape: each entry drops its backward closure, and with it
+the arrays the closure saved, so a tape is freed by reference counting as
+soon as the caller drops it, without waiting for the cycle collector.
 
 Conventions:
 
@@ -53,8 +56,9 @@ def _frozen(a: Array) -> Array:
 class Parameter:
     """A trainable array with a same-shaped gradient buffer.
 
-    Gradients accumulate additively across :meth:`Tape.backward` calls and
-    must be zeroed explicitly between optimization steps.
+    Gradients accumulate additively across :meth:`Tape.backward` calls, one
+    per tape since backward consumes its tape, and must be zeroed explicitly
+    between optimization steps.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -83,8 +87,8 @@ class _Entry:
     inputs: tuple[int, ...]
     output: int
     # Maps the output gradient to one gradient per input slot (None for
-    # inputs that need no gradient, e.g. constants).
-    backward: Callable[[Array], tuple[Array | None, ...]]
+    # inputs that need no gradient, e.g. constants). None once backward ran.
+    backward: Callable[[Array], tuple[Array | None, ...]] | None
 
 
 class Var:
@@ -110,10 +114,17 @@ class Tape:
 
     With ``grad=False`` the same primitives run forward-only and record
     nothing, which keeps evaluation and training on a single code path.
+
+    :meth:`backward` runs once per tape. It consumes the tape: every entry
+    keeps its ``op``, ``inputs`` and ``output`` but drops its backward
+    closure. The closures hold the saved arrays and the :class:`Var` handles
+    that point back at the tape, so dropping them frees the arrays during the
+    pass and leaves no reference cycle behind.
     """
 
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
+        self._consumed = False
         self.entries: list[_Entry] = []
         self._num_slots = 0
         self._params: list[tuple[int, Parameter]] = []
@@ -148,19 +159,23 @@ class Tape:
         return out
 
     def backward(self, loss: Var) -> None:
-        """Accumulate d(loss)/d(param) into every watched Parameter."""
+        """Accumulate d(loss)/d(param) into every watched Parameter, consuming the tape."""
         if not self.grad_enabled:
             raise RuntimeError("backward on a forward-only tape")
+        if self._consumed:
+            raise RuntimeError("backward on a consumed tape: each tape runs backward once")
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+        self._consumed = True
         grads: dict[int, Array] = {loss.slot: np.ones_like(loss.value)}
         for entry in reversed(self.entries):
             g_out = grads.pop(entry.output, None)
             if g_out is None:
                 continue
             g_inputs = entry.backward(g_out)
+            entry.backward = None
             for slot, g in zip(entry.inputs, g_inputs):
                 if g is None:
                     continue
@@ -169,6 +184,8 @@ class Tape:
                     grads[slot] = g.copy() if g.base is not None or not g.flags.owndata else g
                 else:
                     acc += g
+        for entry in self.entries:  # those no gradient reached
+            entry.backward = None
         for slot, p in self._params:
             g = grads.get(slot)
             if g is not None:

@@ -23,6 +23,7 @@ of its subclasses; OS errors such as a missing file pass through unwrapped.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -35,6 +36,10 @@ CHECKPOINT = b"TA2M"
 KINDS = {DATASET: "dataset", CHECKPOINT: "checkpoint"}
 FORMAT_VERSION = 2
 _PREFIX = struct.Struct("<4sHI")  # magic, version, header length
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 class ContainerError(Exception):
@@ -64,11 +69,21 @@ class _ExactReader:
         self._fh = fh
         self._left = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    def read(self, size: int) -> bytes:
+    def _take(self, size: int) -> None:
         if size > self._left:
             raise TruncatedFileError(f"file ends {size - self._left} bytes early")
         self._left -= size
+
+    def read(self, size: int) -> bytes:
+        self._take(size)
         return self._fh.read(size)
+
+    def read_float64(self, shape: tuple[int, ...]) -> Array:
+        """A fresh, writable C-ordered array of ``shape`` filled from the next bytes."""
+        self._take(8 * math.prod(shape))
+        a = np.empty(shape, dtype="<f8")
+        self._fh.readinto(a.reshape(-1).view(np.uint8))
+        return a
 
 
 def save(path: str | os.PathLike, magic: bytes, meta: dict, arrays: dict[str, Array]) -> None:
@@ -106,21 +121,28 @@ def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]
             raise ContainerError(f"malformed {kind} header: {e}") from e
         if not isinstance(meta, dict) or len(shapes) != len(doc["arrays"]):
             raise ContainerError(f"malformed {kind} header: meta is not an object, or array names repeat")
-        arrays = {}
-        for name, shape in shapes.items():
-            try:
-                # the .npy reader behind np.load, minus its zip and pickle branches
-                a = np.lib.format.read_array(fh, allow_pickle=False)
-            except ValueError as e:
-                raise ContainerError(f"array {name!r}: {e}") from e
-            if a.dtype != np.float64 or a.shape != shape:
-                raise ContainerError(
-                    f"array {name!r} is {a.dtype} {a.shape}, header says float64 {shape}"
-                )
-            arrays[name] = a
+        arrays = {name: _read_record(fh, name, shape) for name, shape in shapes.items()}
         if raw.read(1):
             raise TruncatedFileError(f"trailing bytes after the last array of the {kind} file")
     return meta, arrays
+
+
+def _read_record(fh: _ExactReader, name: str, shape: tuple[int, ...]) -> Array:
+    """The next ``.npy`` record, whose own header must agree with the JSON header's
+    ``shape``: the payload is sized and allocated only after that check."""
+    try:
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADER_READERS:
+            raise ValueError(f".npy format version {version} is not supported")
+        npy_shape, fortran, dtype = _NPY_HEADER_READERS[version](fh)
+    except ValueError as e:
+        raise ContainerError(f"array {name!r}: {e}") from e
+    if dtype != np.float64 or fortran or npy_shape != shape or min(npy_shape, default=0) < 0:
+        order = "F" if fortran else "C"
+        raise ContainerError(
+            f"array {name!r} is {dtype} {npy_shape} ({order} order), header says float64 {shape}"
+        )
+    return fh.read_float64(npy_shape)
 
 
 def expect_shapes(arrays: dict[str, Array], shapes: dict[str, tuple[int, ...]]) -> None:

@@ -152,8 +152,10 @@ def train(
 # evaluation
 
 
-def _eval_episode(args) -> tuple[int, float, list[tuple[int, int]]]:
-    model, dataset, split, n_way, k_shot, n_query, seed, index = args
+def _eval_episode(
+    model: AlignmentModel, dataset: Dataset, split: str, n_way: int, k_shot: int,
+    n_query: int, seed: int, index: int,
+) -> tuple[int, float, list[tuple[int, int]]]:
     episode = sample_episode(dataset, split, n_way, k_shot, n_query, seed)
     tape = Tape(grad=False)
     out = model.episode_forward(
@@ -165,6 +167,20 @@ def _eval_episode(args) -> tuple[int, float, list[tuple[int, int]]]:
         for pred, label in zip(preds, out.labels)
     ]
     return index, out.accuracy(), marks
+
+
+# (model, dataset) of the pool this worker process belongs to, set once by
+# _init_worker so that each job carries only its episode's parameters.
+_worker_state: tuple[AlignmentModel, Dataset] | None = None
+
+
+def _init_worker(model: AlignmentModel, dataset: Dataset) -> None:
+    global _worker_state
+    _worker_state = (model, dataset)
+
+
+def _pool_eval_episode(job: tuple) -> tuple[int, float, list[tuple[int, int]]]:
+    return _eval_episode(*_worker_state, *job)
 
 
 def evaluate(
@@ -181,19 +197,19 @@ def evaluate(
     """Mean episode accuracy with a normal-approximation 95% interval.
 
     Episodes are seeded up front, so any worker count (including 1) yields
-    the same report; per-class tallies use dataset class ids.
+    the same report; per-class tallies use dataset class ids. A pool receives
+    the model and dataset once per worker, through its initializer.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
     jobs = [
-        (model, dataset, split, n_way, k_shot, n_query, episode_seed(seed, 0, i), i)
-        for i in range(episodes)
+        (split, n_way, k_shot, n_query, episode_seed(seed, 0, i), i) for i in range(episodes)
     ]
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_eval_episode, jobs, chunksize=max(1, episodes // (workers * 4)))
+        with multiprocessing.Pool(workers, _init_worker, (model, dataset)) as pool:
+            results = pool.map(_pool_eval_episode, jobs, chunksize=max(1, episodes // (workers * 4)))
     else:
-        results = [_eval_episode(j) for j in jobs]
+        results = [_eval_episode(model, dataset, *j) for j in jobs]
     results.sort(key=lambda r: r[0])
     accs = np.array([acc for _, acc, _ in results])
     per_class: dict[int, tuple[int, int]] = {}

@@ -409,15 +409,29 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             height=height,
             width=width,
             num_classes=int(meta["num_classes"]),
-            split_counts=tuple(int(c) for c in meta["split_counts"]),
+            split_counts=tuple(meta["split_counts"]),
             config=MisalignmentConfig(**meta["config"]),
             seed=int(meta["seed"]),
         )
+        dataset.config.validate()
+        counts = dataset.split_counts
+        if (
+            len(counts) != 3 or any(type(c) is not int or c < 0 for c in counts)
+            or sum(counts) != dataset.num_classes
+        ):
+            raise ValueError(
+                f"split counts {counts} are not three non-negative ints "
+                f"partitioning {dataset.num_classes} classes"
+            )
     except (KeyError, TypeError, ValueError) as e:
         raise container.ContainerError(f"malformed dataset meta: {e}") from e
     container.expect_shapes(arrays, _array_shapes(n, dataset.dims()))
     features, centers, knots = arrays["features"], arrays["centers"], arrays["warp_knots"]
     labels, warp_ids, spans = arrays["labels"], arrays["warp_ids"], arrays["spans"]
+    if not np.all((labels >= 0) & (labels < dataset.num_classes) & (labels == np.floor(labels))):
+        raise container.ContainerError(
+            f"dataset labels must be class ids in [0, {dataset.num_classes})"
+        )
     dataset.videos = [
         VideoFeature(
             features[i], int(labels[i]), float(spans[i, 0]), float(spans[i, 1]),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -466,3 +468,55 @@ class TestGradcheckHarness:
         npt.assert_allclose(p.grad, 4 * np.ones(3))  # two accumulations of 2*theta
         p.zero_grad()
         npt.assert_array_equal(p.grad, np.zeros(3))
+
+
+class TestTapeLifetime:
+    """Backward consumes a tape, so reference counting alone frees it."""
+
+    @staticmethod
+    def build(tape, p):
+        # add and linear_project keep Var handles in their backward closures,
+        # which tie the tape into a reference cycle until backward drops them
+        v = tape.param(p)
+        ad.add(v, v)  # a branch no gradient reaches
+        h = ad.linear_project(ad.add(v, v), tape.param(p))
+        return ad.reduce_sum(ad.mul(h, h))
+
+    def test_backward_keeps_the_record_and_drops_the_closures(self):
+        p = Parameter(np.arange(9.0).reshape(3, 3) / 10, "p")
+        tape = Tape()
+        loss = self.build(tape, p)
+        ops = [e.op for e in tape.entries]
+        tape.backward(loss)
+        assert [e.op for e in tape.entries] == ops == ["add", "add", "linear_project", "mul", "sum"]
+        assert all(e.backward is None for e in tape.entries)
+
+    def test_second_backward_raises(self):
+        p = Parameter(np.eye(3), "p")
+        tape = Tape()
+        loss = self.build(tape, p)
+        tape.backward(loss)
+        grad = p.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            tape.backward(loss)
+        npt.assert_array_equal(p.grad, grad)
+
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self, no_gc):
+        p = Parameter(np.eye(3), "p")
+        tape = Tape()
+        ref = weakref.ref(tape)
+        loss = self.build(tape, p)
+        tape.backward(loss)
+        del tape, loss
+        assert ref() is None
+
+    def test_gradcheck_frees_its_tapes(self, no_gc):
+        p = Parameter(np.arange(9.0).reshape(3, 3) / 10, "p")
+        refs = []
+
+        def build(tape):
+            refs.append(weakref.ref(tape))
+            return self.build(tape, p)
+
+        assert ad.finite_diff_gradcheck(build, [p], step=1e-5, tolerance=1e-6).passed
+        assert len(refs) > 1 and all(r() is None for r in refs)

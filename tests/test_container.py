@@ -42,14 +42,20 @@ def split(raw: bytes) -> tuple[bytes, int, dict, list[np.ndarray]]:
     return magic, version, doc, [np.lib.format.read_array(records) for _ in doc["arrays"]]
 
 
+def record(a: np.ndarray, claimed_shape=None) -> bytes:
+    """``a`` as ``np.save`` writes it; ``claimed_shape`` replaces the shape its header states."""
+    header = np.lib.format.header_data_from_array_1_0(a)
+    if claimed_shape is not None:
+        header["shape"] = claimed_shape
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, header)
+    out.write(a.tobytes())
+    return out.getvalue()
+
+
 def join(magic: bytes, version: int, doc: dict, arrays: list[np.ndarray]) -> bytes:
     header = json.dumps(doc, sort_keys=True).encode("utf-8")
-    out = io.BytesIO()
-    out.write(PREFIX.pack(magic, version, len(header)))
-    out.write(header)
-    for a in arrays:
-        np.save(out, a, allow_pickle=False)
-    return out.getvalue()
+    return PREFIX.pack(magic, version, len(header)) + header + b"".join(map(record, arrays))
 
 
 def truncations(raw: bytes):
@@ -79,6 +85,21 @@ def each_array(raw: bytes, edit):
         yield join(magic, version, {**doc, "arrays": entries}, values)
 
 
+HUGE = (4_000_000_000_000,)  # 29 TiB of float64
+
+
+def huge_records(raw: bytes, in_json: bool):
+    """One variant per array whose .npy header claims shape ``HUGE`` over the
+    original payload; with ``in_json`` the JSON entry claims it too."""
+    magic, version, doc, arrays = split(raw)
+    for i in range(len(arrays)):
+        entries = [dict(e) for e in doc["arrays"]]
+        if in_json:
+            entries[i]["shape"] = list(HUGE)
+        records = [record(a, HUGE if j == i else None) for j, a in enumerate(arrays)]
+        yield join(magic, version, {**doc, "arrays": entries}, []) + b"".join(records)
+
+
 def dropped_arrays(raw: bytes):
     magic, version, doc, arrays = split(raw)
     for i in range(len(arrays)):
@@ -94,7 +115,8 @@ FAULTS = {
     ]),
     "wrong_kind": (BadMagicError, lambda raw, other: [other]),
     "truncated": (TruncatedFileError, lambda raw, other: [
-        *truncations(raw), raw[:6] + struct.pack("<I", 2**32 - 1) + raw[10:]
+        *truncations(raw), raw[:6] + struct.pack("<I", 2**32 - 1) + raw[10:],
+        *huge_records(raw, in_json=True),
     ]),
     "trailing_bytes": (TruncatedFileError, lambda raw, other: [raw + b"\0", raw + raw]),
     "malformed_json": (ContainerError, lambda raw, other: [
@@ -103,6 +125,7 @@ FAULTS = {
     "shape_disagrees": (ContainerError, lambda raw, other: each_array(
         raw, lambda e, a: ({**e, "shape": [*e["shape"], 1]}, a)
     )),
+    "huge_record_shape": (ContainerError, lambda raw, other: huge_records(raw, in_json=False)),
     "not_float64": (ContainerError, lambda raw, other: each_array(
         raw, lambda e, a: (e, a.astype(np.float32))
     )),

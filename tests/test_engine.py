@@ -1,14 +1,17 @@
-"""The determinism claims of the engine docstring, and its config checks."""
+"""The determinism claims of the engine docstring, its config checks, the
+lifetime of a training step's tape and the ablation harness."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ta2n import engine
+from ta2n import engine, metric
+from ta2n.autodiff import Tape
 from ta2n.engine import TrainConfig
 from ta2n.model import AlignmentModel, ModelConfig
-from ta2n.synth import MisalignmentConfig, generate_dataset
+from ta2n.synth import MisalignmentConfig, generate_dataset, sample_episode
 
 TINY_MODEL = ModelConfig(
     channels=4, frames=4, height=5, width=5, proj_dim=4, ttm_hidden=4,
@@ -41,11 +44,45 @@ def test_identical_training_runs_are_bit_identical(dataset):
 
 
 def test_worker_pool_matches_serial_evaluation(dataset):
+    # two calls in one process, each with its own model: a pool's workers get
+    # (model, dataset) once, and a later pool must not see an earlier model
+    models = [AlignmentModel(TINY_MODEL) for _ in range(2)]
+    embed = models[1].embed_w
+    embed.value[...] = np.random.default_rng(0).standard_normal(embed.shape)
+    pooled = [engine.evaluate(m, dataset, "test", 4, 2, 1, 1, seed=9, workers=2) for m in models]
+    serial = [engine.evaluate(m, dataset, "test", 4, 2, 1, 1, seed=9, workers=1) for m in models]
+    assert pooled == serial
+    assert serial[0] != serial[1]
+    assert serial[0].episodes == 4 and sum(t for _, t in serial[0].per_class.values()) == 8
+
+
+def test_training_step_tape_is_freed_without_the_cycle_collector(dataset, no_gc):
     model = AlignmentModel(TINY_MODEL)
-    serial = engine.evaluate(model, dataset, "test", 4, 2, 1, 1, seed=9, workers=1)
-    pooled = engine.evaluate(model, dataset, "test", 4, 2, 1, 1, seed=9, workers=2)
-    assert serial == pooled
-    assert serial.episodes == 4 and sum(t for _, t in serial.per_class.values()) == 8
+    assert model.sc is not None
+    episode = sample_episode(dataset, "train", 3, 1, 1, seed=4)
+    tape = Tape(grad=True)
+    ref = weakref.ref(tape)
+    out = model.episode_forward(tape, episode, training=True, epoch=0, rng=np.random.default_rng(4))
+    loss = metric.cross_entropy_loss(out.probs, out.labels)
+    ops = [e.op for e in tape.entries]
+    assert "conv3d" in ops
+    tape.backward(loss)
+    assert [e.op for e in tape.entries] == ops
+    assert any(np.any(p.grad) for p in model.sc.parameters())
+    del tape, out, loss
+    assert ref() is None
+
+
+def test_ablation_run_smoke(dataset):
+    variants = engine.ABLATION_VARIANTS[:1] + engine.ABLATION_VARIANTS[-1:]
+    config = replace(TINY_TRAIN, epochs=1, n_way=2)  # the test split has 2 classes
+    runs = [engine.ablation_run(dataset, config, TINY_MODEL, 4, variants=variants) for _ in range(2)]
+    assert runs[0] == runs[1]
+    rows = runs[0]
+    assert [r.variant for r in rows] == ["baseline", "tc+sc"]
+    assert [(r.use_ttm, r.use_tc, r.use_sc) for r in rows] == [v[1:] for v in variants]
+    assert all(r.report.episodes == 4 and len(r.history) == 1 for r in rows)
+    assert all(r.history[0].episodes_seen == 2 for r in rows)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -2,8 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ta2n import synth
-from ta2n.container import BadMagicError, TruncatedFileError, UnsupportedVersionError
+from ta2n import container, synth
+from ta2n.container import (
+    BadMagicError,
+    ContainerError,
+    TruncatedFileError,
+    UnsupportedVersionError,
+)
 from ta2n.synth import (
     Dataset,
     MisalignmentConfig,
@@ -212,3 +217,27 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError):
             save_dataset(ds, missing)
         assert not missing.exists()
+
+    @pytest.mark.parametrize("meta_update, first_label", [
+        ({"config": {"duration_jitter": 5.0}}, 0.0),
+        ({"split_counts": [1, 1, 9]}, 0.0),
+        ({"split_counts": [1, 1]}, 0.0),
+        ({"split_counts": [5, 2, -1]}, 0.0),
+        ({"split_counts": [4.0, 1, 1]}, 0.0),
+        ({}, 6.0),
+        ({}, -1.0),
+        ({}, 0.5),
+    ], ids=[
+        "jitter_above_1", "counts_exceed_classes", "two_counts", "negative_count",
+        "float_count", "label_too_large", "label_negative", "label_not_integer",
+    ])
+    def test_invalid_meta_raises_container_error(self, tmp_path, meta_update, first_label):
+        # generate_dataset rejects each of these; a file must not bring them in either
+        path = tmp_path / "data.ta2n"
+        save_dataset(small_dataset(classes=6, per_class=1), path)
+        meta, arrays = container.load(path, container.DATASET)
+        assert meta["num_classes"] == 6 and arrays["labels"][0] == 0.0
+        arrays["labels"][0] = first_label
+        container.save(path, container.DATASET, {**meta, **meta_update}, arrays)
+        with pytest.raises(ContainerError, match="meta|labels"):
+            load_dataset(path)
