@@ -184,7 +184,7 @@ class AlignmentModel:
                 pair_query.append(v_q)
                 pair_corr.append(corr)
 
-        pooled = self._pool_pairs(tape, pair_support, pair_query, training, epoch)
+        pooled, offsets = self._pool_pairs(tape, pair_support, pair_query, training, epoch)
 
         for qi in range(len(query_feats)):
             probs, logits = metric.classify(pooled[qi * n_way : (qi + 1) * n_way])
@@ -196,8 +196,8 @@ class AlignmentModel:
                     rec = PairRecord(qi, ci)
                     if pair_corr[k] is not None:
                         rec.correlation = np.array(pair_corr[k].value)
-                    if self.sc is not None:
-                        rec.offsets = np.array(self._last_offsets[k])
+                    if offsets is not None:
+                        rec.offsets = np.array(offsets.value[k])
                     f_s, f_q = pooled[k]
                     rec.pooled_support = np.array(f_s.value)
                     rec.pooled_query = np.array(f_q.value)
@@ -227,13 +227,17 @@ class AlignmentModel:
         pair_query: list[Var],
         training: bool,
         epoch: int,
-    ) -> list[tuple[Var, Var]]:
-        """Spatially coordinate (or plainly pool) every pair -> (d,T) pairs."""
+    ) -> tuple[list[tuple[Var, Var]], Var | None]:
+        """Spatially coordinate (or plainly pool) every pair -> (d,T) pairs.
+
+        Also returns the (B, T, 2) predicted offsets, or None without SC.
+        """
         if self.sc is None:
-            return [
+            pooled = [
                 (ad.global_avg_pool_spatial(s), ad.global_avg_pool_spatial(q))
                 for s, q in zip(pair_support, pair_query)
             ]
+            return pooled, None
         stacks = []
         for s, q in zip(pair_support, pair_query):
             both = ad.concat_channels(s, q)
@@ -246,15 +250,13 @@ class AlignmentModel:
             else None
         )
         pooled = []
-        self._last_offsets = []
         for k, (s, q) in enumerate(zip(pair_support, pair_query)):
             offs = ad.take(offsets_batch, k, axis=0)
-            self._last_offsets.append(np.array(offs.value))
             f_s, f_q = acm.spatial_coordinate(
                 tape, s, q, offs, displacements=displacements, slope=self.config.mask_slope
             )
             pooled.append((f_s, f_q))
-        return pooled
+        return pooled, offsets_batch
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class LocalizationNet:
         pooled = ad.global_avg_pool_spatial(feature)  # (C, T)
         h = ad.relu(ad.conv1d_temporal(pooled, tape.param(self.conv_w), tape.param(self.conv_b)))
         h = ad.reduce_mean(h, axis=1)  # (hidden,)
-        return ad.linear_project(h, tape.param(self.head_w), tape.param(self.head_b))
+        return ad.channel_linear(h, tape.param(self.head_w), tape.param(self.head_b))
 
 
 def warp_from_raw(raw: Var) -> tuple[Var, Var]:

@@ -88,29 +88,29 @@ class TestPooling:
 class TestLinear:
     def test_identity(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 4))
+        x = rng.standard_normal((4, 3))
         t = Tape(grad=False)
         w = t.const(np.eye(4))
         b = t.const(np.zeros(4))
-        npt.assert_allclose(ad.linear_project(t.const(x), w, b).value, x)
+        npt.assert_allclose(ad.channel_linear(t.const(x), w, b).value, x)
 
     def test_zero_weights_bias_only(self):
         t = Tape(grad=False)
-        x = t.const(np.ones((2, 3)))
+        x = t.const(np.ones((3, 2)))
         w = t.const(np.zeros((3, 2)))
         b = t.const(np.array([5.0, -1.0]))
-        npt.assert_allclose(ad.linear_project(x, w, b).value, [[5.0, -1.0]] * 2)
+        npt.assert_allclose(ad.channel_linear(x, w, b).value, [[5.0] * 2, [-1.0] * 2])
 
     def test_hand_product(self):
         t = Tape(grad=False)
         x = t.const(np.array([1.0, 2.0]))
         w = t.const(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        npt.assert_allclose(ad.linear_project(x, w).value, [3.0, 2.0])
+        npt.assert_allclose(ad.channel_linear(x, w).value, [3.0, 2.0])
 
     def test_dimension_mismatch(self):
         t = Tape(grad=False)
         with pytest.raises(ValueError):
-            ad.linear_project(t.const(np.zeros((2, 3))), t.const(np.zeros((4, 2))))
+            ad.channel_linear(t.const(np.zeros((2, 3))), t.const(np.zeros((4, 2))))
 
     def test_channel_linear_matches_linear_project(self):
         rng = np.random.default_rng(11)
@@ -119,6 +119,7 @@ class TestLinear:
         b = rng.standard_normal(4)
         t = Tape(grad=False)
         got = ad.channel_linear(t.const(x), t.const(w), t.const(b)).value
+        # reference: the same map as a product over the trailing axis
         want = np.moveaxis(np.moveaxis(x, 0, -1) @ w + b, -1, 0)
         npt.assert_allclose(got, want, atol=1e-12)
 
@@ -169,8 +170,8 @@ class TestPurity:
         x_before = x.copy()
         t = Tape()
         v = t.const(x)
-        p = Parameter(rng.standard_normal((4, 2)), "w")
-        out = ad.linear_project(v, t.param(p))
+        p = Parameter(rng.standard_normal((3, 2)), "w")
+        out = ad.channel_linear(v, t.param(p))
         loss = ad.reduce_sum(ad.mul(out, out))
         t.backward(loss)
         npt.assert_array_equal(x, x_before)
@@ -270,19 +271,20 @@ class TestGradientsMatchFiniteDifferences:
 
     def test_linear_ops(self):
         rng = np.random.default_rng(5)
-        x = Parameter(rng.standard_normal((4, 6)), "x")
+        v = Parameter(rng.standard_normal(6), "v")
         w = Parameter(rng.standard_normal((6, 3)), "w")
         b = Parameter(rng.standard_normal(3), "b")
+        x = Parameter(rng.standard_normal((4, 6)), "x")
         wc = Parameter(rng.standard_normal((4, 5)), "wc")
         bc = Parameter(rng.standard_normal(5), "bc")
 
         def build(tape):
-            y = ad.linear_project(tape.param(x), tape.param(w), tape.param(b))
+            y = ad.channel_linear(tape.param(v), tape.param(w), tape.param(b))  # 1-D, as in the TTM head
             z = ad.channel_linear(tape.param(x), tape.param(wc), tape.param(bc))
-            out = ad.concat((ad.reshape(y, (12,)), ad.reshape(z, (30,))), axis=0)
+            out = ad.concat((y, ad.reshape(z, (30,))), axis=0)
             return scalarize(tape, out, np.random.default_rng(46))
 
-        check_op(build, [x, w, b, wc, bc])
+        check_op(build, [v, w, b, x, wc, bc])
 
     def test_conv1d_temporal(self):
         rng = np.random.default_rng(6)
@@ -441,6 +443,45 @@ class TestGradcheckHarness:
         report = ad.finite_diff_gradcheck(build, [p], tolerance=1e-4)
         assert not report.passed
 
+    def test_steps_under_a_nearby_kink(self):
+        # the ReLU kink is 3.7e-6 away: the ladder straddles it down to a step
+        # of 3.9e-6 and clears it at 9.8e-7
+        p = Parameter(np.array([3.7e-6, -0.8, 1.3]), "p")
+
+        def build(tape):
+            v = tape.param(p)
+            return ad.add(ad.reduce_sum(ad.relu(v)), ad.reduce_sum(ad.mul(v, v)))
+
+        report = ad.finite_diff_gradcheck(build, [p], step=1e-3, tolerance=1e-4)
+        assert report.passed, report.summary()
+
+    def test_wrong_gradient_near_a_kink_fails_at_every_rung(self):
+        p = Parameter(np.array([3.7e-6]), "p")
+
+        def build(tape):
+            v = tape.param(p)
+            mask = (v.value > 0).astype(float)
+            off = tape.record("relu_5pct_off", v.value * mask, (v,), lambda g: (1.05 * g * mask,))
+            return ad.reduce_sum(off)
+
+        report = ad.finite_diff_gradcheck(build, [p], step=1e-3, tolerance=1e-4)
+        assert not report.passed
+        [(_, _, err)] = report.failures
+        npt.assert_allclose(err, 0.05 / 1.05, rtol=1e-6)
+
+    def test_point_on_a_kink_fails(self):
+        # no step makes a central difference at a seated kink match the
+        # subgradient; moving off it is the caller's job
+        p = Parameter(np.array([0.0]), "p")
+
+        def build(tape):
+            return ad.reduce_sum(ad.relu(tape.param(p)))
+
+        report = ad.finite_diff_gradcheck(build, [p], step=1e-3, tolerance=1e-4)
+        assert not report.passed
+        [(_, _, err)] = report.failures
+        npt.assert_allclose(err, 1.0)
+
     def test_nonfinite_objective_raises(self):
         p = Parameter(np.array([1.0]), "p")
 
@@ -475,11 +516,11 @@ class TestTapeLifetime:
 
     @staticmethod
     def build(tape, p):
-        # add and linear_project keep Var handles in their backward closures,
+        # add and channel_linear keep Var handles in their backward closures,
         # which tie the tape into a reference cycle until backward drops them
         v = tape.param(p)
         ad.add(v, v)  # a branch no gradient reaches
-        h = ad.linear_project(ad.add(v, v), tape.param(p))
+        h = ad.channel_linear(ad.add(v, v), tape.param(p))
         return ad.reduce_sum(ad.mul(h, h))
 
     def test_backward_keeps_the_record_and_drops_the_closures(self):
@@ -488,7 +529,7 @@ class TestTapeLifetime:
         loss = self.build(tape, p)
         ops = [e.op for e in tape.entries]
         tape.backward(loss)
-        assert [e.op for e in tape.entries] == ops == ["add", "add", "linear_project", "mul", "sum"]
+        assert [e.op for e in tape.entries] == ops == ["add", "add", "channel_linear", "mul", "sum"]
         assert all(e.backward is None for e in tape.entries)
 
     def test_second_backward_raises(self):

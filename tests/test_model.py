@@ -91,6 +91,17 @@ class TestEpisodeForward:
             assert rec.offsets.shape == (8, 2)
             assert rec.pooled_query.shape == (6, 8)
 
+    def test_forward_leaves_no_state_on_the_model(self, dataset):
+        model = AlignmentModel(tiny_config())
+        before = set(vars(model))
+        ep = sample_episode(dataset, "train", 2, 1, 1, seed=5)
+        for collect in (False, True):
+            model.episode_forward(
+                Tape(grad=False), ep, training=True, rng=np.random.default_rng(0),
+                collect=collect,
+            )
+        assert set(vars(model)) == before
+
     def test_deterministic_forward(self, dataset):
         ep = sample_episode(dataset, "train", 3, 1, 1, seed=6)
         outs = []
@@ -102,10 +113,12 @@ class TestEpisodeForward:
             outs.append(np.stack([p.value for p in o.probs]))
         npt.assert_array_equal(outs[0], outs[1])
 
-    def test_full_model_gradients(self):
-        # the zero-initialized heads sit exactly on clamp/mask kinks, so the
-        # case builder nudges them to a verified-smooth configuration first
-        case = gradcheck.full_case(seed=12)
+    @pytest.mark.parametrize("seed", [2, 3, 5, 12, 15, 18])
+    def test_full_model_gradients(self, seed):
+        # the case builder nudges the zero-initialized heads off the clamp and
+        # mask kinks they sit on exactly; kinks that merely lie near a sampled
+        # point are left to the step ladder of finite_diff_gradcheck
+        case = gradcheck.full_case(seed=seed)
         report = finite_diff_gradcheck(
             case.build, case.params, step=case.step, tolerance=case.tolerance,
             rng=np.random.default_rng(10), max_coords_per_param=2,
