@@ -2,7 +2,8 @@
 
 Temporal coordination builds a row-stochastic correlation matrix between
 support and query timesteps from spatially pooled projections and uses it to
-rearrange the query's frames onto the support's evolution. Spatial
+rearrange the query's frames onto the support's evolution; the projections
+are computed once per video, the correlation once per pair. Spatial
 coordination predicts a per-frame (x, y) offset for the pair and compares
 soft-masked regions around the offset (support) and its negation (query)
 instead of whole frames.
@@ -11,6 +12,7 @@ instead of whole frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +27,25 @@ DEFAULT_MASK_SLOPE = 3.0
 # temporal coordination
 
 
+class CoordinationInput(NamedTuple):
+    """One video's half of temporal coordination, computed once per video.
+
+    ``proj`` is the pooled projection that enters the correlation: keys
+    (T, P), already scaled by 1/sqrt(P), for a support; queries (P, T) for a
+    query. ``values`` is the value-projected (P, T, H, W) map.
+    """
+
+    proj: Var
+    values: Var
+
+
 class TemporalCoordination:
-    """Attention over timesteps that rearranges the query onto the support."""
+    """Attention over timesteps that rearranges the query onto the support.
+
+    The projections and values depend on one video only, so they are
+    prepared once per video (:meth:`support_side`, :meth:`query_side`) and
+    each pair only pays for its T x T correlation and the rearrangement.
+    """
 
     def __init__(self, channels: int, proj_dim: int = 16, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
@@ -36,7 +55,6 @@ class TemporalCoordination:
         self.key_w = Parameter(rng.normal(0.0, s, size=(channels, proj_dim)), "tc.key_w")
         self.key_b = Parameter(np.zeros(proj_dim), "tc.key_b")
         self.query_w = Parameter(rng.normal(0.0, s, size=(channels, proj_dim)), "tc.query_w")
-        self.query_b = Parameter(np.zeros(proj_dim), "tc.query_b")
         if proj_dim == channels:
             value_w = np.eye(channels)
         else:
@@ -45,34 +63,40 @@ class TemporalCoordination:
         self.value_b = Parameter(np.zeros(proj_dim), "tc.value_b")
 
     def parameters(self) -> list[Parameter]:
-        return [self.key_w, self.key_b, self.query_w, self.query_b, self.value_w, self.value_b]
+        return [self.key_w, self.key_b, self.query_w, self.value_w, self.value_b]
 
-    def correlation(self, tape: Tape, support: Var, query: Var) -> Var:
-        """Row-stochastic T x T matrix; row = support timestep, column = query."""
-        if support.shape != query.shape:
-            raise ValueError(f"shape mismatch {support.shape} vs {query.shape}")
-        g_s = ad.global_avg_pool_spatial(support)  # (C, T)
-        g_q = ad.global_avg_pool_spatial(query)
-        keys = ad.channel_linear(g_s, tape.param(self.key_w), tape.param(self.key_b))
-        queries = ad.channel_linear(g_q, tape.param(self.query_w), tape.param(self.query_b))
-        logits = ad.matmul(ad.transpose(keys, (1, 0)), queries)  # (T, T)
-        logits = ad.affine(logits, 1.0 / np.sqrt(self.proj_dim))
-        return ad.softmax(logits, axis=1)
-
-    def project_values(self, tape: Tape, feature: Var) -> Var:
+    def _values(self, tape: Tape, feature: Var) -> Var:
         return ad.channel_linear(feature, tape.param(self.value_w), tape.param(self.value_b))
 
-    def forward(self, tape: Tape, support: Var, query: Var) -> tuple[Var, Var, Var]:
-        """Value-project both maps and rearrange the query along time.
+    def support_side(self, tape: Tape, feature: Var) -> CoordinationInput:
+        """Scaled keys (T, P) of the spatially pooled support, and its values."""
+        keys = ad.channel_linear(
+            ad.global_avg_pool_spatial(feature), tape.param(self.key_w), tape.param(self.key_b)
+        )
+        keys = ad.affine(ad.transpose(keys, (1, 0)), 1.0 / np.sqrt(self.proj_dim))
+        return CoordinationInput(keys, self._values(tape, feature))
 
-        Returns (projected support, rearranged projected query, correlation).
-        The correlation is computed from pooled features but applied to the
-        full-resolution projected maps, which spatial coordination consumes.
+    def query_side(self, tape: Tape, feature: Var) -> CoordinationInput:
+        """Queries (P, T) of the spatially pooled query, and its values.
+
+        The queries have no bias: it would add ``k_i . b`` to every logit of
+        support row ``i``, which the softmax over query columns cancels.
         """
-        corr = self.correlation(tape, support, query)
-        v_s = self.project_values(tape, support)
-        v_q = self.project_values(tape, query)
-        return v_s, ad.mix_time(corr, v_q), corr
+        queries = ad.channel_linear(ad.global_avg_pool_spatial(feature), tape.param(self.query_w))
+        return CoordinationInput(queries, self._values(tape, feature))
+
+    def forward(self, support: CoordinationInput, query: CoordinationInput) -> tuple[Var, Var]:
+        """Rearrange the query's values along time onto the support's evolution.
+
+        Returns (rearranged query values, correlation). The correlation is a
+        row-stochastic T x T matrix (row = support timestep, column = query
+        timestep) computed from pooled features, but applied to the
+        full-resolution value maps, which spatial coordination consumes.
+        """
+        if support.values.shape != query.values.shape:
+            raise ValueError(f"shape mismatch {support.values.shape} vs {query.values.shape}")
+        corr = ad.softmax(ad.matmul(support.proj, query.proj), axis=1)
+        return ad.mix_time(corr, query.values), corr
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +147,21 @@ class PerturbSchedule:
 
 
 class OffsetPredictor:
-    """Regression head from a channel-stacked pair to per-frame offsets.
+    """Regression head from every (query, class) pair to per-frame offsets.
 
-    Two {conv3d k=3 pad=1, batch norm, 2x2 spatial max pool, ReLU} blocks, a
-    spatial global max pool, then two pointwise temporal layers ending in
-    tanh. The tanh output is scaled to half the grid extent per axis, so a
-    predicted centre can never leave the grid. The final layer starts at
-    zero: an untrained head predicts zero offsets everywhere.
+    A pair's input is the channel stack of the class's support map and the
+    query map rearranged along time onto it, ``concat_channels(s_n,
+    mix_time(M_qn, v_q))``. Two {conv3d k=3 pad=1, batch norm, 2x2 spatial
+    max pool, ReLU} blocks, a spatial global max pool, then two pointwise
+    temporal layers ending in tanh. The tanh output is scaled to half the
+    grid extent per axis, so a predicted centre can never leave the grid.
+    The final layer starts at zero: an untrained head predicts zero offsets
+    everywhere.
+
+    The pair stacks are never built. The first convolution is linear in its
+    input, so ``ad.pair_conv3d`` splits it into a support half computed once
+    per class and the query's tap responses computed once per query, mixed
+    per pair by the T x T matrix ``M_qn`` (see its docstring for the identity).
     """
 
     def __init__(
@@ -185,15 +217,17 @@ class OffsetPredictor:
             "bn2_mean": self.bn2_mean, "bn2_var": self.bn2_var,
         }
 
-    def forward(self, tape: Tape, stacked: Var, training: bool) -> Var:
-        """(B, C, T, H, W) pair stack -> (B, T, 2) offsets in grid cells.
+    def forward(self, tape: Tape, support: Var, query: Var, mix: Var, training: bool) -> Var:
+        """Offsets in grid cells, (Q*N, T, 2), of every (query, class) pair.
 
-        Batch norm uses the statistics of the current block while training
-        and the frozen running statistics in eval mode.
+        ``support`` is (N, C, T, H, W), ``query`` is (Q, C', T, H, W) and
+        ``mix`` is (Q, N, T, T); row ``q*N + n`` is the pair of query ``q``,
+        rearranged by ``mix[q, n]``, with class ``n``. Without temporal
+        coordination every mix is the identity. Batch norm uses the
+        statistics of the current block of pairs while training and the
+        frozen running statistics in eval mode.
         """
-        if len(stacked.shape) != 5:
-            raise ValueError(f"offset predictor expects (B,C,T,H,W), got {stacked.shape}")
-        x = ad.conv3d(stacked, tape.param(self.conv1_w), tape.param(self.conv1_b))
+        x = ad.pair_conv3d(support, query, mix, tape.param(self.conv1_w), tape.param(self.conv1_b))
         x = ad.batchnorm_channels(
             x, tape.param(self.bn1_gamma), tape.param(self.bn1_beta),
             self.bn1_mean, self.bn1_var, training, self.bn_momentum,

@@ -227,15 +227,6 @@ def add(a: Var, b: Var) -> Var:
     return a.tape.record("add", out, (a, b), bwd)
 
 
-def sub(a: Var, b: Var) -> Var:
-    out = a.value - b.value
-
-    def bwd(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return a.tape.record("sub", out, (a, b), bwd)
-
-
 def mul(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     out = av * bv
@@ -364,15 +355,10 @@ def take(a: Var, index: int, axis: int = 0) -> Var:
     return a.tape.record("take", out, (a,), bwd)
 
 
-def stack_vec(scalars: Sequence[Var]) -> Var:
-    """Stack scalar vars into a 1-D vector."""
-    tape = scalars[0].tape
-    out = np.array([float(s.value) for s in scalars])
-
-    def bwd(g):
-        return tuple(np.asarray(g[i]).reshape(s.value.shape) for i, s in enumerate(scalars))
-
-    return tape.record("stack_vec", out, tuple(scalars), bwd)
+def stack(parts: Sequence[Var]) -> Var:
+    """Stack same-shaped vars along a new leading axis."""
+    out = np.stack([p.value for p in parts])
+    return parts[0].tape.record("stack", out, tuple(parts), lambda g: tuple(g))
 
 
 # ---------------------------------------------------------------------------
@@ -555,60 +541,180 @@ def conv1d_temporal(x: Var, weight: Var, bias: Var | None = None) -> Var:
     return x.tape.record("conv1d_temporal", out, ins, bwd)
 
 
-_CONV3D_TAPS = [(kt, kh, kw) for kt in range(3) for kh in range(3) for kw in range(3)]
+_SPATIAL_TAPS = [(kh, kw) for kh in range(3) for kw in range(3)]
 
 
-def _conv3d_patches(xv: Array) -> Array:
-    """All 3x3x3 windows of a (B,C,T,H,W) block as a (B*T*H*W, 27*C) matrix.
+def _spatial_patches(xv: Array) -> Array:
+    """All 3x3 spatial windows of a (B,C,T,H,W) block as a (9*C, B*T*H*W) matrix.
 
-    Channels-last staging keeps each tap's copy contiguous in C, and the
-    resulting matrix feeds a single GEMM; the same matrix is reused by the
-    weight-gradient GEMM in the backward pass.
+    Row ``k*C + c`` is channel ``c`` seen through spatial tap ``k``,
+    zero-padded at the border. Time is not windowed: the three temporal taps
+    are combined after the GEMM, so a channel takes 9 rows, not 27.
     """
     b, c, t, h, w = xv.shape
-    xt = np.ascontiguousarray(xv.transpose(0, 2, 3, 4, 1))  # (B,T,H,W,C)
-    xp = np.pad(xt, ((0, 0), (1, 1), (1, 1), (1, 1), (0, 0)))
-    patches = np.empty((b, t, h, w, 27, c))
-    for k, (kt, kh, kw) in enumerate(_CONV3D_TAPS):
-        patches[..., k, :] = xp[:, kt : kt + t, kh : kh + h, kw : kw + w, :]
-    return patches.reshape(b * t * h * w, 27 * c)
+    xp = np.pad(xv.transpose(1, 0, 2, 3, 4), ((0, 0), (0, 0), (0, 0), (1, 1), (1, 1)))
+    patches = np.empty((9, c, b, t, h, w))
+    for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
+        patches[k] = xp[:, :, :, kh : kh + h, kw : kw + w]
+    return patches.reshape(9 * c, b * t * h * w)
+
+
+def _tap_responses(xv: Array, wv: Array) -> tuple[Array, Array, Array]:
+    """Every frame's response to every temporal slice of a 3x3x3 kernel.
+
+    Returns (patches, tap matrix, responses). ``responses[o, k, b, s]`` is
+    frame ``s`` of video ``b`` through the 3x3 spatial taps of ``wv[o, :, k]``,
+    over the H*W positions: one (3*C_out, 9*C_in) GEMM against the patches.
+    """
+    b, c_in, t, h, w = xv.shape
+    c_out = wv.shape[0]
+    patches = _spatial_patches(xv)
+    taps = np.ascontiguousarray(wv.transpose(0, 2, 3, 4, 1).reshape(3 * c_out, 9 * c_in))
+    return patches, taps, (taps @ patches).reshape(c_out, 3, b, t, h * w)
+
+
+def _tap_responses_grad(g: Array, patches: Array, taps: Array, shape) -> tuple[Array, Array]:
+    """(input gradient, weight gradient) from the gradient of the tap responses."""
+    b, c_in, t, h, w = shape
+    c_out = taps.shape[0] // 3
+    g = g.reshape(3 * c_out, b * t * h * w)
+    gw = (g @ patches.T).reshape(c_out, 3, 3, 3, c_in).transpose(0, 4, 1, 2, 3)
+    gcol = (taps.T @ g).reshape(9, c_in, b, t, h, w)
+    gxp = np.zeros((c_in, b, t, h + 2, w + 2))
+    for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
+        gxp[:, :, :, kh : kh + h, kw : kw + w] += gcol[k]
+    gx = gxp[:, :, :, 1 : 1 + h, 1 : 1 + w].transpose(1, 0, 2, 3, 4)
+    return np.ascontiguousarray(gx), np.ascontiguousarray(gw)
+
+
+def _sum_taps(resp: Array) -> Array:
+    """Plain temporal combine of (C_out, 3, B, T, P) responses -> (B, C_out, T, P).
+
+    ``out[:, :, t] = sum_k resp[:, k, :, t+k-1]``, zero outside [0, T).
+    """
+    out = resp[:, 1].copy()
+    out[:, :, 1:] += resp[:, 0, :, :-1]
+    out[:, :, :-1] += resp[:, 2, :, 1:]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+
+
+def _sum_taps_grad(g: Array) -> Array:
+    """Adjoint of :func:`_sum_taps`: (B, C_out, T, P) -> (C_out, 3, B, T, P)."""
+    g = g.transpose(1, 0, 2, 3)
+    gr = np.zeros((g.shape[0], 3) + g.shape[1:])
+    gr[:, 0, :, :-1] = g[:, :, 1:]
+    gr[:, 1] = g
+    gr[:, 2, :, 1:] = g[:, :, :-1]
+    return gr
+
+
+def _shift_taps(m: Array) -> Array:
+    """(..., T, T) mixes -> (..., T, 3*T): block ``k`` of row ``t`` is row ``t+k-1``, zero outside."""
+    t = m.shape[-1]
+    out = np.zeros(m.shape[:-1] + (3, t))
+    out[..., 1:, 0, :] = m[..., :-1, :]
+    out[..., 1, :] = m
+    out[..., :-1, 2, :] = m[..., 1:, :]
+    return out.reshape(m.shape[:-1] + (3 * t,))
+
+
+def _shift_taps_grad(g: Array) -> Array:
+    """Adjoint of :func:`_shift_taps`: (..., T, 3*T) -> (..., T, T)."""
+    t = g.shape[-1] // 3
+    g = g.reshape(g.shape[:-1] + (3, t))
+    gm = g[..., 1, :].copy()
+    gm[..., :-1, :] += g[..., 1:, 0, :]
+    gm[..., 1:, :] += g[..., :-1, 2, :]
+    return gm
 
 
 def conv3d(x: Var, weight: Var, bias: Var | None = None) -> Var:
     """3-D convolution over (T,H,W), kernel 3, zero padding 1, stride 1.
 
     ``x`` is (B, C_in, T, H, W) and ``weight`` is (C_out, C_in, 3, 3, 3).
-    Both directions run as plain matrix products against a shared
-    windowed-patch matrix; the input gradient scatters tap columns back with
-    27 vectorized slice additions.
+    One GEMM of the kernel's (3*C_out, 9*C_in) tap matrix against a 9-tap
+    spatial patch matrix gives each frame's response to each temporal slice
+    of the kernel; output frame ``t`` sums slice ``k`` of frame ``t+k-1``.
+    Backward is two GEMMs against the same patches plus a 9-tap scatter.
     """
     xv, wv = x.value, weight.value
     if xv.ndim != 5 or wv.ndim != 5 or wv.shape[1] != xv.shape[1] or wv.shape[2:] != (3, 3, 3):
         raise ValueError(f"conv3d: bad shapes {xv.shape} vs {wv.shape}")
-    b, c_in, t, h, w = xv.shape
+    b, _, t, h, w = xv.shape
     c_out = wv.shape[0]
-    patches = _conv3d_patches(xv)  # (B*THW, 27*C_in)
-    wmat = np.ascontiguousarray(wv.transpose(2, 3, 4, 1, 0).reshape(27 * c_in, c_out))
-    out2 = patches @ wmat  # (B*THW, C_out)
+    patches, taps, resp = _tap_responses(xv, wv)
+    out = _sum_taps(resp)
     if bias is not None:
-        out2 = out2 + bias.value
-    out = np.ascontiguousarray(out2.reshape(b, t, h, w, c_out).transpose(0, 4, 1, 2, 3))
+        out += bias.value[:, None, None]
+    out = out.reshape(b, c_out, t, h, w)
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(b * t * h * w, c_out)
-        gw_mat = patches.T @ g2  # (27*C_in, C_out)
-        gw = gw_mat.reshape(3, 3, 3, c_in, c_out).transpose(4, 3, 0, 1, 2)
-        gcol = (g2 @ wmat.T).reshape(b, t, h, w, 27, c_in)
-        gxp = np.zeros((b, t + 2, h + 2, w + 2, c_in))
-        for k, (kt, kh, kw) in enumerate(_CONV3D_TAPS):
-            gxp[:, kt : kt + t, kh : kh + h, kw : kw + w, :] += gcol[..., k, :]
-        gx = np.ascontiguousarray(gxp[:, 1 : 1 + t, 1 : 1 + h, 1 : 1 + w, :].transpose(0, 4, 1, 2, 3))
+        g4 = g.reshape(b, c_out, t, h * w)
+        gx, gw = _tap_responses_grad(_sum_taps_grad(g4), patches, taps, xv.shape)
         if bias is None:
-            return gx, np.ascontiguousarray(gw)
-        return gx, np.ascontiguousarray(gw), g2.sum(axis=0)
+            return gx, gw
+        return gx, gw, g4.sum(axis=(0, 2, 3))
 
     ins = (x, weight) if bias is None else (x, weight, bias)
     return x.tape.record("conv3d", out, ins, bwd)
+
+
+def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var | None = None) -> Var:
+    """``conv3d`` of every (query, class) pair stack, without building the stacks.
+
+    ``support`` is (N, C_s, T, H, W), ``query`` is (Q, C_q, T, H, W), ``mix``
+    is (Q, N, T, T) and ``weight`` is (C_out, C_s + C_q, 3, 3, 3). Row
+    ``q*N + n`` of the (Q*N, C_out, T, H, W) result is
+    ``conv3d(concat_channels(support[n], mix_time(mix[q, n], query[q])), weight, bias)``.
+
+    The convolution is linear, so with ``weight = [W_s | W_q]`` that row is
+    ``conv3d(support[n], W_s) + sum_k shift_k(mix[q, n]) @ Z_k(query[q])``,
+    where ``Z_k`` is each query frame through the spatial taps of temporal
+    slice ``k`` of ``W_q`` and ``shift_k`` moves the mix's rows by ``k - 1``.
+    The tap responses run once per support and once per query video; only
+    the T x 3T mix is per pair. Recorded as a ``conv3d`` entry.
+    """
+    sv, qv, mv, wv = support.value, query.value, mix.value, weight.value
+    shapes_ok = (
+        sv.ndim == qv.ndim == wv.ndim == 5
+        and qv.shape[2:] == sv.shape[2:]
+        and wv.shape[1:] == (sv.shape[1] + qv.shape[1], 3, 3, 3)
+        and mv.shape == (qv.shape[0], sv.shape[0], sv.shape[2], sv.shape[2])
+    )
+    if not shapes_ok:
+        raise ValueError(
+            f"pair_conv3d: bad shapes {sv.shape}, {qv.shape}, {mv.shape} vs {wv.shape}"
+        )
+    n, c_s, t, h, w = sv.shape
+    nq = qv.shape[0]
+    c_out = wv.shape[0]
+    s_patches, s_taps, s_resp = _tap_responses(sv, wv[:, :c_s])
+    q_patches, q_taps, q_resp = _tap_responses(qv, wv[:, c_s:])
+    # (Q, 3T, C_out*H*W): a query's tap responses, rows ordered like the shifted mix's columns
+    z = np.ascontiguousarray(q_resp.transpose(2, 1, 3, 0, 4)).reshape(nq, 3 * t, c_out * h * w)
+    shifted = _shift_taps(mv).reshape(nq, n * t, 3 * t)
+    mixed = (shifted @ z).reshape(nq, n, t, c_out, h * w).transpose(0, 1, 3, 2, 4)
+    per_class = _sum_taps(s_resp)  # (N, C_out, T, H*W): the support half, once per class
+    if bias is not None:
+        per_class += bias.value[:, None, None]
+    out = np.empty((nq, n, c_out, t, h * w))
+    np.add(mixed, per_class, out=out)
+    out = out.reshape(nq * n, c_out, t, h, w)
+
+    def bwd(g):
+        g5 = g.reshape(nq, n, c_out, t, h * w)
+        gs, gws = _tap_responses_grad(_sum_taps_grad(g5.sum(axis=0)), s_patches, s_taps, sv.shape)
+        gt = np.ascontiguousarray(g5.transpose(0, 1, 3, 2, 4)).reshape(nq, n * t, c_out * h * w)
+        gm = _shift_taps_grad((gt @ z.transpose(0, 2, 1)).reshape(nq, n, t, 3 * t))
+        g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, c_out, h * w)
+        gq, gwq = _tap_responses_grad(g_resp.transpose(3, 1, 0, 2, 4), q_patches, q_taps, qv.shape)
+        gw = np.concatenate([gws, gwq], axis=1)
+        if bias is None:
+            return gs, gw, gq, gm
+        return gs, gw, gq, gm, g5.sum(axis=(0, 1, 3, 4))
+
+    ins = (support, weight, query, mix) + (() if bias is None else (bias,))
+    return support.tape.record("conv3d", out, ins, bwd)
 
 
 def max_pool_spatial2(x: Var) -> Var:
@@ -820,16 +926,27 @@ class GradCheckReport:
     checked: int = 0
     failures: list[tuple[str, int, float]] = field(default_factory=list)
     tolerance: float = 1e-4
+    # per checked coordinate: (parameter, flat index, error at the first
+    # step, ladder rung it stopped at; rung 0 is the first step)
+    ladder: list[tuple[str, int, float, int]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.failures and self.checked > 0
 
+    @property
+    def first_rung_max_err(self) -> float:
+        """Largest error at the first step: the margin ``max_rel_err`` hides."""
+        return max((err for _, _, err, _ in self.ladder), default=0.0)
+
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
+        lower = sum(1 for *_, rung in self.ladder if rung > 0)
+        deepest = max((rung for *_, rung in self.ladder), default=0)
         return (
             f"{status}: {self.checked} coordinates, max rel err "
-            f"{self.max_rel_err:.3e} (tol {self.tolerance:.1e})"
+            f"{self.max_rel_err:.3e} (tol {self.tolerance:.1e}); first step max "
+            f"{self.first_rung_max_err:.3e}, {lower} stopped lower (deepest rung {deepest})"
         )
 
 
@@ -861,7 +978,9 @@ def finite_diff_gradcheck(
     ``GRADCHECK_STEP_FLOOR``; the first step whose central difference agrees
     with backward within ``tolerance`` (relative error, or absolute error
     when both estimates are below 1e-8) passes the coordinate, and the
-    smallest step's error is recorded otherwise. A subgradient kink close to
+    smallest step's error is recorded otherwise. The report also keeps each
+    coordinate's error at the first step and the rung it stopped at, so a
+    pass that needed a smaller step, or passed near the tolerance, shows. A subgradient kink close to
     the evaluation point is thus stepped under rather than straddled, while a
     backward that is wrong stays wrong at every rung.
 
@@ -900,6 +1019,7 @@ def finite_diff_gradcheck(
             analytic = float(gflat[c])
             orig = float(flat[c])
             h = step
+            rung = 0
             while True:
                 flat[c] = orig + h
                 up = value_at()
@@ -907,10 +1027,14 @@ def finite_diff_gradcheck(
                 down = value_at()
                 flat[c] = orig
                 err = _rel_err((up - down) / (2.0 * h), analytic)
+                if rung == 0:
+                    first_err = err
                 if err <= tolerance or h / 4.0 < GRADCHECK_STEP_FLOOR:
                     break
                 h /= 4.0
+                rung += 1
             report.checked += 1
+            report.ladder.append((p.name, int(c), first_err, rung))
             report.max_rel_err = max(report.max_rel_err, err)
             if err > tolerance:
                 report.failures.append((p.name, int(c), err))

@@ -73,12 +73,6 @@ class EvalReport:
     degenerate_ci: bool = False
     per_class: dict[int, tuple[int, int]] = field(default_factory=dict)  # id -> (hits, total)
 
-    def per_class_accuracy(self) -> dict[int, float]:
-        return {c: h / t for c, (h, t) in sorted(self.per_class.items()) if t > 0}
-
-    def overlaps(self, other: "EvalReport") -> bool:
-        return abs(self.accuracy - other.accuracy) <= self.ci95 + other.ci95
-
 
 class SgdMomentum:
     """v <- mu*v - lr*grad; theta <- theta + v."""

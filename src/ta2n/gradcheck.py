@@ -86,6 +86,22 @@ def core_cases(seed: int) -> list[GradCase]:
         return _scalarize(tape, ad.global_max_pool_spatial(y), seed + 3)
 
     cases.append(GradCase("core.conv3d_pool", conv3, [x3, w3, b3]))
+
+    sp = Parameter(rng.standard_normal((2, 3, 4, 5, 5)), "support")
+    qp = Parameter(rng.standard_normal((3, 2, 4, 5, 5)), "query")
+    mp = Parameter(rng.standard_normal((3, 2, 4, 4)), "mix")
+    wp = Parameter(rng.standard_normal((4, 5, 3, 3, 3)) * 0.3, "wp")
+    bp = Parameter(rng.standard_normal(4), "bp")
+
+    def pair_conv(tape):
+        y = ad.pair_conv3d(
+            tape.param(sp), tape.param(qp), tape.param(mp), tape.param(wp), tape.param(bp)
+        )
+        return _scalarize(tape, y, seed + 8)
+
+    cases.append(
+        GradCase("core.pair_conv3d", pair_conv, [sp, qp, mp, wp, bp], step=1e-5, tolerance=1e-6)
+    )
     return cases
 
 
@@ -115,8 +131,9 @@ def tc_case(seed: int) -> GradCase:
     query = Parameter(rng.standard_normal((5, 6, 5, 5)), "query")
 
     def build(tape):
-        v_s, v_q, corr = tc.forward(tape, tape.param(support), tape.param(query))
-        z = ad.add(_scalarize(tape, v_s, seed + 5), _scalarize(tape, v_q, seed + 6))
+        s_side = tc.support_side(tape, tape.param(support))
+        v_q, corr = tc.forward(s_side, tc.query_side(tape, tape.param(query)))
+        z = ad.add(_scalarize(tape, s_side.values, seed + 5), _scalarize(tape, v_q, seed + 6))
         return ad.add(z, _scalarize(tape, corr, seed + 7))
 
     return GradCase("tc.coordinate", build, [support, query, *tc.parameters()])
@@ -132,17 +149,23 @@ def sc_case(seed: int) -> GradCase:
     nudge = np.random.default_rng((seed, 1))
     pred.fc2_w.value[:] = nudge.normal(0, 0.1, pred.fc2_w.shape)
     pred.fc2_b.value[:] = nudge.uniform(-0.4, 0.4, 2)
+    # the query is rearranged along time before both the predictor and the masks
+    mix_logits = Parameter(nudge.standard_normal((3, 3)), "mix_logits")
 
     def build(tape):
         s, q = tape.param(support), tape.param(query)
-        stacked = ad.concat_channels(s, q)
-        offs = pred.forward(tape, ad.reshape(stacked, (1, *stacked.shape)), training=True)
+        corr = ad.softmax(tape.param(mix_logits), axis=1)
+        offs = pred.forward(
+            tape, ad.reshape(s, (1, *s.shape)), ad.reshape(q, (1, *q.shape)),
+            ad.reshape(corr, (1, 1, 3, 3)), training=True,
+        )
         offs = ad.reshape(offs, (3, 2))
-        f_s, f_q = spatial_coordinate(tape, s, q, offs)
-        d = metric.frame_cosine_distance(f_q, f_s)
-        return d
+        f_s, f_q = spatial_coordinate(tape, s, ad.mix_time(corr, q), offs)
+        return metric.frame_cosine_distance(f_q, f_s)
 
-    return GradCase("sc.offset_mask_average", build, [support, query, *pred.parameters()])
+    return GradCase(
+        "sc.offset_mask_average", build, [support, query, mix_logits, *pred.parameters()]
+    )
 
 
 def metric_case(seed: int) -> GradCase:

@@ -36,7 +36,7 @@ def classify(pairs: Sequence[tuple[Var, Var]]) -> tuple[Var, Var]:
     if len(pairs) < 2:
         raise ValueError("classification needs at least two classes")
     distances = [frame_cosine_distance(q, p) for p, q in pairs]
-    logits = ad.neg(ad.stack_vec(distances))
+    logits = ad.neg(ad.stack(distances))
     return ad.softmax(logits, axis=0), logits
 
 

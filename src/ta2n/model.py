@@ -1,10 +1,22 @@
 """Full alignment network: embedder, temporal transform, coordination, metric.
 
 The episode forward pass aligns every query against every class
-independently (fresh coordination per pair), collects all pairs of an
-episode into one batched offset-predictor call (so batch-norm statistics are
-per-episode during training) and classifies with frame-wise cosine distances
-between the pooled pair representations.
+independently (fresh coordination per pair) and classifies with frame-wise
+cosine distances between the pooled pair representations. Work that depends
+on one video only runs once per video: the temporal transform, the
+coordination's pooled projections and value maps, and the offset
+predictor's first convolution of each support and each query. Per pair
+remain the T x T correlation, the rearranged query map, the masks and the
+metric.
+
+All pairs of an episode go through one offset-predictor call, so batch-norm
+statistics are per-episode during training. Its first layer is the conv3d
+of every pair stack ``concat_channels(s_n, mix_time(M_qn, v_q))``, computed
+without building the stacks: by linearity it equals
+``conv3d(s_n, W_s) + sum_k shift_k(M_qn) @ Z_k(v_q)``, where ``[W_s | W_q]``
+splits the kernel by input half and ``Z_k`` is the query through the 3x3
+spatial taps of temporal slice ``k`` of ``W_q`` (``autodiff.pair_conv3d``).
+Without temporal coordination every ``M_qn`` is the identity.
 """
 
 from __future__ import annotations
@@ -171,20 +183,19 @@ class AlignmentModel:
             ]
             class_reprs.append(self._class_prototype(tape, feats, rng))
 
-        # stage two: coordinate every (query, class) pair
+        # stage two: per-video coordination inputs, then every (query, class) pair
         n_way = len(class_reprs)
-        pair_support, pair_query, pair_corr = [], [], []
-        for qi in range(len(query_feats)):
-            for ci in range(n_way):
-                if self.tc is not None:
-                    v_s, v_q, corr = self.tc.forward(tape, class_reprs[ci], query_feats[qi])
-                else:
-                    v_s, v_q, corr = class_reprs[ci], query_feats[qi], None
-                pair_support.append(v_s)
-                pair_query.append(v_q)
-                pair_corr.append(corr)
+        if self.tc is not None:
+            support_sides = [self.tc.support_side(tape, f) for f in class_reprs]
+            query_sides = [self.tc.query_side(tape, f) for f in query_feats]
+            supports = [side.values for side in support_sides]
+            queries = [side.values for side in query_sides]
+            pairs = [self.tc.forward(s, q) for q in query_sides for s in support_sides]
+        else:
+            supports, queries = class_reprs, query_feats
+            pairs = [(q, None) for q in query_feats for _ in class_reprs]
 
-        pooled, offsets = self._pool_pairs(tape, pair_support, pair_query, training, epoch)
+        pooled, offsets = self._pool_pairs(tape, supports, queries, pairs, training, epoch)
 
         for qi in range(len(query_feats)):
             probs, logits = metric.classify(pooled[qi * n_way : (qi + 1) * n_way])
@@ -194,8 +205,9 @@ class AlignmentModel:
                 for ci in range(n_way):
                     k = qi * n_way + ci
                     rec = PairRecord(qi, ci)
-                    if pair_corr[k] is not None:
-                        rec.correlation = np.array(pair_corr[k].value)
+                    corr = pairs[k][1]
+                    if corr is not None:
+                        rec.correlation = np.array(corr.value)
                     if offsets is not None:
                         rec.offsets = np.array(offsets.value[k])
                     f_s, f_q = pooled[k]
@@ -212,7 +224,8 @@ class AlignmentModel:
             return feats[0]
         ref = int(rng.integers(len(feats)))
         if self.tc is not None:
-            aligned = [self.tc.forward(tape, feats[ref], f)[1] for f in feats]
+            ref_side = self.tc.support_side(tape, feats[ref])
+            aligned = [self.tc.forward(ref_side, self.tc.query_side(tape, f))[0] for f in feats]
         else:
             aligned = feats
         total = aligned[0]
@@ -223,37 +236,46 @@ class AlignmentModel:
     def _pool_pairs(
         self,
         tape: Tape,
-        pair_support: list[Var],
-        pair_query: list[Var],
+        supports: list[Var],
+        queries: list[Var],
+        pairs: list[tuple[Var, Var | None]],
         training: bool,
         epoch: int,
     ) -> tuple[list[tuple[Var, Var]], Var | None]:
         """Spatially coordinate (or plainly pool) every pair -> (d,T) pairs.
 
-        Also returns the (B, T, 2) predicted offsets, or None without SC.
+        ``supports`` and ``queries`` hold one map per class and per query;
+        ``pairs[q*N + n]`` is query ``q`` rearranged onto class ``n`` and the
+        correlation that did it (None without TC). Also returns the
+        (Q*N, T, 2) predicted offsets, or None without SC.
         """
+        n_way = len(supports)
         if self.sc is None:
+            pooled_supports = [ad.global_avg_pool_spatial(s) for s in supports]
             pooled = [
-                (ad.global_avg_pool_spatial(s), ad.global_avg_pool_spatial(q))
-                for s, q in zip(pair_support, pair_query)
+                (pooled_supports[k % n_way], ad.global_avg_pool_spatial(q))
+                for k, (q, _) in enumerate(pairs)
             ]
             return pooled, None
-        stacks = []
-        for s, q in zip(pair_support, pair_query):
-            both = ad.concat_channels(s, q)
-            stacks.append(ad.reshape(both, (1, *both.shape)))
-        stacked = ad.concat(stacks, axis=0)
-        offsets_batch = self.sc.forward(tape, stacked, training)  # (B, T, 2)
+        t = supports[0].shape[1]
+        if pairs[0][1] is None:
+            mix = tape.const(np.broadcast_to(np.eye(t), (len(queries), n_way, t, t)))
+        else:
+            mix = ad.reshape(ad.stack([corr for _, corr in pairs]), (len(queries), n_way, t, t))
+        offsets_batch = self.sc.forward(
+            tape, ad.stack(supports), ad.stack(queries), mix, training
+        )  # (Q*N, T, 2)
         displacements = (
             self.config.schedule().displacements(epoch)
             if training and self.config.perturb
             else None
         )
         pooled = []
-        for k, (s, q) in enumerate(zip(pair_support, pair_query)):
+        for k, (q, _) in enumerate(pairs):
             offs = ad.take(offsets_batch, k, axis=0)
             f_s, f_q = acm.spatial_coordinate(
-                tape, s, q, offs, displacements=displacements, slope=self.config.mask_slope
+                tape, supports[k % n_way], q, offs,
+                displacements=displacements, slope=self.config.mask_slope,
             )
             pooled.append((f_s, f_q))
         return pooled, offsets_batch

@@ -14,6 +14,7 @@ from ta2n.acm import (
     spatial_coordinate,
 )
 from ta2n.autodiff import Parameter, Tape
+from ta2n.model import ModelConfig
 
 
 def spatially_constant(frames):
@@ -23,10 +24,18 @@ def spatially_constant(frames):
 
 
 def predict(pred, support, query, training=False):
-    """Offsets of one pair, through the batched forward on a (1,C,T,H,W) stack."""
+    """Offsets of one pair, through the batched forward with an identity mix."""
     tape = Tape(grad=False)
-    both = np.concatenate([support, query])[None]
-    return pred.forward(tape, tape.const(both), training).value[0]
+    t = support.shape[1]
+    return pred.forward(
+        tape, tape.const(support[None]), tape.const(query[None]),
+        tape.const(np.eye(t)[None, None]), training,
+    ).value[0]
+
+
+def coordinate(tc, tape, support, query):
+    """(rearranged query values, correlation) of one pair of maps."""
+    return tc.forward(tc.support_side(tape, support), tc.query_side(tape, query))
 
 
 def identity_tc(channels):
@@ -34,7 +43,7 @@ def identity_tc(channels):
     tc.key_w.value[:] = np.eye(channels)
     tc.query_w.value[:] = np.eye(channels)
     tc.value_w.value[:] = np.eye(channels)
-    for b in (tc.key_b, tc.query_b, tc.value_b):
+    for b in (tc.key_b, tc.value_b):
         b.value[:] = 0.0
     return tc
 
@@ -47,7 +56,7 @@ class TestTemporalCoordination:
             tape = Tape(grad=False)
             s = tape.const(rng.standard_normal((6, 8, 5, 5)))
             q = tape.const(rng.standard_normal((6, 8, 5, 5)))
-            _, _, corr = tc.forward(tape, s, q)
+            _, corr = coordinate(tc, tape, s, q)
             npt.assert_allclose(corr.value.sum(axis=1), np.ones(8), atol=1e-9)
             assert corr.value.min() >= 0.0 and corr.value.max() <= 1.0
 
@@ -56,7 +65,7 @@ class TestTemporalCoordination:
         tc = identity_tc(4)
         tape = Tape(grad=False)
         q = tape.const(rng.standard_normal((4, 6, 5, 5)))
-        values = tc.project_values(tape, q)
+        values = tc.query_side(tape, q).values
         out = ad.mix_time(tape.const(np.eye(6)), values)
         npt.assert_allclose(out.value, values.value, atol=1e-12)
 
@@ -65,7 +74,7 @@ class TestTemporalCoordination:
         frames = np.tile(np.array([0.3, -1.2, 0.7, 0.1])[:, None], (1, 8))
         tape = Tape(grad=False)
         s = tape.const(spatially_constant(frames))
-        corr = tc.correlation(tape, s, s)
+        _, corr = coordinate(tc, tape, s, s)
         npt.assert_allclose(corr.value, np.full((8, 8), 1 / 8), atol=1e-12)
 
     def test_permutation_recovery(self):
@@ -82,17 +91,15 @@ class TestTemporalCoordination:
             tape = Tape(grad=False)
             s = tape.const(spatially_constant(support_frames))
             q = tape.const(spatially_constant(query_frames))
-            corr = tc.correlation(tape, s, q)
+            _, corr = coordinate(tc, tape, s, q)
             npt.assert_array_equal(corr.value.argmax(axis=1), perm)
 
     def test_shape_mismatch(self):
         tc = TemporalCoordination(4)
         tape = Tape(grad=False)
         with pytest.raises(ValueError):
-            tc.forward(
-                tape,
-                tape.const(np.zeros((4, 8, 5, 5))),
-                tape.const(np.zeros((4, 7, 5, 5))),
+            coordinate(
+                tc, tape, tape.const(np.zeros((4, 8, 5, 5))), tape.const(np.zeros((4, 7, 5, 5)))
             )
 
 
@@ -178,6 +185,58 @@ class TestOffsetPredictor:
         assert not np.array_equal(pred.bn1_mean, before)
 
 
+    @pytest.mark.parametrize("use_tc", [True, False])
+    def test_first_layer_matches_explicit_pair_stack(self, use_tc):
+        # ModelConfig() shapes, 5 classes x 5 queries: the factored first layer
+        # against conv3d of the 25 pair stacks it never builds, forward and
+        # backward, with real correlations or (without TC) identity mixes
+        cfg = ModelConfig()
+        n, t = 5, cfg.frames
+        rng = np.random.default_rng(20)
+        shape = (cfg.channels, t, cfg.height, cfg.width)
+        feats = [Parameter(rng.standard_normal(shape), f"video{i}") for i in range(2 * n)]
+        tc = TemporalCoordination(cfg.channels, cfg.proj_dim, rng)
+        pred = OffsetPredictor(2 * cfg.proj_dim, cfg.height, cfg.width, rng=rng)
+        upstream = rng.standard_normal((n * n, cfg.offset_channels[0], t, cfg.height, cfg.width))
+        params = feats + tc.parameters() + [pred.conv1_w, pred.conv1_b]
+
+        def first_layer(factored):
+            for p in params:
+                p.zero_grad()
+            tape = Tape()
+            videos = [tape.param(f) for f in feats]
+            if use_tc:
+                s_sides = [tc.support_side(tape, v) for v in videos[:n]]
+                q_sides = [tc.query_side(tape, v) for v in videos[n:]]
+                supports = [side.values for side in s_sides]
+                queries = [side.values for side in q_sides]
+                mixes = [tc.forward(s, q)[1] for q in q_sides for s in s_sides]
+            else:
+                supports, queries = videos[:n], videos[n:]
+                mixes = [tape.const(np.eye(t)) for _ in range(n * n)]
+            w, b = tape.param(pred.conv1_w), tape.param(pred.conv1_b)
+            if factored:
+                mix = ad.reshape(ad.stack(mixes), (n, n, t, t))
+                out = ad.pair_conv3d(ad.stack(supports), ad.stack(queries), mix, w, b)
+            else:
+                stacks = []
+                for qi in range(n):
+                    for ci in range(n):
+                        both = ad.concat_channels(
+                            supports[ci], ad.mix_time(mixes[qi * n + ci], queries[qi])
+                        )
+                        stacks.append(ad.reshape(both, (1, *both.shape)))
+                out = ad.conv3d(ad.concat(stacks, axis=0), w, b)
+            tape.backward(ad.reduce_sum(ad.mul(out, tape.const(upstream))))
+            return out.value, [p.grad.copy() for p in params]
+
+        (got, got_grads), (want, want_grads) = first_layer(True), first_layer(False)
+        assert got.shape == (n * n, cfg.offset_channels[0], t, cfg.height, cfg.width)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-10)
+        for p, g, w in zip(params, got_grads, want_grads):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-10 * np.abs(w).max(), err_msg=p.name)
+
+
 class TestPerturbation:
     def test_epoch_zero_unit_circle(self):
         disp = PerturbSchedule(initial_amplitude=1.0).displacements(0)
@@ -246,7 +305,7 @@ class TestMaskedAverage:
             f_s, f_q = spatial_coordinate(
                 tape, tape.param(support), tape.param(query), tape.param(offs)
             )
-            diff = ad.sub(f_s, f_q)
+            diff = ad.add(f_s, ad.neg(f_q))
             return ad.reduce_sum(ad.mul(diff, diff))
 
         report = ad.finite_diff_gradcheck(

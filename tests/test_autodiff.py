@@ -204,7 +204,7 @@ class TestGradientsMatchFiniteDifferences:
 
         def build(tape):
             a, b = tape.param(p), tape.param(q)
-            z = ad.div(ad.mul(ad.add(a, b), ad.sub(a, b)), b)
+            z = ad.div(ad.mul(ad.add(a, b), ad.add(a, ad.neg(b))), b)
             z = ad.add(ad.sigmoid(z), ad.tanh(ad.neg(z)))
             z = ad.mul(z, ad.exp(ad.affine(a, 0.3, -0.1)))
             z = ad.add(z, ad.log(ad.add(ad.sqrt(b), tape.const(np.ones(1)))))
@@ -245,8 +245,9 @@ class TestGradientsMatchFiniteDifferences:
 
         def build(tape):
             v = tape.param(p)
-            s = ad.stack_vec([ad.take(v, 0), ad.take(v, 3), ad.take(v, 4)])
-            return ad.reduce_sum(ad.mul(s, s))
+            s = ad.stack([ad.take(v, 0), ad.take(v, 3), ad.take(v, 4)])
+            rows = ad.stack([v, ad.mul(v, v)])  # (2, 5)
+            return ad.add(ad.reduce_sum(ad.mul(s, s)), ad.reduce_sum(ad.mul(rows, rows)))
 
         check_op(build, [p])
 
@@ -309,6 +310,34 @@ class TestGradientsMatchFiniteDifferences:
             return scalarize(tape, y, np.random.default_rng(48))
 
         check_op(build, [x, w, b])
+
+    def test_pair_conv3d(self):
+        # the mix enters bilinearly with the query, so this also checks the
+        # correlation gradient that reaches temporal coordination
+        rng = np.random.default_rng(17)
+        s = Parameter(rng.standard_normal((2, 3, 4, 5, 5)), "support")
+        q = Parameter(rng.standard_normal((3, 2, 4, 5, 5)), "query")
+        m = Parameter(rng.standard_normal((3, 2, 4, 4)), "mix")
+        w = Parameter(rng.standard_normal((4, 5, 3, 3, 3)) * 0.3, "w")
+        b = Parameter(rng.standard_normal(4), "b")
+
+        def build(tape):
+            y = ad.pair_conv3d(
+                tape.param(s), tape.param(q), tape.param(m), tape.param(w), tape.param(b)
+            )
+            return scalarize(tape, y, np.random.default_rng(49))
+
+        report = check_op(build, [s, q, m, w, b])
+        assert all(rung == 0 for *_, rung in report.ladder)
+
+    def test_pair_conv3d_bad_shapes(self):
+        t = Tape(grad=False)
+        s, q = t.const(np.zeros((2, 3, 4, 5, 5))), t.const(np.zeros((3, 2, 4, 5, 5)))
+        w = t.const(np.zeros((4, 5, 3, 3, 3)))
+        with pytest.raises(ValueError):
+            ad.pair_conv3d(s, q, t.const(np.zeros((2, 3, 4, 4))), w)
+        with pytest.raises(ValueError):
+            ad.pair_conv3d(s, q, t.const(np.zeros((3, 2, 4, 4))), t.const(np.zeros((4, 6, 3, 3, 3))))
 
     def test_conv3d_forward_oracle(self):
         # brute-force triple loop on a tiny case
@@ -481,6 +510,24 @@ class TestGradcheckHarness:
         assert not report.passed
         [(_, _, err)] = report.failures
         npt.assert_allclose(err, 1.0)
+
+    def test_report_keeps_first_step_error_and_rung(self):
+        # the coordinate 3.7e-6 from the ReLU kink passes five rungs down, at
+        # a step of 1e-3 / 4**5; the smooth ones pass at the first step
+        p = Parameter(np.array([3.7e-6, -0.8, 1.3]), "p")
+
+        def build(tape):
+            v = tape.param(p)
+            return ad.add(ad.reduce_sum(ad.relu(v)), ad.reduce_sum(ad.mul(v, v)))
+
+        report = ad.finite_diff_gradcheck(build, [p], step=1e-3, tolerance=1e-4)
+        assert report.passed
+        rungs = {c: rung for _, c, _, rung in report.ladder}
+        first = {c: err for _, c, err, _ in report.ladder}
+        assert rungs == {0: 5, 1: 0, 2: 0}
+        assert first[0] > 0.1 and max(first[1], first[2]) < 1e-8
+        assert report.first_rung_max_err == first[0] > report.max_rel_err
+        assert f"first step max {first[0]:.3e}, 1 stopped lower (deepest rung 5)" in report.summary()
 
     def test_nonfinite_objective_raises(self):
         p = Parameter(np.array([1.0]), "p")

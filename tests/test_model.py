@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ta2n import gradcheck, metric
+from ta2n import container, gradcheck, metric
 from ta2n.autodiff import Tape, finite_diff_gradcheck
 from ta2n.container import BadMagicError, UnsupportedVersionError
 from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkpoint
@@ -113,6 +113,32 @@ class TestEpisodeForward:
             outs.append(np.stack([p.value for p in o.probs]))
         npt.assert_array_equal(outs[0], outs[1])
 
+    def test_training_step_op_census(self, monkeypatch):
+        # ModelConfig(), 5-way 1-shot 1-query: the offset predictor's first
+        # layer is one conv3d entry over per-video inputs, so the
+        # (25, 32, 8, 7, 7) pair stack is never built
+        cfg = ModelConfig()
+        dims = (cfg.channels, cfg.frames, cfg.height, cfg.width)
+        data = generate_dataset(20, 2, dims, MisalignmentConfig(0.5, 0.8, 1.0, 0.1), seed=0)
+        episode = sample_episode(data, "train", 5, 1, 1, seed=0)
+        shapes = []
+        record = Tape.record
+
+        def recording(tape, op, value, inputs, backward):
+            shapes.append(np.shape(value))
+            return record(tape, op, value, inputs, backward)
+
+        monkeypatch.setattr(Tape, "record", recording)
+        tape = Tape()
+        out = AlignmentModel(cfg).episode_forward(
+            tape, episode, training=True, rng=np.random.default_rng(0)
+        )
+        metric.cross_entropy_loss(out.probs, out.labels)
+        ops = [e.op for e in tape.entries]
+        assert ops.count("conv3d") == 2
+        assert (25, 32, 8, 7, 7) not in shapes
+        assert len(ops) == 1259 < 1466
+
     @pytest.mark.parametrize("seed", [2, 3, 5, 12, 15, 18])
     def test_full_model_gradients(self, seed):
         # the case builder nudges the zero-initialized heads off the clamp and
@@ -142,6 +168,17 @@ class TestCheckpoints:
             npt.assert_array_equal(a.value, b.value)
         npt.assert_array_equal(loaded.sc.bn1_mean, model.sc.bn1_mean)
         assert loaded.config == model.config
+
+    def test_checkpoint_with_query_bias_is_rejected(self, tmp_path):
+        # checkpoints written while TC had a query bias carry tc.query_b,
+        # which the model no longer has: loading names the array
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        meta, arrays = container.load(path, container.CHECKPOINT)
+        arrays["tc.query_b"] = np.zeros(6)
+        container.save(path, container.CHECKPOINT, meta, arrays)
+        with pytest.raises(container.ContainerError, match="tc.query_b"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
