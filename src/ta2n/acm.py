@@ -4,9 +4,10 @@ Temporal coordination builds a row-stochastic correlation matrix between
 support and query timesteps from spatially pooled projections and uses it to
 rearrange the query's frames onto the support's evolution; the projections
 are computed once per video, the correlation once per pair. Spatial
-coordination predicts a per-frame (x, y) offset for the pair and compares
+coordination predicts a per-frame (x, y) offset for every pair and compares
 soft-masked regions around the offset (support) and its negation (query)
-instead of whole frames.
+instead of whole frames. Its masks and masked means take any leading axes,
+which broadcast, so the pairs of an episode are pooled in one call.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .autodiff import Array, Parameter, Tape, Var
 
 MASK_FLOOR = 1e-6  # keeps every mask's normalizer strictly positive
 DEFAULT_MASK_SLOPE = 3.0
+NO_DISPLACEMENT = np.zeros((1, 2))  # the one variant of unperturbed masks
+NO_DISPLACEMENT.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,6 @@ class OffsetPredictor:
         width: int,
         conv_channels: tuple[int, int] = (128, 128),
         hidden: int = 64,
-        bn_momentum: float = 0.1,
         rng: np.random.Generator | None = None,
     ):
         if height < 4 or width < 4:
@@ -181,7 +183,6 @@ class OffsetPredictor:
         rng = rng or np.random.default_rng(0)
         self.height = height
         self.width = width
-        self.bn_momentum = bn_momentum
         c1, c2 = conv_channels
 
         def he(shape, fan_in):
@@ -230,13 +231,13 @@ class OffsetPredictor:
         x = ad.pair_conv3d(support, query, mix, tape.param(self.conv1_w), tape.param(self.conv1_b))
         x = ad.batchnorm_channels(
             x, tape.param(self.bn1_gamma), tape.param(self.bn1_beta),
-            self.bn1_mean, self.bn1_var, training, self.bn_momentum,
+            self.bn1_mean, self.bn1_var, training,
         )
         x = ad.relu(ad.max_pool_spatial2(x))
         x = ad.conv3d(x, tape.param(self.conv2_w), tape.param(self.conv2_b))
         x = ad.batchnorm_channels(
             x, tape.param(self.bn2_gamma), tape.param(self.bn2_beta),
-            self.bn2_mean, self.bn2_var, training, self.bn_momentum,
+            self.bn2_mean, self.bn2_var, training,
         )
         x = ad.relu(ad.max_pool_spatial2(x))
         g = ad.global_max_pool_spatial(x)  # (B, C, T)
@@ -254,44 +255,35 @@ class OffsetPredictor:
 
 
 def averaged_masks(
-    tape: Tape,
-    offsets: Var,
-    height: int,
-    width: int,
-    *,
-    displacements: Array | None = None,
-    slope: float = DEFAULT_MASK_SLOPE,
-    negate: bool = False,
+    tape: Tape, offsets: Var, height: int, width: int, displacements: Array
 ) -> Var:
-    """Per-frame (T,H,W) soft masks, averaged over perturbation variants.
+    """Soft (..., T, H, W) masks at (..., T, 2) offsets, averaged over variants.
 
-    ``negate=True`` builds the query-side masks at the negated offsets.
-    Averaging happens before any normalization downstream.
+    Variant ``k`` places the masks at ``offsets + displacements[k]``; the
+    (K, 2) displacements are averaged before any normalization downstream.
+    Unperturbed masks are the single variant ``NO_DISPLACEMENT``.
     """
-    base = ad.neg(offsets) if negate else offsets
-    if displacements is None:
-        return ad.offset_masks(base, height, width, slope)
+    lead = offsets.shape[:-1]
     k = len(displacements)
-    t = offsets.shape[0]
-    shifts = -displacements if negate else displacements
-    variants = ad.add(
-        ad.reshape(base, (1, t, 2)), tape.const(shifts.reshape(k, 1, 2))
-    )
-    masks = ad.offset_masks(ad.reshape(variants, (k * t, 2)), height, width, slope)
-    return ad.reduce_mean(ad.reshape(masks, (k, t, height, width)), axis=0)
+    shifts = tape.const(displacements.reshape((k,) + (1,) * len(lead) + (2,)))
+    variants = ad.reshape(ad.add(offsets, shifts), (-1, 2))
+    masks = ad.offset_masks(variants, height, width, DEFAULT_MASK_SLOPE)
+    return ad.reduce_mean(ad.reshape(masks, (k, *lead, height, width)), axis=0)
 
 
 def masked_spatial_average(f: Var, masks: Var) -> Var:
-    """Weighted spatial mean of a (d,T,H,W) map under (T,H,W) masks -> (d,T).
+    """Weighted spatial mean of (..., d, T, H, W) maps under (..., T, H, W) masks.
 
-    A small uniform floor keeps the normalizer positive even if a mask's
+    Returns (..., d, T); the leading axes of maps and masks broadcast. A
+    small uniform floor keeps the normalizer positive even if a mask's
     support were to vanish entirely.
     """
-    if f.shape[1:] != masks.shape:
+    if f.shape[-3:] != masks.shape[-3:]:
         raise ValueError(f"mask shape {masks.shape} does not match map {f.shape}")
     floored = ad.affine(masks, 1.0, MASK_FLOOR)
-    num = ad.reduce_sum(ad.mul(f, floored), axis=(2, 3))  # (d, T)
-    den = ad.reduce_sum(floored, axis=(1, 2))  # (T,)
+    floored = ad.reshape(floored, (*masks.shape[:-3], 1, *masks.shape[-3:]))  # (..., 1, T, H, W)
+    num = ad.reduce_sum(ad.mul(f, floored), axis=(-2, -1))  # (..., d, T)
+    den = ad.reduce_sum(floored, axis=(-2, -1))  # (..., 1, T)
     if np.any(den.value <= 0.0):
         raise ValueError("mask normalizer vanished")
     return ad.div(num, den)
@@ -303,20 +295,19 @@ def spatial_coordinate(
     query: Var,
     offsets: Var,
     *,
-    displacements: Array | None = None,
-    slope: float = DEFAULT_MASK_SLOPE,
+    displacements: Array = NO_DISPLACEMENT,
 ) -> tuple[Var, Var]:
-    """Masked spatial means of an aligned pair under predicted offsets.
+    """Masked spatial means of aligned pairs under predicted offsets.
 
-    Support is pooled around +offset, query around -offset; with
-    perturbation displacements the masks are averaged first and normalized
-    once.
+    ``support`` and ``query`` are (..., d, T, H, W) maps and ``offsets`` is
+    (..., T, 2); their leading axes broadcast, so one call pools every pair
+    of an episode. Returns the (..., d, T) support and query means. Support
+    is pooled around +offset, query around -offset; with perturbation
+    displacements the masks are averaged first and normalized once.
     """
-    h, w = support.shape[2], support.shape[3]
-    m_s = averaged_masks(tape, offsets, h, w, displacements=displacements, slope=slope)
-    m_q = averaged_masks(
-        tape, offsets, h, w, displacements=displacements, slope=slope, negate=True
-    )
+    h, w = support.shape[-2:]
+    m_s = averaged_masks(tape, offsets, h, w, displacements)
+    m_q = averaged_masks(tape, ad.neg(offsets), h, w, -displacements)
     return masked_spatial_average(support, m_s), masked_spatial_average(query, m_q)
 
 

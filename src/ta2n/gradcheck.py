@@ -140,28 +140,33 @@ def tc_case(seed: int) -> GradCase:
 
 
 def sc_case(seed: int) -> GradCase:
+    """Two queries x two classes through one predictor and one SC call."""
     rng = np.random.default_rng(seed)
     height = width = 7
-    support = Parameter(rng.standard_normal((4, 3, height, width)), "support")
-    query = Parameter(rng.standard_normal((4, 3, height, width)), "query")
+    support = Parameter(rng.standard_normal((2, 4, 3, height, width)), "support")
+    query = Parameter(rng.standard_normal((2, 4, 3, height, width)), "query")
     pred = OffsetPredictor(8, height, width, conv_channels=(8, 8), hidden=8, rng=rng)
     # off zero offsets, which put grid cells on the mask rings
     nudge = np.random.default_rng((seed, 1))
     pred.fc2_w.value[:] = nudge.normal(0, 0.1, pred.fc2_w.shape)
     pred.fc2_b.value[:] = nudge.uniform(-0.4, 0.4, 2)
-    # the query is rearranged along time before both the predictor and the masks
-    mix_logits = Parameter(nudge.standard_normal((3, 3)), "mix_logits")
+    # each query is rearranged along time onto each class before both the
+    # predictor and the masks
+    mix_logits = Parameter(nudge.standard_normal((2, 2, 3, 3)), "mix_logits")
 
     def build(tape):
         s, q = tape.param(support), tape.param(query)
-        corr = ad.softmax(tape.param(mix_logits), axis=1)
-        offs = pred.forward(
-            tape, ad.reshape(s, (1, *s.shape)), ad.reshape(q, (1, *q.shape)),
-            ad.reshape(corr, (1, 1, 3, 3)), training=True,
+        corr = ad.softmax(tape.param(mix_logits), axis=3)  # (Q, N, T, T)
+        offs = pred.forward(tape, s, q, corr, training=True)  # (Q*N, T, 2)
+        rearranged = ad.stack([
+            ad.mix_time(ad.take(ad.take(corr, i), j), ad.take(q, i))
+            for i in range(2) for j in range(2)
+        ])
+        f_s, f_q = spatial_coordinate(
+            tape, s, ad.reshape(rearranged, (2, 2, *q.shape[1:])),
+            ad.reshape(offs, (2, 2, 3, 2)),
         )
-        offs = ad.reshape(offs, (3, 2))
-        f_s, f_q = spatial_coordinate(tape, s, ad.mix_time(corr, q), offs)
-        return metric.frame_cosine_distance(f_q, f_s)
+        return ad.add(_scalarize(tape, f_s, seed + 9), _scalarize(tape, f_q, seed + 10))
 
     return GradCase(
         "sc.offset_mask_average", build, [support, query, mix_logits, *pred.parameters()]

@@ -6,8 +6,9 @@ cosine distances between the pooled pair representations. Work that depends
 on one video only runs once per video: the temporal transform, the
 coordination's pooled projections and value maps, and the offset
 predictor's first convolution of each support and each query. Per pair
-remain the T x T correlation, the rearranged query map, the masks and the
-metric.
+remain the T x T correlation, the rearranged query map and the metric. The
+masks and masked means of all pairs are one broadcast
+``acm.spatial_coordinate`` call over (query, class) leading axes.
 
 All pairs of an episode go through one offset-predictor call, so batch-norm
 statistics are per-episode during training. Its first layer is the conv3d
@@ -46,19 +47,10 @@ class ModelConfig:
     ttm_hidden: int = 32
     offset_channels: tuple[int, int] = (128, 128)
     offset_hidden: int = 64
-    mask_slope: float = 3.0
     use_ttm: bool = True
     use_tc: bool = True
     use_sc: bool = True
-    perturb: bool = True
-    perturb_amplitude: float = 1.0
-    perturb_decay: float = 0.5
-    perturb_interval: int = 40
-    init: str = "default"  # "default" or "zero"
     init_seed: int = 0
-
-    def schedule(self) -> PerturbSchedule:
-        return PerturbSchedule(self.perturb_amplitude, self.perturb_decay, self.perturb_interval)
 
 
 @dataclass
@@ -116,11 +108,6 @@ class AlignmentModel:
             )
         else:
             self.sc = None
-        if config.init == "zero":
-            for p in self.parameters():
-                p.value[...] = 0.0
-        elif config.init != "default":
-            raise ValueError(f"unknown init scheme {config.init!r}")
 
     def parameters(self) -> list[Parameter]:
         params = [self.embed_w, self.embed_b]
@@ -246,8 +233,10 @@ class AlignmentModel:
 
         ``supports`` and ``queries`` hold one map per class and per query;
         ``pairs[q*N + n]`` is query ``q`` rearranged onto class ``n`` and the
-        correlation that did it (None without TC). Also returns the
-        (Q*N, T, 2) predicted offsets, or None without SC.
+        correlation that did it (None without TC). With SC, every pair goes
+        through one broadcast ``acm.spatial_coordinate`` call, whose output is
+        split per pair for the metric. Also returns the (Q*N, T, 2) predicted
+        offsets, or None without SC.
         """
         n_way = len(supports)
         if self.sc is None:
@@ -257,28 +246,28 @@ class AlignmentModel:
                 for k, (q, _) in enumerate(pairs)
             ]
             return pooled, None
-        t = supports[0].shape[1]
+        n_query, t = len(queries), supports[0].shape[1]
+        support_stack, query_stack = ad.stack(supports), ad.stack(queries)
         if pairs[0][1] is None:
-            mix = tape.const(np.broadcast_to(np.eye(t), (len(queries), n_way, t, t)))
+            mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
+            rearranged = ad.reshape(query_stack, (n_query, 1, *query_stack.shape[1:]))
         else:
-            mix = ad.reshape(ad.stack([corr for _, corr in pairs]), (len(queries), n_way, t, t))
-        offsets_batch = self.sc.forward(
-            tape, ad.stack(supports), ad.stack(queries), mix, training
-        )  # (Q*N, T, 2)
-        displacements = (
-            self.config.schedule().displacements(epoch)
-            if training and self.config.perturb
-            else None
-        )
-        pooled = []
-        for k, (q, _) in enumerate(pairs):
-            offs = ad.take(offsets_batch, k, axis=0)
-            f_s, f_q = acm.spatial_coordinate(
-                tape, supports[k % n_way], q, offs,
-                displacements=displacements, slope=self.config.mask_slope,
+            mix = ad.reshape(ad.stack([corr for _, corr in pairs]), (n_query, n_way, t, t))
+            rearranged = ad.reshape(
+                ad.stack([q for q, _ in pairs]), (n_query, n_way, *query_stack.shape[1:])
             )
-            pooled.append((f_s, f_q))
-        return pooled, offsets_batch
+        offsets = self.sc.forward(tape, support_stack, query_stack, mix, training)  # (Q*N, T, 2)
+        if training:
+            displacements = PerturbSchedule().displacements(epoch)
+        else:
+            displacements = acm.NO_DISPLACEMENT
+        f_s, f_q = acm.spatial_coordinate(
+            tape, support_stack, rearranged, ad.reshape(offsets, (n_query, n_way, t, 2)),
+            displacements=displacements,
+        )  # (Q, N, d, T) each
+        f_s = ad.reshape(f_s, (len(pairs), *f_s.shape[2:]))
+        f_q = ad.reshape(f_q, (len(pairs), *f_q.shape[2:]))
+        return [(ad.take(f_s, k), ad.take(f_q, k)) for k in range(len(pairs))], offsets
 
 
 # ---------------------------------------------------------------------------

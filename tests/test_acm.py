@@ -331,6 +331,53 @@ class TestMaskedAverage:
         want = (f[:, 0] * floored).sum(axis=(1, 2)) / floored.sum()
         npt.assert_allclose(got[:, 0], want, atol=1e-12)
 
+    @pytest.mark.parametrize("query_classes", [3, 1], ids=["tc", "no_tc"])
+    @pytest.mark.parametrize("perturbed", [True, False], ids=["perturbed", "unperturbed"])
+    def test_one_call_matches_each_pair(self, query_classes, perturbed):
+        # 2 queries x 3 classes; without TC the query map is shared by all classes
+        rng = np.random.default_rng(18)
+        n_query, n_way, d, t = 2, 3, 4, 3
+        support = Parameter(rng.standard_normal((n_way, d, t, 7, 7)), "support")
+        query = Parameter(rng.standard_normal((n_query, query_classes, d, t, 7, 7)), "query")
+        offs = Parameter(rng.uniform(-1.5, 1.5, (n_query, n_way, t, 2)), "offsets")
+        up_s, up_q = rng.standard_normal((2, n_query, n_way, d, t))
+        disp = PerturbSchedule().displacements(0) if perturbed else acm.NO_DISPLACEMENT
+        params = [support, query, offs]
+
+        def weighted(f, up):
+            return ad.reduce_sum(ad.mul(f, f.tape.const(up)))
+
+        def run(batched):
+            for p in params:
+                p.zero_grad()
+            tape = Tape()
+            s, q, o = (tape.param(p) for p in params)
+            if batched:
+                f_s, f_q = spatial_coordinate(tape, s, q, o, displacements=disp)
+                loss = ad.add(weighted(f_s, up_s), weighted(f_q, up_q))
+                outs = (f_s.value, f_q.value)
+            else:
+                loss, outs = None, (np.empty(up_s.shape), np.empty(up_q.shape))
+                for i in range(n_query):
+                    for j in range(n_way):
+                        pair_q = ad.take(ad.take(q, i), j if query_classes > 1 else 0)
+                        f_s, f_q = spatial_coordinate(
+                            tape, ad.take(s, j), pair_q, ad.take(ad.take(o, i), j),
+                            displacements=disp,
+                        )
+                        outs[0][i, j], outs[1][i, j] = f_s.value, f_q.value
+                        term = ad.add(weighted(f_s, up_s[i, j]), weighted(f_q, up_q[i, j]))
+                        loss = term if loss is None else ad.add(loss, term)
+            tape.backward(loss)
+            return outs, [p.grad.copy() for p in params]
+
+        (got, got_grads), (want, want_grads) = run(True), run(False)
+        for g, w in zip(got, want):
+            assert g.shape == (n_query, n_way, d, t)
+            npt.assert_allclose(g, w, rtol=0, atol=1e-12)
+        for p, g, w in zip(params, got_grads, want_grads):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max(), err_msg=p.name)
+
 
 class TestEnumerateOracle:
     def test_identical_maps_zero_offset(self):

@@ -53,7 +53,9 @@ class TestEpisodeForward:
                     assert len(out.probs) == 3
 
     def test_zero_init_predicts_uniform(self, dataset):
-        model = AlignmentModel(tiny_config(init="zero"))
+        model = AlignmentModel(tiny_config())
+        for p in model.parameters():
+            p.value[...] = 0.0
         ep = sample_episode(dataset, "train", 3, 1, 2, seed=2)
         out = model.episode_forward(
             Tape(grad=False), ep, training=False, rng=np.random.default_rng(0)
@@ -136,8 +138,10 @@ class TestEpisodeForward:
         metric.cross_entropy_loss(out.probs, out.labels)
         ops = [e.op for e in tape.entries]
         assert ops.count("conv3d") == 2
+        # the masks of all 25 pairs: one entry for the supports, one for the queries
+        assert ops.count("offset_masks") == 2
         assert (25, 32, 8, 7, 7) not in shapes
-        assert len(ops) == 1259 < 1466
+        assert len(ops) == 737 < 1259
 
     @pytest.mark.parametrize("seed", [2, 3, 5, 12, 15, 18])
     def test_full_model_gradients(self, seed):
@@ -178,6 +182,21 @@ class TestCheckpoints:
         arrays["tc.query_b"] = np.zeros(6)
         container.save(path, container.CHECKPOINT, meta, arrays)
         with pytest.raises(container.ContainerError, match="tc.query_b"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["mask_slope", "perturb", "perturb_amplitude", "perturb_decay", "perturb_interval", "init"],
+    )
+    def test_checkpoint_with_deleted_config_key_is_rejected(self, tmp_path, key):
+        # checkpoints written before these ModelConfig fields were deleted
+        # carry them in their meta config: loading names the key
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        meta, arrays = container.load(path, container.CHECKPOINT)
+        meta["config"][key] = 1.0
+        container.save(path, container.CHECKPOINT, meta, arrays)
+        with pytest.raises(container.ContainerError, match=key):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
