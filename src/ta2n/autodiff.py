@@ -502,11 +502,14 @@ def mix_time(m: Var, f: Var) -> Var:
     mv, fv = m.value, f.value
     if mv.ndim != 2 or mv.shape[0] != mv.shape[1] or fv.ndim != 4 or fv.shape[1] != mv.shape[0]:
         raise ValueError(f"mix_time: incompatible shapes {mv.shape} and {fv.shape}")
-    out = np.einsum("ts,cshw->cthw", mv, fv, optimize=True)
+    c, t = fv.shape[:2]
+    f3 = fv.reshape(c, t, -1)
+    out = (mv @ f3).reshape(fv.shape)
 
     def bwd(g):
-        gm = np.einsum("cthw,cshw->ts", g, fv, optimize=True)
-        gf = np.einsum("ts,cthw->cshw", mv, g, optimize=True)
+        g3 = g.reshape(c, t, -1)
+        gm = np.tensordot(g3, f3, axes=([0, 2], [0, 2]))
+        gf = (mv.T @ g3).reshape(fv.shape)
         return gm, gf
 
     return m.tape.record("mix_time", out, (m, f), bwd)
@@ -544,6 +547,15 @@ def conv1d_temporal(x: Var, weight: Var, bias: Var | None = None) -> Var:
 _SPATIAL_TAPS = [(kh, kw) for kh in range(3) for kw in range(3)]
 
 
+def _tap_window(d: int, n: int) -> tuple[slice, slice]:
+    """(output, input) slices along one spatial axis of a tap displaced by ``d`` in {-1, 0, 1}.
+
+    Output position ``i`` reads input position ``i + d``; positions whose
+    input falls outside [0, n) are not covered and stay zero.
+    """
+    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d))
+
+
 def _spatial_patches(xv: Array) -> Array:
     """All 3x3 spatial windows of a (B,C,T,H,W) block as a (9*C, B*T*H*W) matrix.
 
@@ -552,10 +564,11 @@ def _spatial_patches(xv: Array) -> Array:
     are combined after the GEMM, so a channel takes 9 rows, not 27.
     """
     b, c, t, h, w = xv.shape
-    xp = np.pad(xv.transpose(1, 0, 2, 3, 4), ((0, 0), (0, 0), (0, 0), (1, 1), (1, 1)))
-    patches = np.empty((9, c, b, t, h, w))
+    xt = xv.transpose(1, 0, 2, 3, 4)
+    patches = np.zeros((9, c, b, t, h, w))
     for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
-        patches[k] = xp[:, :, :, kh : kh + h, kw : kw + w]
+        (oh, ih), (ow, iw) = _tap_window(kh - 1, h), _tap_window(kw - 1, w)
+        patches[k, :, :, :, oh, ow] = xt[:, :, :, ih, iw]
     return patches.reshape(9 * c, b * t * h * w)
 
 
@@ -580,11 +593,14 @@ def _tap_responses_grad(g: Array, patches: Array, taps: Array, shape) -> tuple[A
     g = g.reshape(3 * c_out, b * t * h * w)
     gw = (g @ patches.T).reshape(c_out, 3, 3, 3, c_in).transpose(0, 4, 1, 2, 3)
     gcol = (taps.T @ g).reshape(9, c_in, b, t, h, w)
-    gxp = np.zeros((c_in, b, t, h + 2, w + 2))
+    gx = np.empty((b, c_in, t, h, w))
+    gxt = gx.transpose(1, 0, 2, 3, 4)
+    gxt[...] = gcol[4]  # the centre tap covers every position
     for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
-        gxp[:, :, :, kh : kh + h, kw : kw + w] += gcol[k]
-    gx = gxp[:, :, :, 1 : 1 + h, 1 : 1 + w].transpose(1, 0, 2, 3, 4)
-    return np.ascontiguousarray(gx), np.ascontiguousarray(gw)
+        if k != 4:
+            (oh, ih), (ow, iw) = _tap_window(kh - 1, h), _tap_window(kw - 1, w)
+            gxt[:, :, :, ih, iw] += gcol[k, :, :, :, oh, ow]
+    return gx, np.ascontiguousarray(gw)
 
 
 def _sum_taps(resp: Array) -> Array:
@@ -720,8 +736,11 @@ def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var | Non
 def max_pool_spatial2(x: Var) -> Var:
     """2x2 spatial max pool, stride 2, trailing odd row/column dropped.
 
-    Gradient is routed to the first maximal element of each window in
-    row-major window order.
+    The output is the element-wise maximum of the four strided views of the
+    windows' corners. Gradient is routed to the first maximal element of
+    each window in row-major window order: backward scans the views in order
+    (0,0), (0,1), (1,0), (1,1) and gives each position's gradient to the
+    first view whose value equals the output.
     """
     xv = x.value
     if xv.ndim != 5:
@@ -730,30 +749,20 @@ def max_pool_spatial2(x: Var) -> Var:
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise ValueError(f"max_pool_spatial2: spatial dims too small {h}x{w}")
-    trimmed = xv[:, :, :, : 2 * ho, : 2 * wo]
-    # candidate order (0,0),(0,1),(1,0),(1,1); argmax keeps the first max
-    cands = np.stack(
-        [
-            trimmed[:, :, :, 0::2, 0::2],
-            trimmed[:, :, :, 0::2, 1::2],
-            trimmed[:, :, :, 1::2, 0::2],
-            trimmed[:, :, :, 1::2, 1::2],
-        ],
-        axis=-1,
-    )
-    idx = cands.argmax(axis=-1)
-    out = np.take_along_axis(cands, idx[..., None], axis=-1)[..., 0]
+    windows = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
+    views = [xv[:, :, :, rows, cols] for rows, cols in windows]
+    out = np.maximum(views[0], views[1])
+    np.maximum(out, np.maximum(views[2], views[3]), out=out)
 
     def bwd(g):
         gx = np.zeros_like(xv)
-        views = (
-            gx[:, :, :, 0 : 2 * ho : 2, 0 : 2 * wo : 2],
-            gx[:, :, :, 0 : 2 * ho : 2, 1 : 2 * wo : 2],
-            gx[:, :, :, 1 : 2 * ho : 2, 0 : 2 * wo : 2],
-            gx[:, :, :, 1 : 2 * ho : 2, 1 : 2 * wo : 2],
-        )
-        for k, view in enumerate(views):
-            view += g * (idx == k)
+        rest = g.copy()  # the gradient of the windows not yet routed
+        for view, (rows, cols) in zip(views[:-1], windows[:-1]):
+            routed = rest * (view == out)
+            gx[:, :, :, rows, cols] = routed
+            rest -= routed
+        rows, cols = windows[-1]
+        gx[:, :, :, rows, cols] = rest
         return (gx,)
 
     return x.tape.record("max_pool_spatial2", out, (x,), bwd)
@@ -792,6 +801,13 @@ def batchnorm_channels(
     In training mode the statistics come from the current block (and the
     running buffers are updated in place); in eval mode the frozen running
     statistics are used and the op is a plain per-channel affine map.
+
+    Training mode works on the (B, C, T*H*W) view: the input is centred once,
+    the centred block gives the (biased) variance as its own inner product,
+    and scaling it in place gives ``xhat``. Backward is the closed form
+    ``gx = gamma * inv * (g - sum(g)/n - xhat * sum(g * xhat)/n)`` with the
+    sums per channel (Ioffe & Szegedy 2015), which reuses the two sums that
+    are also the gradients of ``beta`` and ``gamma``.
     """
     xv = x.value
     if xv.ndim != 5:
@@ -800,29 +816,32 @@ def batchnorm_channels(
     gv, bv = gamma.value, beta.value
     gshape = (1, -1, 1, 1, 1)
     if training:
-        mean = xv.mean(axis=axes)
-        var = xv.var(axis=axes)
+        b, c = xv.shape[:2]
+        x3 = xv.reshape(b, c, -1)
+        n = x3.shape[0] * x3.shape[2]
+        mean = x3.mean(axis=(0, 2))
+        xhat = x3 - mean[:, None]
+        var = np.einsum("bcp,bcp->c", xhat, xhat) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (xv - mean.reshape(gshape)) * inv.reshape(gshape)
-        out = gv.reshape(gshape) * xhat + bv.reshape(gshape)
-        n = xv.size // xv.shape[1]
+        xhat *= inv[:, None]
+        out = xhat * gv[:, None]
+        out += bv[:, None]
 
         def bwd(g):
-            gg = (g * xhat).sum(axis=axes)
-            gb = g.sum(axis=axes)
-            gx_hat = g * gv.reshape(gshape)
-            gx = (
-                gx_hat
-                - gx_hat.mean(axis=axes, keepdims=True)
-                - xhat * (gx_hat * xhat).mean(axis=axes, keepdims=True)
-            ) * inv.reshape(gshape)
-            return gx, gg, gb
+            g3 = g.reshape(b, c, -1)
+            gb = g3.sum(axis=(0, 2))
+            gg = np.einsum("bcp,bcp->c", g3, xhat)
+            scale = gv * inv
+            gx = xhat * (-scale * gg / n)[:, None]
+            gx += g3 * scale[:, None]
+            gx -= (scale * gb / n)[:, None]
+            return gx.reshape(xv.shape), gg, gb
 
-        return x.tape.record("batchnorm_train", out, (x, gamma, beta), bwd)
+        return x.tape.record("batchnorm_train", out.reshape(xv.shape), (x, gamma, beta), bwd)
 
     inv = 1.0 / np.sqrt(running_var + eps)
     scale = gv * inv
@@ -861,12 +880,16 @@ def time_linear_sample(f: Var, scale: Var, shift: Var) -> Var:
     lo = np.clip(np.floor(s).astype(int), 0, t - 1)
     hi = np.clip(lo + 1, 0, t - 1)
     frac = s - lo
-    out = fv[:, lo] * (1.0 - frac)[None, :, None, None] + fv[:, hi] * frac[None, :, None, None]
+    # out[:, i] = (1 - frac_i) f[:, lo_i] + frac_i f[:, hi_i], as one T x T map over time
+    sampler = np.zeros((t, t))
+    sampler[i, lo] = 1.0 - frac
+    sampler[i, hi] += frac
+    c = fv.shape[0]
+    f3 = fv.reshape(c, t, -1)
+    out = (sampler @ f3).reshape(fv.shape)
 
     def bwd(g):
-        gf = np.zeros_like(fv)
-        np.add.at(gf, (slice(None), lo), g * (1.0 - frac)[None, :, None, None])
-        np.add.at(gf, (slice(None), hi), g * frac[None, :, None, None])
+        gf = (sampler.T @ g.reshape(c, t, -1)).reshape(fv.shape)
         diff = fv[:, hi] - fv[:, lo]  # d out / d frac
         gfrac = (g * diff).sum(axis=(0, 2, 3))
         # d s_i / d scale = i, d s_i / d shift = T-1; d frac/d s = 1 a.e.

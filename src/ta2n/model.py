@@ -23,7 +23,7 @@ Without temporal coordination every ``M_qn`` is the identity.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -295,8 +295,14 @@ def save_checkpoint(model: AlignmentModel, path: str | os.PathLike, extra: dict 
 def load_checkpoint(path: str | os.PathLike) -> tuple[AlignmentModel, dict]:
     """The saved model and the checkpoint's meta (config, package version, extra)."""
     meta, arrays = container.load(path, container.CHECKPOINT)
+    names = {f.name for f in fields(ModelConfig)}
     try:
         cfg = dict(meta["config"])
+        unknown, missing = sorted(set(cfg) - names), sorted(names - set(cfg))
+        if unknown or missing:
+            raise container.ContainerError(
+                f"malformed checkpoint config: unknown keys {unknown}, missing keys {missing}"
+            )
         cfg["offset_channels"] = tuple(cfg["offset_channels"])
         model = AlignmentModel(ModelConfig(**cfg))
     except (KeyError, TypeError, ValueError) as e:

@@ -84,6 +84,37 @@ class TestPooling:
         with pytest.raises(ValueError):
             ad.global_avg_pool_spatial(t.const(np.zeros((2, 3, 4))))
 
+    def test_max_pool_routes_ties_to_the_first_maximum(self):
+        # per 2x2 window of two 5x5 frames: its values in row-major order and
+        # the (row, col) of its first maximal element; 0.0 and -0.0 tie
+        windows = [
+            [([1.0, 3.0, 3.0, 2.0], (0, 1)),  # 2-way
+             ([-1.0, -1.0, -2.0, -1.0], (0, 0)),  # 3-way
+             ([7.0, 7.0, 7.0, 7.0], (0, 0)),  # 4-way
+             ([-3.0, 0.0, -0.0, -5.0], (0, 1))],
+            [([-0.0, 0.0, -1.0, -1.0], (0, 0)),
+             ([0.0, 1.0, 2.0, 2.0], (1, 0)),
+             ([5.0, 4.0, 5.0, 5.0], (0, 0)),
+             ([-2.0, -1.0, -1.0, -1.0], (0, 1))],
+        ]
+        x = np.full((1, 1, 2, 5, 5), 100.0)  # the dropped row and column hold the largest values
+        g = np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2)
+        want_out = np.zeros(g.shape)
+        want_grad = np.zeros(x.shape)
+        for t, frame in enumerate(windows):
+            for k, (values, (di, dj)) in enumerate(frame):
+                i, j = divmod(k, 2)
+                x[0, 0, t, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = np.reshape(values, (2, 2))
+                want_out[0, 0, t, i, j] = max(values)
+                want_grad[0, 0, t, 2 * i + di, 2 * j + dj] = g[0, 0, t, i, j]
+        p = Parameter(x, "x")
+        tape = Tape()
+        out = ad.max_pool_spatial2(tape.param(p))
+        npt.assert_array_equal(out.value, want_out)
+        tape.backward(ad.reduce_sum(ad.mul(out, tape.const(g))))
+        npt.assert_array_equal(p.grad, want_grad)
+        assert not p.grad[..., 4, :].any() and not p.grad[..., :, 4].any()
+
 
 class TestLinear:
     def test_identity(self):
@@ -192,6 +223,11 @@ class TestPurity:
                 ad.clamp(v, -1.0, 1.0),
             ):
                 assert np.all(np.isfinite(out.value))
+
+
+# spatial grids conv3d meets: on 1x1 and 2x3 some taps have no valid window,
+# 3x3 is the offset predictor's second layer
+CONV3D_GRIDS = [(1, 1), (2, 3), (3, 3), (5, 4)]
 
 
 class TestGradientsMatchFiniteDifferences:
@@ -339,23 +375,37 @@ class TestGradientsMatchFiniteDifferences:
         with pytest.raises(ValueError):
             ad.pair_conv3d(s, q, t.const(np.zeros((3, 2, 4, 4))), t.const(np.zeros((4, 6, 3, 3, 3))))
 
-    def test_conv3d_forward_oracle(self):
+    @pytest.mark.parametrize("h, w", [(4, 4)] + CONV3D_GRIDS)
+    def test_conv3d_forward_oracle(self, h, w):
         # brute-force triple loop on a tiny case
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((1, 2, 3, 4, 4))
-        w = rng.standard_normal((2, 2, 3, 3, 3))
+        x = rng.standard_normal((1, 2, 3, h, w))
+        w_ = rng.standard_normal((2, 2, 3, 3, 3))
         t = Tape(grad=False)
-        got = ad.conv3d(t.const(x), t.const(w)).value
+        got = ad.conv3d(t.const(x), t.const(w_)).value
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
         want = np.zeros_like(got)
         for o in range(2):
             for tt in range(3):
-                for hh in range(4):
-                    for ww in range(4):
+                for hh in range(h):
+                    for ww in range(w):
                         want[0, o, tt, hh, ww] = np.sum(
-                            xp[0, :, tt : tt + 3, hh : hh + 3, ww : ww + 3] * w[o]
+                            xp[0, :, tt : tt + 3, hh : hh + 3, ww : ww + 3] * w_[o]
                         )
         npt.assert_allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("h, w", CONV3D_GRIDS)
+    def test_conv3d_gradients_on_grid(self, h, w):
+        rng = np.random.default_rng(18)
+        x = Parameter(rng.standard_normal((2, 3, 4, h, w)), "x")
+        w_ = Parameter(rng.standard_normal((4, 3, 3, 3, 3)) * 0.3, "w")
+        b = Parameter(rng.standard_normal(4), "b")
+
+        def build(tape):
+            y = ad.conv3d(tape.param(x), tape.param(w_), tape.param(b))
+            return scalarize(tape, y, np.random.default_rng(55))
+
+        check_op(build, [x, w_, b])
 
     def test_max_pools(self):
         rng = np.random.default_rng(9)
@@ -435,6 +485,57 @@ class TestGradientsMatchFiniteDifferences:
             return scalarize(tape, y, np.random.default_rng(54))
 
         check_op(build, [f, a, b])
+
+
+def reference_batchnorm_train(x, gamma, beta, running_mean, running_var, g, momentum=0.1, eps=1e-5):
+    """Training-mode batch norm and its backward by the chain rule, step by step
+    (Ioffe & Szegedy 2015, Algorithm 1 and section 3): (out, running mean,
+    running var, gx, ggamma, gbeta)."""
+    axes = (0, 2, 3, 4)
+    n = x.size // x.shape[1]
+    shape = (1, -1, 1, 1, 1)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+    std = np.sqrt(var + eps)
+    xhat = (x - mean) / std
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    gxhat = g * gamma.reshape(shape)
+    gvar = (gxhat * (x - mean) * -0.5 * std**-3).sum(axis=axes, keepdims=True)
+    gmean = (-gxhat / std).sum(axis=axes, keepdims=True) + gvar * (-2.0 * (x - mean)).mean(
+        axis=axes, keepdims=True
+    )
+    gx = gxhat / std + gvar * 2.0 * (x - mean) / n + gmean / n
+    return (
+        out,
+        (1 - momentum) * running_mean + momentum * mean.ravel(),
+        (1 - momentum) * running_var + momentum * var.ravel(),
+        gx,
+        (g * xhat).sum(axis=axes),
+        g.sum(axis=axes),
+    )
+
+
+class TestBatchNorm:
+    def test_training_mode_matches_the_textbook_reference(self):
+        rng = np.random.default_rng(56)
+        x = rng.standard_normal((6, 5, 3, 7, 7))
+        x[:, 1] = 0.7  # a constant channel: variance 0
+        x[:, 3] = 1e3 + rng.standard_normal(x[:, 3].shape)  # E[x^2] - E[x]^2 would cancel here
+        gamma, beta = rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)
+        running_mean, running_var = rng.standard_normal(5), rng.uniform(0.5, 2.0, 5)
+        g = rng.standard_normal(x.shape)
+        want = reference_batchnorm_train(x, gamma, beta, running_mean, running_var, g)
+
+        px, pg, pb = Parameter(x, "x"), Parameter(gamma, "gamma"), Parameter(beta, "beta")
+        rm, rv = running_mean.copy(), running_var.copy()
+        tape = Tape()
+        out = ad.batchnorm_channels(tape.param(px), tape.param(pg), tape.param(pb), rm, rv, True)
+        tape.backward(ad.reduce_sum(ad.mul(out, tape.const(g))))
+        got = (out.value, rm, rv, px.grad, pg.grad, pb.grad)
+        names = ("out", "running mean", "running var", "gx", "ggamma", "gbeta")
+        for name, a, b in zip(names, got, want):
+            err = np.abs(a - b).max()
+            assert err <= 1e-12 * np.abs(b).max(), f"{name}: {err:.3e}"
 
 
 class TestGradcheckHarness:

@@ -199,6 +199,20 @@ class TestCheckpoints:
         with pytest.raises(container.ContainerError, match=key):
             load_checkpoint(path)
 
+    def test_checkpoint_config_error_names_every_bad_key(self, tmp_path):
+        deleted = ["init", "mask_slope", "perturb", "perturb_amplitude", "perturb_decay", "perturb_interval"]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        meta, arrays = container.load(path, container.CHECKPOINT)
+        meta["config"].update({key: 1.0 for key in deleted})
+        del meta["config"]["frames"], meta["config"]["use_sc"]
+        container.save(path, container.CHECKPOINT, meta, arrays)
+        with pytest.raises(container.ContainerError) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        assert f"unknown keys {deleted}" in message
+        assert "missing keys ['frames', 'use_sc']" in message
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(AlignmentModel(tiny_config()), path)
