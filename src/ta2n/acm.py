@@ -74,7 +74,7 @@ class TemporalCoordination:
     def support_side(self, tape: Tape, feature: Var) -> CoordinationInput:
         """Scaled keys (T, P) of the spatially pooled support, and its values."""
         keys = ad.channel_linear(
-            ad.global_avg_pool_spatial(feature), tape.param(self.key_w), tape.param(self.key_b)
+            ad.reduce_mean(feature, axis=(-2, -1)), tape.param(self.key_w), tape.param(self.key_b)
         )
         keys = ad.affine(ad.transpose(keys, (1, 0)), 1.0 / np.sqrt(self.proj_dim))
         return CoordinationInput(keys, self._values(tape, feature))
@@ -85,7 +85,9 @@ class TemporalCoordination:
         The queries have no bias: it would add ``k_i . b`` to every logit of
         support row ``i``, which the softmax over query columns cancels.
         """
-        queries = ad.channel_linear(ad.global_avg_pool_spatial(feature), tape.param(self.query_w))
+        queries = ad.channel_linear(
+            ad.reduce_mean(feature, axis=(-2, -1)), tape.param(self.query_w)
+        )
         return CoordinationInput(queries, self._values(tape, feature))
 
     def forward(self, support: CoordinationInput, query: CoordinationInput) -> tuple[Var, Var]:
@@ -152,12 +154,12 @@ class PerturbSchedule:
 class OffsetPredictor:
     """Regression head from every (query, class) pair to per-frame offsets.
 
-    A pair's input is the channel stack of the class's support map and the
-    query map rearranged along time onto it, ``concat_channels(s_n,
-    mix_time(M_qn, v_q))``. Two {conv3d k=3 pad=1, batch norm, 2x2 spatial
-    max pool, ReLU} blocks, a spatial global max pool, then two pointwise
-    temporal layers ending in tanh. The tanh output is scaled to half the
-    grid extent per axis, so a predicted centre can never leave the grid.
+    A pair's input is the channel stack of the class's support map ``s_n``
+    and the query map rearranged along time onto it, ``mix_time(M_qn,
+    v_q)``. Two {conv3d k=3 pad=1, batch norm, 2x2 spatial max pool, ReLU}
+    blocks, a spatial global max pool, then two pointwise temporal layers
+    ending in tanh. The tanh output is scaled to half the grid extent per
+    axis, so a predicted centre can never leave the grid.
     The final layer starts at zero: an untrained head predicts zero offsets
     everywhere.
 

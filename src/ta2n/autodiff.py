@@ -282,13 +282,6 @@ def tanh(a: Var) -> Var:
     return a.tape.record("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def exp(a: Var) -> Var:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.exp(a.value)
-    _check_finite("exp", out)
-    return a.tape.record("exp", out, (a,), lambda g: (g * out,))
-
-
 def log(a: Var) -> Var:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.log(a.value)
@@ -468,29 +461,6 @@ def channel_linear(x: Var, weight: Var, bias: Var | None = None) -> Var:
 
 # ---------------------------------------------------------------------------
 # spatio-temporal primitives
-
-
-def global_avg_pool_spatial(f: Var) -> Var:
-    """Mean over the trailing two (spatial) axes of a C,T,H,W map -> C,T."""
-    fv = f.value
-    if fv.ndim != 4:
-        raise ValueError(f"global_avg_pool_spatial expects rank 4, got {fv.ndim}")
-    h, w = fv.shape[2], fv.shape[3]
-    out = fv.mean(axis=(2, 3))
-
-    def bwd(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), fv.shape).copy(),)
-
-    return f.tape.record("gap_spatial", out, (f,), bwd)
-
-
-def concat_channels(a: Var, b: Var) -> Var:
-    """Stack two C,T,H,W maps along channels; trailing dims must agree."""
-    if a.value.shape[1:] != b.value.shape[1:]:
-        raise ValueError(
-            f"concat_channels: trailing dims differ {a.value.shape} vs {b.value.shape}"
-        )
-    return concat((a, b), axis=0)
 
 
 def mix_time(m: Var, f: Var) -> Var:
@@ -680,8 +650,9 @@ def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var | Non
 
     ``support`` is (N, C_s, T, H, W), ``query`` is (Q, C_q, T, H, W), ``mix``
     is (Q, N, T, T) and ``weight`` is (C_out, C_s + C_q, 3, 3, 3). Row
-    ``q*N + n`` of the (Q*N, C_out, T, H, W) result is
-    ``conv3d(concat_channels(support[n], mix_time(mix[q, n], query[q])), weight, bias)``.
+    ``q*N + n`` of the (Q*N, C_out, T, H, W) result is ``conv3d(x, weight,
+    bias)`` of the channel concatenation ``x`` of ``support[n]`` and
+    ``mix_time(mix[q, n], query[q])``.
 
     The convolution is linear, so with ``weight = [W_s | W_q]`` that row is
     ``conv3d(support[n], W_s) + sum_k shift_k(mix[q, n]) @ Z_k(query[q])``,

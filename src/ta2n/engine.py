@@ -114,13 +114,7 @@ def train(
                 dataset, split, config.n_way, config.k_shot, config.n_query, seed
             )
             tape = Tape(grad=True)
-            out = model.episode_forward(
-                tape,
-                episode,
-                training=True,
-                epoch=epoch,
-                rng=np.random.default_rng(seed),
-            )
+            out = model.episode_forward(tape, episode, training=True, epoch=epoch)
             loss = metric.cross_entropy_loss(out.probs, out.labels)
             loss_val = float(loss.value)
             if not np.isfinite(loss_val):
@@ -152,9 +146,7 @@ def _eval_episode(
 ) -> tuple[int, float, list[tuple[int, int]]]:
     episode = sample_episode(dataset, split, n_way, k_shot, n_query, seed)
     tape = Tape(grad=False)
-    out = model.episode_forward(
-        tape, episode, training=False, rng=np.random.default_rng(seed)
-    )
+    out = model.episode_forward(tape, episode, training=False)
     preds = out.predictions()
     marks = [
         (episode.class_ids[label], int(pred == label))

@@ -180,7 +180,7 @@ def metric_case(seed: int) -> GradCase:
 
     def build(tape):
         q = tape.param(query)
-        probs, _ = metric.classify([(tape.param(p), q) for p in protos])
+        probs = metric.classify([(tape.param(p), q) for p in protos])
         return metric.cross_entropy_loss([probs], [1])
 
     return GradCase("metric.classify_loss", build, [query, *protos])
@@ -208,7 +208,6 @@ def full_case(
         6, k_shot + n_query, dims, MisalignmentConfig(0.4, 0.8, 1.0, 0.2), seed=seed
     )
     episode = sample_episode(dataset, "train", n_way, k_shot, n_query, seed=seed + 1)
-    proto_rng_seed = seed + 2
 
     model = AlignmentModel(cfg)
     nudge = np.random.default_rng((seed, 2))
@@ -220,10 +219,7 @@ def full_case(
         model.sc.fc2_b.value[:] = nudge.uniform(-0.4, 0.4, 2)
 
     def build(tape):
-        out = model.episode_forward(
-            tape, episode, training=True, epoch=0,
-            rng=np.random.default_rng(proto_rng_seed),
-        )
+        out = model.episode_forward(tape, episode, training=True, epoch=0)
         return metric.cross_entropy_loss(out.probs, out.labels)
 
     return GradCase("full.episode_loss", build, model.parameters())

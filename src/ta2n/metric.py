@@ -25,19 +25,16 @@ def frame_cosine_distance(f: Var, p: Var) -> Var:
     return ad.reduce_sum(ad.affine(cos, -1.0, 1.0))
 
 
-def classify(pairs: Sequence[tuple[Var, Var]]) -> tuple[Var, Var]:
-    """Probabilities over classes from negative frame-wise cosine distances.
+def classify(pairs: Sequence[tuple[Var, Var]]) -> Var:
+    """Probabilities over classes, the softmax of negative frame-wise cosine distances.
 
     ``pairs`` holds one (prototype, query) pair per class; the query may be
-    represented differently in each pair, as aligned to that class. Returns
-    (probabilities, logits); logits are the negated distances, so the loss
-    can be computed through a numerically settled path.
+    represented differently in each pair, as aligned to that class.
     """
     if len(pairs) < 2:
         raise ValueError("classification needs at least two classes")
     distances = [frame_cosine_distance(q, p) for p, q in pairs]
-    logits = ad.neg(ad.stack(distances))
-    return ad.softmax(logits, axis=0), logits
+    return ad.softmax(ad.neg(ad.stack(distances)), axis=0)
 
 
 def nll_from_probs(probs: Var, label: int) -> Var:

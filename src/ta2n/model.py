@@ -12,12 +12,13 @@ masks and masked means of all pairs are one broadcast
 
 All pairs of an episode go through one offset-predictor call, so batch-norm
 statistics are per-episode during training. Its first layer is the conv3d
-of every pair stack ``concat_channels(s_n, mix_time(M_qn, v_q))``, computed
-without building the stacks: by linearity it equals
-``conv3d(s_n, W_s) + sum_k shift_k(M_qn) @ Z_k(v_q)``, where ``[W_s | W_q]``
-splits the kernel by input half and ``Z_k`` is the query through the 3x3
-spatial taps of temporal slice ``k`` of ``W_q`` (``autodiff.pair_conv3d``).
-Without temporal coordination every ``M_qn`` is the identity.
+of every pair stack, the channel concatenation of ``s_n`` and
+``mix_time(M_qn, v_q)``, computed without building the stacks: by
+linearity it equals ``conv3d(s_n, W_s) + sum_k shift_k(M_qn) @ Z_k(v_q)``,
+where ``[W_s | W_q]`` splits the kernel by input half and ``Z_k`` is the
+query through the 3x3 spatial taps of temporal slice ``k`` of ``W_q``
+(``autodiff.pair_conv3d``). Without temporal coordination every ``M_qn``
+is the identity.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class PairRecord:
 @dataclass
 class EpisodeOutput:
     probs: list  # per query: Var of N probabilities
-    logits: list
     labels: list[int]
     warps: dict[int, tuple[float, float]] = field(default_factory=dict)
     pairs: list[PairRecord] = field(default_factory=list)
@@ -130,6 +130,13 @@ class AlignmentModel:
 
     def prepare_video(self, tape: Tape, feature: Array, warps_out: dict | None = None, key=None) -> Var:
         """Embed one video and, when enabled, warp it onto its action span."""
+        cfg = self.config
+        want = (cfg.channels, cfg.frames, cfg.height, cfg.width)
+        if feature.shape != want:
+            raise ValueError(
+                f"video features of shape {feature.shape} do not match the model's "
+                f"(C, T, H, W) {want}"
+            )
         f = self.embed(tape, feature)
         if self.ttm is not None:
             scale, shift = ttm_mod.localize(self.ttm, tape, f)
@@ -148,14 +155,13 @@ class AlignmentModel:
         rng: np.random.Generator | None = None,
         collect: bool = False,
     ) -> EpisodeOutput:
-        cfg = self.config
-        if episode.k_shot > 1 and cfg.use_tc and cfg.proj_dim != cfg.channels:
-            raise ValueError(
-                "multi-shot prototypes re-enter the coordination stage, which "
-                f"requires proj_dim == channels (got {cfg.proj_dim} != {cfg.channels})"
-            )
-        rng = rng or np.random.default_rng(0)
-        out = EpisodeOutput(probs=[], logits=[], labels=list(episode.query_labels))
+        """Class probabilities of every query of ``episode``.
+
+        A class's prototype is the mean of its shots. ``rng`` is unused:
+        nothing in the forward pass is random; the keyword stays for callers
+        that still pass it.
+        """
+        out = EpisodeOutput(probs=[], labels=list(episode.query_labels))
 
         # stage one: every video through the embedder (+ temporal transform)
         query_feats = [
@@ -168,7 +174,7 @@ class AlignmentModel:
                 self.prepare_video(tape, v.feature, out.warps, ("s", label, j))
                 for j, v in enumerate(shots)
             ]
-            class_reprs.append(self._class_prototype(tape, feats, rng))
+            class_reprs.append(self._class_prototype(feats))
 
         # stage two: per-video coordination inputs, then every (query, class) pair
         n_way = len(class_reprs)
@@ -185,9 +191,7 @@ class AlignmentModel:
         pooled, offsets = self._pool_pairs(tape, supports, queries, pairs, training, epoch)
 
         for qi in range(len(query_feats)):
-            probs, logits = metric.classify(pooled[qi * n_way : (qi + 1) * n_way])
-            out.probs.append(probs)
-            out.logits.append(logits)
+            out.probs.append(metric.classify(pooled[qi * n_way : (qi + 1) * n_way]))
             if collect:
                 for ci in range(n_way):
                     k = qi * n_way + ci
@@ -203,22 +207,17 @@ class AlignmentModel:
                     out.pairs.append(rec)
         return out
 
-    def _class_prototype(self, tape: Tape, feats: list[Var], rng: np.random.Generator) -> Var:
-        """Fuse K support features; single shots pass through untouched."""
+    @staticmethod
+    def _class_prototype(feats: list[Var]) -> Var:
+        """The mean of a class's K support features; a single shot passes through."""
         if not feats:
             raise ValueError("a class prototype needs at least one shot")
         if len(feats) == 1:
             return feats[0]
-        ref = int(rng.integers(len(feats)))
-        if self.tc is not None:
-            ref_side = self.tc.support_side(tape, feats[ref])
-            aligned = [self.tc.forward(ref_side, self.tc.query_side(tape, f))[0] for f in feats]
-        else:
-            aligned = feats
-        total = aligned[0]
-        for f in aligned[1:]:
+        total = feats[0]
+        for f in feats[1:]:
             total = ad.add(total, f)
-        return ad.affine(total, 1.0 / len(aligned))
+        return ad.affine(total, 1.0 / len(feats))
 
     def _pool_pairs(
         self,
@@ -240,9 +239,9 @@ class AlignmentModel:
         """
         n_way = len(supports)
         if self.sc is None:
-            pooled_supports = [ad.global_avg_pool_spatial(s) for s in supports]
+            pooled_supports = [ad.reduce_mean(s, axis=(-2, -1)) for s in supports]
             pooled = [
-                (pooled_supports[k % n_way], ad.global_avg_pool_spatial(q))
+                (pooled_supports[k % n_way], ad.reduce_mean(q, axis=(-2, -1)))
                 for k, (q, _) in enumerate(pairs)
             ]
             return pooled, None

@@ -64,7 +64,7 @@ class LocalizationNet:
         """Unconstrained (scale residual, shift logit) pair."""
         if len(feature.shape) != 4:
             raise ValueError(f"localize expects C,T,H,W, got {feature.shape}")
-        pooled = ad.global_avg_pool_spatial(feature)  # (C, T)
+        pooled = ad.reduce_mean(feature, axis=(-2, -1))  # (C, T)
         h = ad.relu(ad.conv1d_temporal(pooled, tape.param(self.conv_w), tape.param(self.conv_b)))
         h = ad.reduce_mean(h, axis=1)  # (hidden,)
         return ad.channel_linear(h, tape.param(self.head_w), tape.param(self.head_b))

@@ -222,8 +222,8 @@ class TestOffsetPredictor:
                 stacks = []
                 for qi in range(n):
                     for ci in range(n):
-                        both = ad.concat_channels(
-                            supports[ci], ad.mix_time(mixes[qi * n + ci], queries[qi])
+                        both = ad.concat(
+                            (supports[ci], ad.mix_time(mixes[qi * n + ci], queries[qi])), axis=0
                         )
                         stacks.append(ad.reshape(both, (1, *both.shape)))
                 out = ad.conv3d(ad.concat(stacks, axis=0), w, b)

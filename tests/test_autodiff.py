@@ -63,26 +63,23 @@ class TestSoftmax:
 
 
 class TestPooling:
+    # the spatial mean of every C,T,H,W map is reduce_mean over the last two axes
+
     def test_gap_constant(self):
         t = Tape(grad=False)
         f = t.const(np.full((3, 4, 5, 5), 2.5))
-        npt.assert_allclose(ad.global_avg_pool_spatial(f).value, np.full((3, 4), 2.5))
+        npt.assert_allclose(ad.reduce_mean(f, axis=(-2, -1)).value, np.full((3, 4), 2.5))
 
     def test_gap_hand_mean(self):
         t = Tape(grad=False)
         f = t.const(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        npt.assert_allclose(ad.global_avg_pool_spatial(f).value, [[2.5]])
+        npt.assert_allclose(ad.reduce_mean(f, axis=(-2, -1)).value, [[2.5]])
 
     def test_gap_identity_on_1x1(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 6, 1, 1))
         t = Tape(grad=False)
-        npt.assert_array_equal(ad.global_avg_pool_spatial(t.const(x)).value, x[:, :, 0, 0])
-
-    def test_gap_wrong_rank(self):
-        t = Tape(grad=False)
-        with pytest.raises(ValueError):
-            ad.global_avg_pool_spatial(t.const(np.zeros((2, 3, 4))))
+        npt.assert_array_equal(ad.reduce_mean(t.const(x), axis=(-2, -1)).value, x[:, :, 0, 0])
 
     def test_max_pool_routes_ties_to_the_first_maximum(self):
         # per 2x2 window of two 5x5 frames: its values in row-major order and
@@ -161,20 +158,22 @@ class TestLinear:
         w = rng.standard_normal((6, 3))
         t = Tape(grad=False)
         pooled_first = ad.channel_linear(
-            ad.global_avg_pool_spatial(t.const(x)), t.const(w)
+            ad.reduce_mean(t.const(x), axis=(-2, -1)), t.const(w)
         ).value
         proj = ad.channel_linear(t.const(x), t.const(w))
-        proj_first = ad.global_avg_pool_spatial(proj).value
+        proj_first = ad.reduce_mean(proj, axis=(-2, -1)).value
         npt.assert_allclose(pooled_first, proj_first, atol=1e-9)
 
 
 class TestConcat:
+    # concat is kept as a test oracle: the pair stacks that pair_conv3d never builds
+
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2, 8, 7, 7))
         b = rng.standard_normal((3, 8, 7, 7))
         t = Tape(grad=False)
-        out = ad.concat_channels(t.const(a), t.const(b)).value
+        out = ad.concat((t.const(a), t.const(b)), axis=0).value
         assert out.shape == (5, 8, 7, 7)
         npt.assert_array_equal(out[:2], a)
         npt.assert_array_equal(out[2:], b)
@@ -182,13 +181,13 @@ class TestConcat:
     def test_mismatched_trailing(self):
         t = Tape(grad=False)
         with pytest.raises(ValueError):
-            ad.concat_channels(t.const(np.zeros((2, 8, 7, 7))), t.const(np.zeros((2, 8, 7, 6))))
+            ad.concat((t.const(np.zeros((2, 8, 7, 7))), t.const(np.zeros((2, 8, 7, 6)))), axis=0)
 
     def test_gradient_of_sum_is_ones(self):
         a = Parameter(np.arange(8.0).reshape(2, 2, 2, 1), "a")
         b = Parameter(np.zeros((1, 2, 2, 1)), "b")
         t = Tape()
-        out = ad.concat_channels(t.param(a), t.param(b))
+        out = ad.concat((t.param(a), t.param(b)), axis=0)
         t.backward(ad.reduce_sum(out))
         npt.assert_array_equal(a.grad, np.ones_like(a.value))
         npt.assert_array_equal(b.grad, np.ones_like(b.value))
@@ -242,7 +241,6 @@ class TestGradientsMatchFiniteDifferences:
             a, b = tape.param(p), tape.param(q)
             z = ad.div(ad.mul(ad.add(a, b), ad.add(a, ad.neg(b))), b)
             z = ad.add(ad.sigmoid(z), ad.tanh(ad.neg(z)))
-            z = ad.mul(z, ad.exp(ad.affine(a, 0.3, -0.1)))
             z = ad.add(z, ad.log(ad.add(ad.sqrt(b), tape.const(np.ones(1)))))
             return scalarize(tape, z, np.random.default_rng(42))
 

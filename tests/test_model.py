@@ -71,13 +71,31 @@ class TestEpisodeForward:
         )
         assert len(out.probs) == 2
 
-    def test_multishot_requires_matching_dims(self, dataset):
+    def test_multishot_runs_with_projection(self, dataset):
+        # the prototype is the mean of the shots before coordination, so a
+        # projection narrower than the channels is fine for any k_shot
         model = AlignmentModel(tiny_config(proj_dim=4))
         ep = sample_episode(dataset, "train", 2, 2, 1, seed=3)
-        with pytest.raises(ValueError, match="proj_dim"):
-            model.episode_forward(
-                Tape(grad=False), ep, training=False, rng=np.random.default_rng(0)
-            )
+        for training in (False, True):
+            out = model.episode_forward(Tape(grad=False), ep, training=training)
+            assert len(out.probs) == 2
+            for p in out.probs:
+                assert np.isfinite(p.value).all()
+                npt.assert_allclose(p.value.sum(), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mismatch, want",
+        [({"frames": 6}, "(6, 6, 5, 5)"), ({"height": 9, "width": 9}, "(6, 8, 9, 9)")],
+        ids=["frames", "height"],
+    )
+    def test_video_shape_must_match_config(self, dataset, mismatch, want):
+        # 9x9 grid offsets on 5x5 videos could reach 4 cells, twice the
+        # videos' half-extent
+        model = AlignmentModel(tiny_config(**mismatch))
+        ep = sample_episode(dataset, "train", 2, 1, 1, seed=3)
+        with pytest.raises(ValueError) as err:
+            model.episode_forward(Tape(grad=False), ep, training=False)
+        assert "(6, 8, 5, 5)" in str(err.value) and want in str(err.value)
 
     def test_collect_exports_pair_artifacts(self, dataset):
         model = AlignmentModel(tiny_config())
@@ -143,12 +161,17 @@ class TestEpisodeForward:
         assert (25, 32, 8, 7, 7) not in shapes
         assert len(ops) == 737 < 1259
 
-    @pytest.mark.parametrize("seed", [2, 3, 5, 12, 15, 18])
-    def test_full_model_gradients(self, seed):
+    @pytest.mark.parametrize(
+        "seed, k_shot, proj_dim",
+        [pytest.param(s, 1, 6, id=str(s)) for s in (2, 3, 5, 12, 15, 18)]
+        + [pytest.param(12, 3, 4, id="12-3shot-proj4")],
+    )
+    def test_full_model_gradients(self, seed, k_shot, proj_dim):
         # the case builder nudges the zero-initialized heads off the clamp and
         # mask kinks they sit on exactly; kinks that merely lie near a sampled
         # point are left to the step ladder of finite_diff_gradcheck
-        case = gradcheck.full_case(seed=seed)
+        cfg = tiny_config(height=7, width=7, proj_dim=proj_dim)
+        case = gradcheck.full_case(seed=seed, model_config=cfg, k_shot=k_shot)
         report = finite_diff_gradcheck(
             case.build, case.params, step=case.step, tolerance=case.tolerance,
             rng=np.random.default_rng(10), max_coords_per_param=2,
