@@ -12,7 +12,6 @@ which broadcast, so the pairs of an episode are pooled in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +23,10 @@ MASK_FLOOR = 1e-6  # keeps every mask's normalizer strictly positive
 DEFAULT_MASK_SLOPE = 3.0
 NO_DISPLACEMENT = np.zeros((1, 2))  # the one variant of unperturbed masks
 NO_DISPLACEMENT.flags.writeable = False
+# training perturbs the masks by this amplitude, halved every PERTURB_INTERVAL_EPOCHS
+PERTURB_AMPLITUDE = 1.0
+PERTURB_DECAY = 0.5
+PERTURB_INTERVAL_EPOCHS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +131,12 @@ def generate_offset_mask(
     return profile(height, cy)[:, None] * profile(width, cx)[None, :]
 
 
-@dataclass(frozen=True)
-class PerturbSchedule:
-    """Eight-direction offset perturbation with stepwise amplitude decay."""
-
-    initial_amplitude: float = 1.0
-    decay: float = 0.5
-    interval_epochs: int = 40
-
-    def amplitude(self, epoch: int) -> float:
-        return self.initial_amplitude * self.decay ** (epoch // self.interval_epochs)
-
-    def displacements(self, epoch: int) -> Array:
-        """The zero displacement plus eight compass directions, scaled."""
-        amp = self.amplitude(epoch)
-        angles = np.arange(8) * (np.pi / 4.0)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return np.concatenate([np.zeros((1, 2)), amp * dirs], axis=0)
+def perturb_displacements(epoch: int) -> Array:
+    """The zero displacement plus eight compass directions at the epoch's amplitude."""
+    amp = PERTURB_AMPLITUDE * PERTURB_DECAY ** (epoch // PERTURB_INTERVAL_EPOCHS)
+    angles = np.arange(8) * (np.pi / 4.0)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return np.concatenate([np.zeros((1, 2)), amp * dirs], axis=0)
 
 
 # ---------------------------------------------------------------------------

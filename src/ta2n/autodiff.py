@@ -13,8 +13,8 @@ Conventions:
 
 - all values are float64 ``numpy`` arrays; outputs are marked read-only so
   accidental in-place mutation of a recorded value fails loudly,
-- non-differentiable points use subgradients: ``clamp`` passes zero outside
-  its range, max pooling routes gradient to the first maximal element,
+- non-differentiable points use subgradients: ReLU passes zero at 0, max
+  pooling routes gradient to the first maximal element,
 - broadcasting follows numpy; backward passes sum gradients back over
   broadcast axes.
 """
@@ -297,14 +297,6 @@ def sqrt(a: Var) -> Var:
     return a.tape.record("sqrt", out, (a,), lambda g: (g / (2.0 * out),))
 
 
-def clamp(a: Var, lo: float, hi: float) -> Var:
-    """Clip to [lo, hi]; subgradient is zero outside the range."""
-    av = a.value
-    out = np.clip(av, lo, hi)
-    inside = (av > lo) & (av < hi)
-    return a.tape.record("clamp", out, (a,), lambda g: (g * inside,))
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -485,7 +477,7 @@ def mix_time(m: Var, f: Var) -> Var:
     return m.tape.record("mix_time", out, (m, f), bwd)
 
 
-def conv1d_temporal(x: Var, weight: Var, bias: Var | None = None) -> Var:
+def conv1d_temporal(x: Var, weight: Var, bias: Var) -> Var:
     """Temporal convolution of a C,T sequence, kernel 3, zero padding 1."""
     xv, wv = x.value, weight.value
     c_out, c_in, k = wv.shape
@@ -496,8 +488,7 @@ def conv1d_temporal(x: Var, weight: Var, bias: Var | None = None) -> Var:
     out = np.zeros((c_out, t))
     for j in range(3):
         out += wv[:, :, j] @ xp[:, j : j + t]
-    if bias is not None:
-        out = out + bias.value[:, None]
+    out += bias.value[:, None]
 
     def bwd(g):
         gxp = np.zeros_like(xp)
@@ -505,13 +496,9 @@ def conv1d_temporal(x: Var, weight: Var, bias: Var | None = None) -> Var:
         for j in range(3):
             gxp[:, j : j + t] += wv[:, :, j].T @ g
             gw[:, :, j] = g @ xp[:, j : j + t].T
-        gx = gxp[:, 1 : 1 + t]
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=1)
+        return gxp[:, 1 : 1 + t], gw, g.sum(axis=1)
 
-    ins = (x, weight) if bias is None else (x, weight, bias)
-    return x.tape.record("conv1d_temporal", out, ins, bwd)
+    return x.tape.record("conv1d_temporal", out, (x, weight, bias), bwd)
 
 
 _SPATIAL_TAPS = [(kh, kw) for kh in range(3) for kw in range(3)]
@@ -614,7 +601,7 @@ def _shift_taps_grad(g: Array) -> Array:
     return gm
 
 
-def conv3d(x: Var, weight: Var, bias: Var | None = None) -> Var:
+def conv3d(x: Var, weight: Var, bias: Var) -> Var:
     """3-D convolution over (T,H,W), kernel 3, zero padding 1, stride 1.
 
     ``x`` is (B, C_in, T, H, W) and ``weight`` is (C_out, C_in, 3, 3, 3).
@@ -630,22 +617,18 @@ def conv3d(x: Var, weight: Var, bias: Var | None = None) -> Var:
     c_out = wv.shape[0]
     patches, taps, resp = _tap_responses(xv, wv)
     out = _sum_taps(resp)
-    if bias is not None:
-        out += bias.value[:, None, None]
+    out += bias.value[:, None, None]
     out = out.reshape(b, c_out, t, h, w)
 
     def bwd(g):
         g4 = g.reshape(b, c_out, t, h * w)
         gx, gw = _tap_responses_grad(_sum_taps_grad(g4), patches, taps, xv.shape)
-        if bias is None:
-            return gx, gw
         return gx, gw, g4.sum(axis=(0, 2, 3))
 
-    ins = (x, weight) if bias is None else (x, weight, bias)
-    return x.tape.record("conv3d", out, ins, bwd)
+    return x.tape.record("conv3d", out, (x, weight, bias), bwd)
 
 
-def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var | None = None) -> Var:
+def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var) -> Var:
     """``conv3d`` of every (query, class) pair stack, without building the stacks.
 
     ``support`` is (N, C_s, T, H, W), ``query`` is (Q, C_q, T, H, W), ``mix``
@@ -682,8 +665,7 @@ def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var | Non
     shifted = _shift_taps(mv).reshape(nq, n * t, 3 * t)
     mixed = (shifted @ z).reshape(nq, n, t, c_out, h * w).transpose(0, 1, 3, 2, 4)
     per_class = _sum_taps(s_resp)  # (N, C_out, T, H*W): the support half, once per class
-    if bias is not None:
-        per_class += bias.value[:, None, None]
+    per_class += bias.value[:, None, None]
     out = np.empty((nq, n, c_out, t, h * w))
     np.add(mixed, per_class, out=out)
     out = out.reshape(nq * n, c_out, t, h, w)
@@ -696,12 +678,9 @@ def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var | Non
         g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, c_out, h * w)
         gq, gwq = _tap_responses_grad(g_resp.transpose(3, 1, 0, 2, 4), q_patches, q_taps, qv.shape)
         gw = np.concatenate([gws, gwq], axis=1)
-        if bias is None:
-            return gs, gw, gq, gm
         return gs, gw, gq, gm, g5.sum(axis=(0, 1, 3, 4))
 
-    ins = (support, weight, query, mix) + (() if bias is None else (bias,))
-    return support.tape.record("conv3d", out, ins, bwd)
+    return support.tape.record("conv3d", out, (support, weight, query, mix, bias), bwd)
 
 
 def max_pool_spatial2(x: Var) -> Var:
@@ -757,6 +736,10 @@ def global_max_pool_spatial(x: Var) -> Var:
     return x.tape.record("global_max_pool_spatial", out, (x,), bwd)
 
 
+BN_MOMENTUM = 0.1  # weight of the current block's statistics in the running buffers
+BN_EPS = 1e-5
+
+
 def batchnorm_channels(
     x: Var,
     gamma: Var,
@@ -764,8 +747,6 @@ def batchnorm_channels(
     running_mean: Array,
     running_var: Array,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Var:
     """Per-channel normalization of a (B,C,T,H,W) block.
 
@@ -793,11 +774,11 @@ def batchnorm_channels(
         mean = x3.mean(axis=(0, 2))
         xhat = x3 - mean[:, None]
         var = np.einsum("bcp,bcp->c", xhat, xhat) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-        inv = 1.0 / np.sqrt(var + eps)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
         out = xhat * gv[:, None]
         out += bv[:, None]
@@ -814,7 +795,7 @@ def batchnorm_channels(
 
         return x.tape.record("batchnorm_train", out.reshape(xv.shape), (x, gamma, beta), bwd)
 
-    inv = 1.0 / np.sqrt(running_var + eps)
+    inv = 1.0 / np.sqrt(running_var + BN_EPS)
     scale = gv * inv
     out = xv * scale.reshape(gshape) + (bv - running_mean * scale).reshape(gshape)
 
@@ -978,7 +959,7 @@ def finite_diff_gradcheck(
     the evaluation point is thus stepped under rather than straddled, while a
     backward that is wrong stays wrong at every rung.
 
-    A point sitting exactly on a kink (a ReLU at 0, a clamp at its bound) has
+    A point sitting exactly on a kink (a ReLU at 0, a max pool's tie) has
     no central difference that matches a subgradient at any step. Moving the
     evaluation point off such a kink is the caller's job; the cases in
     :mod:`ta2n.gradcheck` do it by nudging the zero-initialised heads.

@@ -1,17 +1,16 @@
 """Seeded gradient-check cases for every stage.
 
 Central differences are only meaningful at smooth points, but several stages
-are piecewise linear: the duration clamp, the warp's integer source
-positions, the mask ring edges, and the ReLUs and max pools of the offset
-predictor are all subgradient kinks. A kink that merely lies near the
-evaluation point is handled by ``finite_diff_gradcheck``, whose step ladder
-shrinks the step (down to ``GRADCHECK_STEP_FLOOR``) until the central
-difference no longer straddles it. A point sitting exactly on a kink has no
-such step, and the zero-initialized heads start on some: the identity warp
-puts the duration scale on the clamp's upper bound and every warp source
-position on an integer frame, and zero offsets put grid cells on the mask
-rings. So the ttm, sc and full builders each draw one nudge that moves those
-heads off their init.
+are piecewise linear: the warp's integer source positions, the mask ring
+edges, and the ReLUs and max pools of the offset predictor are all
+subgradient kinks. A kink that merely lies near the evaluation point is
+handled by ``finite_diff_gradcheck``, whose step ladder shrinks the step
+(down to ``GRADCHECK_STEP_FLOOR``) until the central difference no longer
+straddles it. A point sitting exactly on a kink has no such step, and the
+SC head starts on some: zero offsets put grid cells on the mask rings. The
+zero-initialized TTM head weights also give the TTM's conv a zero gradient,
+which a check would pass trivially. So the ttm, sc and full builders each
+draw one nudge that moves those heads off their init.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def ttm_case(seed: int) -> GradCase:
     frames = 8
     feat = Parameter(rng.standard_normal((4, frames, 5, 5)), "feat")
     net = ttm_mod.LocalizationNet(4, hidden=8, rng=rng)
-    # off the identity warp: scale below the clamp, source positions off the frames
+    # head weights off zero, so the conv's gradient is checked, and a shorter window
     nudge = np.random.default_rng((seed, 0))
     net.head_w.value[:] = nudge.normal(0, 0.05, net.head_w.shape)
     net.head_b.value[:] = [nudge.uniform(-0.5, -0.2), nudge.uniform(-0.3, 0.3)]
@@ -196,8 +195,8 @@ def full_case(
     """Episode loss through embed, temporal transform, coordination and metric.
 
     Every parameter of a freshly initialized model is nudged once; the TTM
-    and SC heads are also moved off the identity warp and zero offsets, where
-    they sit exactly on the clamp, integer warp positions and mask rings.
+    head is also moved to a shorter window, and the SC head off zero offsets,
+    where grid cells sit exactly on the mask rings.
     """
     cfg = model_config or ModelConfig(
         channels=6, frames=8, height=7, width=7, proj_dim=6,

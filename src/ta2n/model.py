@@ -34,7 +34,7 @@ from . import autodiff as ad
 from . import container
 from . import metric
 from . import ttm as ttm_mod
-from .acm import OffsetPredictor, PerturbSchedule, TemporalCoordination
+from .acm import OffsetPredictor, TemporalCoordination
 from .autodiff import Array, Parameter, Tape, Var
 from .synth import Episode
 
@@ -257,7 +257,7 @@ class AlignmentModel:
             )
         offsets = self.sc.forward(tape, support_stack, query_stack, mix, training)  # (Q*N, T, 2)
         if training:
-            displacements = PerturbSchedule().displacements(epoch)
+            displacements = acm.perturb_displacements(epoch)
         else:
             displacements = acm.NO_DISPLACEMENT
         f_s, f_q = acm.spatial_coordinate(

@@ -16,7 +16,7 @@ behaviour can be verified against known answers.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,12 +148,7 @@ def _smooth_curve(rng: np.random.Generator, length: int) -> Array:
     return out
 
 
-def make_class_signatures(
-    num_classes: int,
-    channels: int,
-    seed: int,
-    cosine_ceiling: float = SIGNATURE_COSINE_CEILING,
-) -> list[ClassSignature]:
+def make_class_signatures(num_classes: int, channels: int, seed: int) -> list[ClassSignature]:
     """Per-class signatures with pairwise cosine similarity below the ceiling."""
     signatures: list[ClassSignature] = []
     flats: list[Array] = []
@@ -164,7 +159,7 @@ def make_class_signatures(
             sig /= np.sqrt((sig**2).mean()) + 1e-12
             flat = sig.ravel()
             flat_n = flat / np.linalg.norm(flat)
-            if all(abs(flat_n @ other) < cosine_ceiling for other in flats):
+            if all(abs(flat_n @ other) < SIGNATURE_COSINE_CEILING for other in flats):
                 template = _rng(seed, 2, c).uniform(0.5, 1.5, (channels, TEMPLATE_SIZE, TEMPLATE_SIZE))
                 signatures.append(ClassSignature(c, sig, template))
                 flats.append(flat_n)
@@ -174,37 +169,53 @@ def make_class_signatures(
     return signatures
 
 
-def _splat_patch(frame: Array, patch: Array, cx: float, cy: float) -> None:
-    """Bilinearly splat a (C,h,w) patch centred at fractional (cx, cy).
+def _splat_weights(centers: Array, n: int) -> Array:
+    """(T, n, TEMPLATE_SIZE) bilinear weights of each template row on the grid.
 
-    Contributions falling outside the grid are dropped (the actor is
-    partially out of view), so off-centre placements never error.
+    Template row ``d`` of frame ``t`` sits at ``centers[t] - (TEMPLATE_SIZE
+    - 1) / 2 + d`` and splits between the two grid rows around it. A grid
+    row outside ``[0, n)`` gets no weight, so the part of the actor that
+    falls off the grid is dropped.
     """
-    c, ph, pw = patch.shape
-    height, width = frame.shape[1], frame.shape[2]
-    y0 = cy - (ph - 1) / 2.0
-    x0 = cx - (pw - 1) / 2.0
-    for dy in range(ph):
-        for dx in range(pw):
-            y, x = y0 + dy, x0 + dx
-            iy, ix = int(np.floor(y)), int(np.floor(x))
-            fy, fx = y - iy, x - ix
-            for oy, wy in ((iy, 1 - fy), (iy + 1, fy)):
-                if not 0 <= oy < height or wy == 0.0:
-                    continue
-                for ox, wx in ((ix, 1 - fx), (ix + 1, fx)):
-                    if not 0 <= ox < width or wx == 0.0:
-                        continue
-                    frame[:, oy, ox] += wy * wx * patch[:, dy, dx]
+    cells = (centers - (TEMPLATE_SIZE - 1) / 2.0)[:, None, None] + np.arange(TEMPLATE_SIZE)
+    lo = np.floor(cells)  # (T, 1, TEMPLATE_SIZE), broadcast against the grid rows
+    frac = cells - lo
+    grid = np.arange(n)[:, None]
+    return (grid == lo) * (1.0 - frac) + (grid == lo + 1) * frac
 
 
-def _interp_signature(signature: Array, pos: float) -> Array:
-    """Linear interpolation of a (C, L) signature at fractional position."""
-    idx = pos * (signature.shape[1] - 1)
-    lo = int(np.floor(idx))
-    hi = min(lo + 1, signature.shape[1] - 1)
+def _render_actor(
+    sig: ClassSignature,
+    dims: tuple[int, int, int, int],
+    start: float,
+    end: float,
+    knots: Array,
+    centers: Array,
+) -> Array:
+    """The noise-free actor signal of one video, rendered from its ground truth.
+
+    A frame at normalized time ``t`` in ``[start, end]`` reads the class
+    signature, linearly interpolated, at the evolution warp of its phase in
+    the action; that per-channel amplitude scales the class template, which
+    is splatted bilinearly at the frame's centre as ``rows @ patch @ cols.T``.
+    Frames outside the action are zero.
+    """
+    channels, frames, height, width = dims
+    t_norm = np.arange(frames) / max(frames - 1, 1)
+    active = (start - 1e-12 <= t_norm) & (t_norm <= end + 1e-12)
+    phase = (t_norm[active] - start) / (end - start)
+    evo = np.interp(phase, np.linspace(0.0, 1.0, len(knots)), knots)
+    idx = evo * (sig.signature.shape[1] - 1)
+    lo = np.floor(idx).astype(int)
+    hi = np.minimum(lo + 1, sig.signature.shape[1] - 1)
     frac = idx - lo
-    return (1 - frac) * signature[:, lo] + frac * signature[:, hi]
+    amp = (1 - frac) * sig.signature[:, lo] + frac * sig.signature[:, hi]  # (C, T_active)
+    patches = amp[:, :, None, None] * sig.template[:, None]  # (C, T_active, 3, 3)
+    rows = _splat_weights(centers[active, 1], height)
+    cols = _splat_weights(centers[active, 0], width)
+    out = np.zeros((channels, frames, height, width))
+    out[:, active] = rows @ patches @ cols.transpose(0, 2, 1)
+    return out
 
 
 def generate_video(
@@ -233,17 +244,7 @@ def generate_video(
     )
 
     feature = rng_noise.normal(0.0, config.background_noise_scale, (channels, frames, height, width))
-    knot_xs = np.linspace(0.0, 1.0, len(knots))
-    for t in range(frames):
-        t_norm = t / (frames - 1) if frames > 1 else 0.0
-        if not start - 1e-12 <= t_norm <= end + 1e-12:
-            continue
-        phase = (t_norm - start) / (end - start)
-        evo = float(np.interp(phase, knot_xs, knots))
-        frame_vec = _interp_signature(sig.signature, evo)
-        _splat_patch(
-            feature[:, t], frame_vec[:, None, None] * sig.template, centers[t, 0], centers[t, 1]
-        )
+    feature += _render_actor(sig, dims, start, end, knots, centers)
     return VideoFeature(
         feature=feature,
         label=sig.class_index,
@@ -270,7 +271,6 @@ def generate_dataset(
     dims: tuple[int, int, int, int],
     config: MisalignmentConfig,
     seed: int,
-    split_counts: tuple[int, int, int] | None = None,
 ) -> Dataset:
     """Deterministic dataset of misaligned videos with disjoint class splits."""
     config.validate()
@@ -283,9 +283,6 @@ def generate_dataset(
         raise ValueError(
             f"actor template {TEMPLATE_SIZE}x{TEMPLATE_SIZE} does not fit a {height}x{width} grid"
         )
-    counts = split_counts or default_split_counts(num_classes)
-    if sum(counts) != num_classes or min(counts) < 1:
-        raise ValueError(f"split counts {counts} do not partition {num_classes} classes")
     signatures = make_class_signatures(num_classes, channels, seed)
     videos = []
     vid = 0
@@ -299,7 +296,7 @@ def generate_dataset(
         height=height,
         width=width,
         num_classes=num_classes,
-        split_counts=tuple(counts),
+        split_counts=default_split_counts(num_classes),
         config=config,
         seed=seed,
         videos=videos,
@@ -307,13 +304,9 @@ def generate_dataset(
 
 
 def noise_free_signal(dataset: Dataset, video: VideoFeature) -> Array:
-    """Regenerate a video's actor signal with the noise stream silenced."""
-    signatures = make_class_signatures(dataset.num_classes, dataset.channels, dataset.seed)
-    quiet = replace(dataset.config, background_noise_scale=0.0)
-    twin = generate_video(
-        signatures[video.label], dataset.dims(), quiet, dataset.seed, video.warp_id
-    )
-    return twin.feature
+    """A video's actor signal without its noise, rendered from its stored ground truth."""
+    sig = make_class_signatures(dataset.num_classes, dataset.channels, dataset.seed)[video.label]
+    return _render_actor(sig, dataset.dims(), video.start, video.end, video.warp_knots, video.centers)
 
 
 # ---------------------------------------------------------------------------

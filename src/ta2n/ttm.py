@@ -8,6 +8,7 @@ trainable end to end together with everything downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tape, Var
 
 MIN_DURATION_SCALE = 0.25
+# raw scale output at init: sigmoid gives 13/15, so the untrained warp is (0.9, 0.05)
+INIT_SCALE_LOGIT = math.log(6.5)
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,12 @@ class LocalizationNet:
     """Lightweight trainable head that regresses the warp parameters.
 
     Pipeline: spatial average pool -> temporal conv (kernel 3, pad 1) ->
-    ReLU -> temporal mean pool -> linear to two raw outputs. The final layer
-    is zero-initialized, which makes the untrained stage predict the exact
-    identity warp for every input.
+    ReLU -> temporal mean pool -> linear to two raw outputs. The final
+    layer's weights start at zero and its scale bias at ``INIT_SCALE_LOGIT``,
+    so the untrained stage predicts the warp (0.9, 0.05) for every input:
+    close to the identity, as in STN's localisation nets (Jaderberg et al.
+    2015), but inside the open range of the scale map, where every raw
+    output has a non-zero gradient.
     """
 
     def __init__(self, channels: int, hidden: int = 32, rng: np.random.Generator | None = None):
@@ -55,7 +61,7 @@ class LocalizationNet:
         self.conv_w = Parameter(rng.normal(0.0, k, size=(hidden, channels, 3)), "ttm.conv_w")
         self.conv_b = Parameter(np.zeros(hidden), "ttm.conv_b")
         self.head_w = Parameter(np.zeros((hidden, 2)), "ttm.head_w")
-        self.head_b = Parameter(np.zeros(2), "ttm.head_b")
+        self.head_b = Parameter(np.array([INIT_SCALE_LOGIT, 0.0]), "ttm.head_b")
 
     def parameters(self) -> list[Parameter]:
         return [self.conv_w, self.conv_b, self.head_w, self.head_b]
@@ -73,11 +79,12 @@ class LocalizationNet:
 def warp_from_raw(raw: Var) -> tuple[Var, Var]:
     """Map raw head outputs to a valid (scale, shift) pair.
 
-    scale = clamp(1 + raw[0], MIN_DURATION_SCALE, 1) keeps the window from
-    collapsing; shift = sigmoid(raw[1]) * (1 - scale) keeps it inside the
-    clip. Zero raw outputs give the identity warp.
+    scale = MIN_DURATION_SCALE + (1 - MIN_DURATION_SCALE) * sigmoid(raw[0])
+    keeps the window from collapsing; shift = sigmoid(raw[1]) * (1 - scale)
+    keeps it inside the clip. Both maps are smooth with non-zero slope, so
+    no raw value cuts the gradient off.
     """
-    scale = ad.clamp(ad.affine(ad.take(raw, 0), 1.0, 1.0), MIN_DURATION_SCALE, 1.0)
+    scale = ad.affine(ad.sigmoid(ad.take(raw, 0)), 1.0 - MIN_DURATION_SCALE, MIN_DURATION_SCALE)
     room = ad.affine(scale, -1.0, 1.0)  # 1 - scale
     shift = ad.mul(ad.sigmoid(ad.take(raw, 1)), room)
     return scale, shift

@@ -6,7 +6,6 @@ from ta2n import acm
 from ta2n import autodiff as ad
 from ta2n.acm import (
     OffsetPredictor,
-    PerturbSchedule,
     TemporalCoordination,
     generate_offset_mask,
     masked_spatial_average,
@@ -239,17 +238,15 @@ class TestOffsetPredictor:
 
 class TestPerturbation:
     def test_epoch_zero_unit_circle(self):
-        disp = PerturbSchedule(initial_amplitude=1.0).displacements(0)
+        disp = acm.perturb_displacements(0)
         assert disp.shape == (9, 2)
         npt.assert_array_equal(disp[0], np.zeros(2))
         npt.assert_allclose(np.linalg.norm(disp[1:], axis=1), np.ones(8), atol=1e-12)
 
     def test_amplitude_decay(self):
-        sched = PerturbSchedule(initial_amplitude=1.0, decay=0.5, interval_epochs=40)
-        assert sched.amplitude(0) == 1.0
-        assert sched.amplitude(39) == 1.0
-        assert sched.amplitude(40) == 0.5
-        assert sched.amplitude(80) == 0.25
+        for epoch, amp in ((0, 1.0), (39, 1.0), (40, 0.5), (80, 0.25)):
+            disp = acm.perturb_displacements(epoch)
+            npt.assert_allclose(np.linalg.norm(disp[1:], axis=1), np.full(8, amp), atol=1e-12)
 
 
 class TestMaskedAverage:
@@ -318,7 +315,7 @@ class TestMaskedAverage:
         rng = np.random.default_rng(16)
         f = rng.standard_normal((2, 1, 7, 7))
         offs = np.array([[0.5, -0.25]])
-        disp = PerturbSchedule(initial_amplitude=0.5).displacements(0)
+        disp = 0.5 * acm.perturb_displacements(0)
         tape = Tape(grad=False)
         m = acm.averaged_masks(tape, tape.const(offs), 7, 7, displacements=disp)
         expect = np.mean(
@@ -341,7 +338,7 @@ class TestMaskedAverage:
         query = Parameter(rng.standard_normal((n_query, query_classes, d, t, 7, 7)), "query")
         offs = Parameter(rng.uniform(-1.5, 1.5, (n_query, n_way, t, 2)), "offsets")
         up_s, up_q = rng.standard_normal((2, n_query, n_way, d, t))
-        disp = PerturbSchedule().displacements(0) if perturbed else acm.NO_DISPLACEMENT
+        disp = acm.perturb_displacements(0) if perturbed else acm.NO_DISPLACEMENT
         params = [support, query, offs]
 
         def weighted(f, up):

@@ -43,15 +43,26 @@ def test_identical_training_runs_are_bit_identical(dataset):
     assert any(not np.array_equal(a, f.value) for a, f in zip(p1, fresh))
 
 
+def test_every_ttm_parameter_has_gradient_after_two_steps(dataset):
+    # step 1 reaches only the head, whose weights start at zero; step 2 also
+    # reaches the conv below it
+    model = AlignmentModel(TINY_MODEL)
+    engine.train(model, dataset, replace(TINY_TRAIN, epochs=1))
+    norms = {p.name: float(np.linalg.norm(p.grad)) for p in model.ttm.parameters()}
+    assert all(n > 0.0 for n in norms.values()), norms
+
+
 def test_worker_pool_matches_serial_evaluation(dataset):
     # two calls in one process, each with its own model: a pool's workers get
-    # (model, dataset) once, and a later pool must not see an earlier model
+    # (model, dataset) once, and a later pool must not see an earlier model.
+    # The second model embeds every video as zeros, so all its class scores
+    # tie and it predicts episode class 0 for every query: half of 2-way.
     models = [AlignmentModel(TINY_MODEL) for _ in range(2)]
-    embed = models[1].embed_w
-    embed.value[...] = np.random.default_rng(0).standard_normal(embed.shape)
+    models[1].embed_w.value[...] = 0.0
     pooled = [engine.evaluate(m, dataset, "test", 4, 2, 1, 1, seed=9, workers=2) for m in models]
     serial = [engine.evaluate(m, dataset, "test", 4, 2, 1, 1, seed=9, workers=1) for m in models]
     assert pooled == serial
+    assert serial[1].accuracy == 0.5 and serial[1].ci95 == 0.0
     assert serial[0] != serial[1]
     assert serial[0].episodes == 4 and sum(t for _, t in serial[0].per_class.values()) == 8
 

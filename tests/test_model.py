@@ -167,9 +167,10 @@ class TestEpisodeForward:
         + [pytest.param(12, 3, 4, id="12-3shot-proj4")],
     )
     def test_full_model_gradients(self, seed, k_shot, proj_dim):
-        # the case builder nudges the zero-initialized heads off the clamp and
-        # mask kinks they sit on exactly; kinks that merely lie near a sampled
-        # point are left to the step ladder of finite_diff_gradcheck
+        # the case builder nudges the zero-initialized heads: SC's zero offsets
+        # sit exactly on mask kinks, and the TTM's zero head weights would give
+        # its conv a zero gradient; kinks that merely lie near a sampled point
+        # are left to the step ladder of finite_diff_gradcheck
         cfg = tiny_config(height=7, width=7, proj_dim=proj_dim)
         case = gradcheck.full_case(seed=seed, model_config=cfg, k_shot=k_shot)
         report = finite_diff_gradcheck(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -121,6 +123,72 @@ class TestGeneration:
         for v in ds.videos:
             slopes = np.diff(v.warp_knots) * (len(v.warp_knots) - 1)
             assert np.all(slopes >= 1 / 2 - 1e-9) and np.all(slopes <= 2 + 1e-9)
+
+
+class TestRender:
+    """The actor render, on noise-free videos whose ground truth is edited."""
+
+    @pytest.fixture(scope="class")
+    def quiet(self):
+        ds = small_dataset(MisalignmentConfig(0, 0, 0, 0.0), classes=6, per_class=1)
+        return ds, synth.make_class_signatures(ds.num_classes, ds.channels, ds.seed)
+
+    @staticmethod
+    def render(ds, video, **truth):
+        edited = replace(video, **truth)
+        return synth.noise_free_signal(ds, edited)
+
+    @staticmethod
+    def first_patch(sigs, video):
+        # frame 0 sits at the action start, where the signature is read at index 0
+        sig = sigs[video.label]
+        return sig.signature[:, 0, None, None] * sig.template
+
+    def test_integral_centre_holds_the_patch_alone(self, quiet):
+        ds, sigs = quiet
+        v = ds.videos[2]
+        npt.assert_array_equal(v.centers[0], [3.0, 3.0])
+        npt.assert_array_equal(synth.noise_free_signal(ds, v), v.feature)
+        want = np.zeros(DIMS[:1] + DIMS[2:])
+        want[:, 2:5, 2:5] = self.first_patch(sigs, v)
+        npt.assert_array_equal(v.feature[:, 0], want)
+
+    @pytest.mark.parametrize("centre, shifted", [
+        ((3.5, 3.0), (slice(2, 5), slice(3, 6))),
+        ((3.0, 2.5), (slice(1, 4), slice(2, 5))),
+    ], ids=["x", "y"])
+    def test_half_cell_centre_splits_each_cell(self, quiet, centre, shifted):
+        ds, sigs = quiet
+        v = ds.videos[1]
+        centers = v.centers.copy()
+        centers[0] = centre
+        frame = self.render(ds, v, centers=centers)[:, 0]
+        patch = self.first_patch(sigs, v)
+        want = np.zeros_like(frame)
+        want[:, 2:5, 2:5] += 0.5 * patch
+        want[(slice(None), *shifted)] += 0.5 * patch
+        npt.assert_allclose(frame, want, rtol=1e-15, atol=0)
+
+    def test_border_centre_keeps_the_in_grid_part(self, quiet):
+        ds, sigs = quiet
+        v = ds.videos[3]
+        centers = v.centers.copy()
+        centers[0] = (0.0, 6.0)  # (x, y): the left column and bottom row fall off
+        frame = self.render(ds, v, centers=centers)[:, 0]
+        want = np.zeros_like(frame)
+        want[:, 5:7, 0:2] = self.first_patch(sigs, v)[:, 0:2, 1:3]
+        npt.assert_array_equal(frame, want)
+
+    def test_frames_outside_the_action_are_zero(self):
+        ds = small_dataset(MisalignmentConfig(1.0, 0.5, 1.0, 0.0), seed=9)
+        t_norm = np.arange(DIMS[1]) / (DIMS[1] - 1)
+        outside_seen = 0
+        for v in ds.videos:
+            outside = (t_norm < v.start) | (t_norm > v.end)
+            assert not np.any(v.feature[:, outside])
+            assert np.all(np.any(v.feature[:, ~outside] != 0.0, axis=(0, 2, 3)))
+            outside_seen += outside.sum()
+        assert outside_seen > 0
 
 
 class TestEpisodes:

@@ -22,27 +22,34 @@ def ramp_feature(values):
 
 
 class TestLocalize:
-    def test_zero_init_head_gives_identity(self):
+    def test_init_head_gives_near_identity_warp(self):
         rng = np.random.default_rng(0)
         net = LocalizationNet(channels=4, rng=rng)
         for _ in range(5):
             tape = Tape(grad=False)
             f = tape.const(rng.standard_normal((4, 8, 5, 5)))
             scale, shift = ttm.localize(net, tape, f)
-            assert float(scale.value) == 1.0
-            assert float(shift.value) == 0.0
+            npt.assert_allclose(float(scale.value), 0.9, rtol=1e-14)
+            npt.assert_allclose(float(shift.value), 0.05, rtol=1e-13)
 
     def test_raw_to_params_hand_case(self):
-        # raw (-0.5, 0): scale clamp(0.5) = 0.5, shift sigmoid(0)*(1-0.5) = 0.25
+        # raw (0, 0): scale 0.25 + 0.75*sigmoid(0) = 0.625, shift sigmoid(0)*(1-0.625)
         tape = Tape(grad=False)
-        scale, shift = ttm.warp_from_raw(tape.const([-0.5, 0.0]))
-        npt.assert_allclose(float(scale.value), 0.5)
-        npt.assert_allclose(float(shift.value), 0.25)
+        scale, shift = ttm.warp_from_raw(tape.const([0.0, 0.0]))
+        npt.assert_allclose(float(scale.value), 0.625)
+        npt.assert_allclose(float(shift.value), 0.1875)
 
-    def test_clamp_floor(self):
-        tape = Tape(grad=False)
-        scale, _ = ttm.warp_from_raw(tape.const([-10.0, 0.3]))
-        assert float(scale.value) == ttm.MIN_DURATION_SCALE
+    @pytest.mark.parametrize(
+        "raw_scale", [-6.0, 0.0, ttm.INIT_SCALE_LOGIT, 6.0], ids=["low", "zero", "init", "high"]
+    )
+    def test_both_raw_outputs_have_gradient(self, raw_scale):
+        # the scale map is smooth and strictly increasing and 1 - scale never
+        # reaches 0, so the shift's gradient reaches both raw outputs everywhere
+        raw = Parameter(np.array([raw_scale, 0.3]), "raw")
+        tape = Tape()
+        _, shift = ttm.warp_from_raw(tape.param(raw))
+        tape.backward(shift)
+        assert np.all(raw.grad != 0.0)
 
     def test_params_always_valid(self):
         rng = np.random.default_rng(1)
@@ -107,8 +114,8 @@ class TestWarp:
         rng = np.random.default_rng(5)
         feat = Parameter(rng.standard_normal((2, 6, 3, 3)), "feat")
         net = LocalizationNet(channels=2, rng=rng)
-        # bias the head so the predicted warp is away from clamp corners and
-        # source positions are away from integers
+        # bias the head to a shorter window, with source positions away from
+        # integers
         net.head_b.value[:] = [-0.41, 0.13]
 
         def build(tape):
