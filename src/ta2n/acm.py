@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Array, Parameter, Tape, Var
 
 MASK_FLOOR = 1e-6  # keeps every mask's normalizer strictly positive
-DEFAULT_MASK_SLOPE = 3.0
+MASK_SLOPE = 3.0
 NO_DISPLACEMENT = np.zeros((1, 2))  # the one variant of unperturbed masks
 NO_DISPLACEMENT.flags.writeable = False
 # training perturbs the masks by this amplitude, halved every PERTURB_INTERVAL_EPOCHS
@@ -53,8 +53,7 @@ class TemporalCoordination:
     each pair only pays for its T x T correlation and the rearrangement.
     """
 
-    def __init__(self, channels: int, proj_dim: int = 16, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels: int, proj_dim: int, rng: np.random.Generator):
         self.channels = channels
         self.proj_dim = proj_dim
         s = 1.0 / np.sqrt(channels)
@@ -111,14 +110,12 @@ class TemporalCoordination:
 # offset masks
 
 
-def generate_offset_mask(
-    offset, height: int, width: int, slope: float = DEFAULT_MASK_SLOPE
-) -> Array:
+def generate_offset_mask(offset, height: int, width: int) -> Array:
     """Soft window around grid centre + (x, y) offset, as a plain array.
 
     The profile is 1 within distance 1 of the centre along each axis, falls
-    off linearly with the given slope and is exactly 0 beyond distance
-    1 + 1/slope; the 2-D mask is the product of the two axis profiles.
+    off linearly with ``MASK_SLOPE`` and is exactly 0 beyond distance
+    1 + 1/MASK_SLOPE; the 2-D mask is the product of the two axis profiles.
     """
     ox, oy = float(offset[0]), float(offset[1])
     cx = (width - 1) / 2.0 + ox
@@ -126,7 +123,7 @@ def generate_offset_mask(
 
     def profile(n, c):
         d = np.abs(np.arange(n) - c)
-        return np.where(d < 1.0, 1.0, np.maximum(0.0, 1.0 - slope * (d - 1.0)))
+        return np.where(d < 1.0, 1.0, np.maximum(0.0, 1.0 - MASK_SLOPE * (d - 1.0)))
 
     return profile(height, cy)[:, None] * profile(width, cx)[None, :]
 
@@ -166,15 +163,14 @@ class OffsetPredictor:
         in_channels: int,
         height: int,
         width: int,
-        conv_channels: tuple[int, int] = (128, 128),
-        hidden: int = 64,
-        rng: np.random.Generator | None = None,
+        conv_channels: tuple[int, int],
+        hidden: int,
+        rng: np.random.Generator,
     ):
         if height < 4 or width < 4:
             raise ValueError(
                 f"grid {height}x{width} too small for two 2x2 spatial pools (needs >= 4)"
             )
-        rng = rng or np.random.default_rng(0)
         self.height = height
         self.width = width
         c1, c2 = conv_channels
@@ -261,7 +257,7 @@ def averaged_masks(
     k = len(displacements)
     shifts = tape.const(displacements.reshape((k,) + (1,) * len(lead) + (2,)))
     variants = ad.reshape(ad.add(offsets, shifts), (-1, 2))
-    masks = ad.offset_masks(variants, height, width, DEFAULT_MASK_SLOPE)
+    masks = ad.offset_masks(variants, height, width, MASK_SLOPE)
     return ad.reduce_mean(ad.reshape(masks, (k, *lead, height, width)), axis=0)
 
 
@@ -309,25 +305,18 @@ def spatial_coordinate(
 # exhaustive integer-offset oracle
 
 
-def _window_metric(a: Array, b: Array, metric: str) -> float:
+def _window_metric(a: Array, b: Array) -> float:
+    """Cosine distance between two windows, compared cell by cell."""
     a = a.ravel()
     b = b.ravel()
-    if metric == "cosine":
-        na = np.linalg.norm(a)
-        nb = np.linalg.norm(b)
-        return 1.0 - float(a @ b) / max(na * nb, 1e-12)
-    if metric == "euclidean":
-        return float(np.linalg.norm(a - b))
-    raise ValueError(f"unknown metric {metric!r}")
+    return 1.0 - float(a @ b) / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-12)
 
 
-def sc_enumerate_oracle(
-    support: Array, query: Array, metric: str = "cosine"
-) -> tuple[Array, Array]:
+def sc_enumerate_oracle(support: Array, query: Array) -> tuple[Array, Array]:
     """Brute-force best integer offset per frame.
 
     For every candidate (x, y) the grids are hard-indexed so that support
-    cell s lines up with query cell s - o, and the metric distance between
+    cell s lines up with query cell s - o, and the cosine distance between
     the two intersection windows (compared cell by cell) is minimized. Ties
     resolve to the smallest offset norm, then lexicographically. Returns
     ((T, 2) offsets as (x, y), (T,) distances).
@@ -345,7 +334,7 @@ def sc_enumerate_oracle(
             for ox in range(-(w - 1), w):
                 s_win = support[:, t, max(0, oy) : h + min(0, oy), max(0, ox) : w + min(0, ox)]
                 q_win = query[:, t, max(0, -oy) : h + min(0, -oy), max(0, -ox) : w + min(0, -ox)]
-                dist = _window_metric(s_win, q_win, metric)
+                dist = _window_metric(s_win, q_win)
                 key = (ox * ox + oy * oy, ox, oy)
                 if (
                     chosen is None

@@ -852,7 +852,7 @@ def time_linear_sample(f: Var, scale: Var, shift: Var) -> Var:
     return f.tape.record("time_linear_sample", out, (f, scale, shift), bwd)
 
 
-def offset_masks(offsets: Var, height: int, width: int, gamma: float = 3.0) -> Var:
+def offset_masks(offsets: Var, height: int, width: int, gamma: float) -> Var:
     """Soft rectangular windows from per-frame grid offsets.
 
     ``offsets`` is (T, 2) as (x, y) in cells relative to the grid centre.

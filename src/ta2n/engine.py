@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class EvalReport:
     accuracy: float
     ci95: float
     episodes: int
-    degenerate_ci: bool = False
-    per_class: dict[int, tuple[int, int]] = field(default_factory=dict)  # id -> (hits, total)
 
 
 class SgdMomentum:
@@ -142,17 +140,10 @@ def train(
 
 def _eval_episode(
     model: AlignmentModel, dataset: Dataset, split: str, n_way: int, k_shot: int,
-    n_query: int, seed: int, index: int,
-) -> tuple[int, float, list[tuple[int, int]]]:
+    n_query: int, seed: int,
+) -> float:
     episode = sample_episode(dataset, split, n_way, k_shot, n_query, seed)
-    tape = Tape(grad=False)
-    out = model.episode_forward(tape, episode, training=False)
-    preds = out.predictions()
-    marks = [
-        (episode.class_ids[label], int(pred == label))
-        for pred, label in zip(preds, out.labels)
-    ]
-    return index, out.accuracy(), marks
+    return model.episode_forward(Tape(grad=False), episode, training=False).accuracy()
 
 
 # (model, dataset) of the pool this worker process belongs to, set once by
@@ -165,7 +156,7 @@ def _init_worker(model: AlignmentModel, dataset: Dataset) -> None:
     _worker_state = (model, dataset)
 
 
-def _pool_eval_episode(job: tuple) -> tuple[int, float, list[tuple[int, int]]]:
+def _pool_eval_episode(job: tuple) -> float:
     return _eval_episode(*_worker_state, *job)
 
 
@@ -182,30 +173,22 @@ def evaluate(
 ) -> EvalReport:
     """Mean episode accuracy with a normal-approximation 95% interval.
 
-    Episodes are seeded up front, so any worker count (including 1) yields
-    the same report; per-class tallies use dataset class ids. A pool receives
-    the model and dataset once per worker, through its initializer.
+    Episodes are seeded up front and a pool returns its results in job
+    order, so any worker count (including 1) yields the same report. A pool
+    receives the model and dataset once per worker, through its initializer.
+    A single episode has no spread, so its interval is 0.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
-    jobs = [
-        (split, n_way, k_shot, n_query, episode_seed(seed, 0, i), i) for i in range(episodes)
-    ]
+    jobs = [(split, n_way, k_shot, n_query, episode_seed(seed, 0, i)) for i in range(episodes)]
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (model, dataset)) as pool:
-            results = pool.map(_pool_eval_episode, jobs, chunksize=max(1, episodes // (workers * 4)))
+            accs = pool.map(_pool_eval_episode, jobs, chunksize=max(1, episodes // (workers * 4)))
     else:
-        results = [_eval_episode(model, dataset, *j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    accs = np.array([acc for _, acc, _ in results])
-    per_class: dict[int, tuple[int, int]] = {}
-    for _, _, marks in results:
-        for class_id, hit in marks:
-            h, t = per_class.get(class_id, (0, 0))
-            per_class[class_id] = (h + hit, t + 1)
-    degenerate = episodes < 2
-    ci = 0.0 if degenerate else float(1.96 * accs.std(ddof=1) / np.sqrt(episodes))
-    return EvalReport(float(accs.mean()), ci, episodes, degenerate, per_class)
+        accs = [_eval_episode(model, dataset, *j) for j in jobs]
+    accs = np.array(accs)
+    ci = 0.0 if episodes < 2 else float(1.96 * accs.std(ddof=1) / np.sqrt(episodes))
+    return EvalReport(float(accs.mean()), ci, episodes)
 
 
 # ---------------------------------------------------------------------------

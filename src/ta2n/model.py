@@ -24,7 +24,7 @@ is the identity.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -55,23 +55,9 @@ class ModelConfig:
 
 
 @dataclass
-class PairRecord:
-    """Per support-query pair artifacts kept for inspection/export."""
-
-    query_index: int
-    class_label: int
-    correlation: Array | None = None
-    offsets: Array | None = None
-    pooled_query: Array | None = None
-    pooled_support: Array | None = None
-
-
-@dataclass
 class EpisodeOutput:
     probs: list  # per query: Var of N probabilities
     labels: list[int]
-    warps: dict[int, tuple[float, float]] = field(default_factory=dict)
-    pairs: list[PairRecord] = field(default_factory=list)
 
     def predictions(self) -> list[int]:
         return [int(p.value.argmax()) for p in self.probs]
@@ -128,7 +114,7 @@ class AlignmentModel:
         )
         return f
 
-    def prepare_video(self, tape: Tape, feature: Array, warps_out: dict | None = None, key=None) -> Var:
+    def prepare_video(self, tape: Tape, feature: Array) -> Var:
         """Embed one video and, when enabled, warp it onto its action span."""
         cfg = self.config
         want = (cfg.channels, cfg.frames, cfg.height, cfg.width)
@@ -141,8 +127,6 @@ class AlignmentModel:
         if self.ttm is not None:
             scale, shift = ttm_mod.localize(self.ttm, tape, f)
             f = ttm_mod.temporal_affine_warp(f, scale, shift)
-            if warps_out is not None:
-                warps_out[key] = (float(scale.value), float(shift.value))
         return f
 
     def episode_forward(
@@ -153,28 +137,19 @@ class AlignmentModel:
         training: bool,
         epoch: int = 0,
         rng: np.random.Generator | None = None,
-        collect: bool = False,
     ) -> EpisodeOutput:
         """Class probabilities of every query of ``episode``.
 
-        A class's prototype is the mean of its shots. ``rng`` is unused:
-        nothing in the forward pass is random; the keyword stays for callers
-        that still pass it.
+        A class's prototype is the mean of its shots. Nothing in the forward
+        pass is random, so ``rng`` is ignored; the keyword is kept only for
+        ``bench/workloads.py``, which still passes it.
         """
-        out = EpisodeOutput(probs=[], labels=list(episode.query_labels))
-
         # stage one: every video through the embedder (+ temporal transform)
-        query_feats = [
-            self.prepare_video(tape, v.feature, out.warps, ("q", i))
-            for i, v in enumerate(episode.query)
+        query_feats = [self.prepare_video(tape, v.feature) for v in episode.query]
+        class_reprs = [
+            self._class_prototype([self.prepare_video(tape, v.feature) for v in shots])
+            for shots in episode.support
         ]
-        class_reprs = []
-        for label, shots in enumerate(episode.support):
-            feats = [
-                self.prepare_video(tape, v.feature, out.warps, ("s", label, j))
-                for j, v in enumerate(shots)
-            ]
-            class_reprs.append(self._class_prototype(feats))
 
         # stage two: per-video coordination inputs, then every (query, class) pair
         n_way = len(class_reprs)
@@ -188,24 +163,12 @@ class AlignmentModel:
             supports, queries = class_reprs, query_feats
             pairs = [(q, None) for q in query_feats for _ in class_reprs]
 
-        pooled, offsets = self._pool_pairs(tape, supports, queries, pairs, training, epoch)
-
-        for qi in range(len(query_feats)):
-            out.probs.append(metric.classify(pooled[qi * n_way : (qi + 1) * n_way]))
-            if collect:
-                for ci in range(n_way):
-                    k = qi * n_way + ci
-                    rec = PairRecord(qi, ci)
-                    corr = pairs[k][1]
-                    if corr is not None:
-                        rec.correlation = np.array(corr.value)
-                    if offsets is not None:
-                        rec.offsets = np.array(offsets.value[k])
-                    f_s, f_q = pooled[k]
-                    rec.pooled_support = np.array(f_s.value)
-                    rec.pooled_query = np.array(f_q.value)
-                    out.pairs.append(rec)
-        return out
+        pooled = self._pool_pairs(tape, supports, queries, pairs, training, epoch)
+        probs = [
+            metric.classify(pooled[qi * n_way : (qi + 1) * n_way])
+            for qi in range(len(query_feats))
+        ]
+        return EpisodeOutput(probs, list(episode.query_labels))
 
     @staticmethod
     def _class_prototype(feats: list[Var]) -> Var:
@@ -227,15 +190,14 @@ class AlignmentModel:
         pairs: list[tuple[Var, Var | None]],
         training: bool,
         epoch: int,
-    ) -> tuple[list[tuple[Var, Var]], Var | None]:
+    ) -> list[tuple[Var, Var]]:
         """Spatially coordinate (or plainly pool) every pair -> (d,T) pairs.
 
         ``supports`` and ``queries`` hold one map per class and per query;
         ``pairs[q*N + n]`` is query ``q`` rearranged onto class ``n`` and the
         correlation that did it (None without TC). With SC, every pair goes
         through one broadcast ``acm.spatial_coordinate`` call, whose output is
-        split per pair for the metric. Also returns the (Q*N, T, 2) predicted
-        offsets, or None without SC.
+        split per pair for the metric.
         """
         n_way = len(supports)
         if self.sc is None:
@@ -244,7 +206,7 @@ class AlignmentModel:
                 (pooled_supports[k % n_way], ad.reduce_mean(q, axis=(-2, -1)))
                 for k, (q, _) in enumerate(pairs)
             ]
-            return pooled, None
+            return pooled
         n_query, t = len(queries), supports[0].shape[1]
         support_stack, query_stack = ad.stack(supports), ad.stack(queries)
         if pairs[0][1] is None:
@@ -266,7 +228,7 @@ class AlignmentModel:
         )  # (Q, N, d, T) each
         f_s = ad.reshape(f_s, (len(pairs), *f_s.shape[2:]))
         f_q = ad.reshape(f_q, (len(pairs), *f_q.shape[2:]))
-        return [(ad.take(f_s, k), ad.take(f_q, k)) for k in range(len(pairs))], offsets
+        return [(ad.take(f_s, k), ad.take(f_q, k)) for k in range(len(pairs))]
 
 
 # ---------------------------------------------------------------------------

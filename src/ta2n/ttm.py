@@ -53,8 +53,7 @@ class LocalizationNet:
     output has a non-zero gradient.
     """
 
-    def __init__(self, channels: int, hidden: int = 32, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
         self.channels = channels
         self.hidden = hidden
         k = np.sqrt(2.0 / (channels * 3))

@@ -38,7 +38,7 @@ def coordinate(tc, tape, support, query):
 
 
 def identity_tc(channels):
-    tc = TemporalCoordination(channels, proj_dim=channels)
+    tc = TemporalCoordination(channels, proj_dim=channels, rng=np.random.default_rng(0))
     tc.key_w.value[:] = np.eye(channels)
     tc.query_w.value[:] = np.eye(channels)
     tc.value_w.value[:] = np.eye(channels)
@@ -94,7 +94,7 @@ class TestTemporalCoordination:
             npt.assert_array_equal(corr.value.argmax(axis=1), perm)
 
     def test_shape_mismatch(self):
-        tc = TemporalCoordination(4)
+        tc = TemporalCoordination(4, proj_dim=16, rng=np.random.default_rng(0))
         tape = Tape(grad=False)
         with pytest.raises(ValueError):
             coordinate(
@@ -136,7 +136,7 @@ class TestOffsetMask:
         rng = np.random.default_rng(6)
         offs = rng.uniform(-2, 2, (5, 2))
         tape = Tape(grad=False)
-        masks = ad.offset_masks(tape.const(offs), 7, 7, 3.0).value
+        masks = ad.offset_masks(tape.const(offs), 7, 7, acm.MASK_SLOPE).value
         for t in range(5):
             npt.assert_allclose(masks[t], generate_offset_mask(offs[t], 7, 7), atol=1e-12)
 
@@ -167,10 +167,11 @@ class TestOffsetPredictor:
         assert predict(pred, s, q).shape == (8, 2)
 
     def test_grid_too_small_at_construction(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            OffsetPredictor(8, 3, 7)
+            OffsetPredictor(8, 3, 7, conv_channels=(8, 8), hidden=8, rng=rng)
         with pytest.raises(ValueError):
-            OffsetPredictor(8, 7, 3)
+            OffsetPredictor(8, 7, 3, conv_channels=(8, 8), hidden=8, rng=rng)
 
     def test_batchnorm_running_stats_update_only_in_training(self):
         rng = np.random.default_rng(10)
@@ -195,7 +196,10 @@ class TestOffsetPredictor:
         shape = (cfg.channels, t, cfg.height, cfg.width)
         feats = [Parameter(rng.standard_normal(shape), f"video{i}") for i in range(2 * n)]
         tc = TemporalCoordination(cfg.channels, cfg.proj_dim, rng)
-        pred = OffsetPredictor(2 * cfg.proj_dim, cfg.height, cfg.width, rng=rng)
+        pred = OffsetPredictor(
+            2 * cfg.proj_dim, cfg.height, cfg.width,
+            conv_channels=cfg.offset_channels, hidden=cfg.offset_hidden, rng=rng,
+        )
         upstream = rng.standard_normal((n * n, cfg.offset_channels[0], t, cfg.height, cfg.width))
         params = feats + tc.parameters() + [pred.conv1_w, pred.conv1_b]
 
@@ -406,10 +410,5 @@ class TestEnumerateOracle:
             q = rng.standard_normal((3, 2, 6, 6))
             _, dist = sc_enumerate_oracle(s, q)
             for t in range(2):
-                zero_dist = acm._window_metric(s[:, t], q[:, t], "cosine")
+                zero_dist = acm._window_metric(s[:, t], q[:, t])
                 assert dist[t] <= zero_dist + 1e-12
-
-    def test_unknown_metric(self):
-        f = np.zeros((1, 1, 5, 5))
-        with pytest.raises(ValueError):
-            sc_enumerate_oracle(f, f, metric="manhattan")

@@ -29,14 +29,11 @@ class TestEpisodeForward:
     def test_probabilities_well_formed(self, dataset):
         model = AlignmentModel(tiny_config())
         ep = sample_episode(dataset, "train", 3, 1, 2, seed=0)
-        out = model.episode_forward(
-            Tape(grad=False), ep, training=False, rng=np.random.default_rng(0)
-        )
+        out = model.episode_forward(Tape(grad=False), ep, training=False)
         assert len(out.probs) == 6
         for p in out.probs:
             npt.assert_allclose(p.value.sum(), 1.0, atol=1e-9)
             assert p.value.shape == (3,)
-        assert len(out.warps) == 9  # 3 support + 6 query videos
 
     def test_all_variants_run(self, dataset):
         ep = sample_episode(dataset, "train", 3, 1, 1, seed=1)
@@ -46,10 +43,7 @@ class TestEpisodeForward:
                     model = AlignmentModel(
                         tiny_config(use_ttm=use_ttm, use_tc=use_tc, use_sc=use_sc)
                     )
-                    out = model.episode_forward(
-                        Tape(grad=False), ep, training=False,
-                        rng=np.random.default_rng(0),
-                    )
+                    out = model.episode_forward(Tape(grad=False), ep, training=False)
                     assert len(out.probs) == 3
 
     def test_zero_init_predicts_uniform(self, dataset):
@@ -57,18 +51,14 @@ class TestEpisodeForward:
         for p in model.parameters():
             p.value[...] = 0.0
         ep = sample_episode(dataset, "train", 3, 1, 2, seed=2)
-        out = model.episode_forward(
-            Tape(grad=False), ep, training=False, rng=np.random.default_rng(0)
-        )
+        out = model.episode_forward(Tape(grad=False), ep, training=False)
         for p in out.probs:
             npt.assert_allclose(p.value, np.full(3, 1 / 3), atol=1e-12)
 
     def test_multishot_prototypes(self, dataset):
         model = AlignmentModel(tiny_config())
         ep = sample_episode(dataset, "train", 2, 3, 1, seed=3)
-        out = model.episode_forward(
-            Tape(grad=False), ep, training=False, rng=np.random.default_rng(4)
-        )
+        out = model.episode_forward(Tape(grad=False), ep, training=False)
         assert len(out.probs) == 2
 
     def test_multishot_runs_with_projection(self, dataset):
@@ -97,29 +87,12 @@ class TestEpisodeForward:
             model.episode_forward(Tape(grad=False), ep, training=False)
         assert "(6, 8, 5, 5)" in str(err.value) and want in str(err.value)
 
-    def test_collect_exports_pair_artifacts(self, dataset):
-        model = AlignmentModel(tiny_config())
-        ep = sample_episode(dataset, "train", 2, 1, 1, seed=5)
-        out = model.episode_forward(
-            Tape(grad=False), ep, training=False, rng=np.random.default_rng(0),
-            collect=True,
-        )
-        assert len(out.pairs) == 4  # 2 queries x 2 classes
-        for rec in out.pairs:
-            assert rec.correlation.shape == (8, 8)
-            npt.assert_allclose(rec.correlation.sum(axis=1), np.ones(8), atol=1e-9)
-            assert rec.offsets.shape == (8, 2)
-            assert rec.pooled_query.shape == (6, 8)
-
     def test_forward_leaves_no_state_on_the_model(self, dataset):
         model = AlignmentModel(tiny_config())
         before = set(vars(model))
         ep = sample_episode(dataset, "train", 2, 1, 1, seed=5)
-        for collect in (False, True):
-            model.episode_forward(
-                Tape(grad=False), ep, training=True, rng=np.random.default_rng(0),
-                collect=collect,
-            )
+        for training in (True, False):
+            model.episode_forward(Tape(grad=False), ep, training=training)
         assert set(vars(model)) == before
 
     def test_deterministic_forward(self, dataset):
@@ -127,9 +100,7 @@ class TestEpisodeForward:
         outs = []
         for _ in range(2):
             model = AlignmentModel(tiny_config())
-            o = model.episode_forward(
-                Tape(grad=False), ep, training=False, rng=np.random.default_rng(7)
-            )
+            o = model.episode_forward(Tape(grad=False), ep, training=False)
             outs.append(np.stack([p.value for p in o.probs]))
         npt.assert_array_equal(outs[0], outs[1])
 
@@ -150,9 +121,7 @@ class TestEpisodeForward:
 
         monkeypatch.setattr(Tape, "record", recording)
         tape = Tape()
-        out = AlignmentModel(cfg).episode_forward(
-            tape, episode, training=True, rng=np.random.default_rng(0)
-        )
+        out = AlignmentModel(cfg).episode_forward(tape, episode, training=True)
         metric.cross_entropy_loss(out.probs, out.labels)
         ops = [e.op for e in tape.entries]
         assert ops.count("conv3d") == 2

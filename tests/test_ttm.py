@@ -24,7 +24,7 @@ def ramp_feature(values):
 class TestLocalize:
     def test_init_head_gives_near_identity_warp(self):
         rng = np.random.default_rng(0)
-        net = LocalizationNet(channels=4, rng=rng)
+        net = LocalizationNet(channels=4, hidden=32, rng=rng)
         for _ in range(5):
             tape = Tape(grad=False)
             f = tape.const(rng.standard_normal((4, 8, 5, 5)))
@@ -60,7 +60,7 @@ class TestLocalize:
             WarpParams(float(scale.value), float(shift.value)).validate()
 
     def test_wrong_rank(self):
-        net = LocalizationNet(channels=4)
+        net = LocalizationNet(channels=4, hidden=32, rng=np.random.default_rng(0))
         tape = Tape(grad=False)
         with pytest.raises(ValueError):
             ttm.localize(net, tape, tape.const(np.zeros((4, 8, 5))))
@@ -113,7 +113,7 @@ class TestWarp:
     def test_gradients_wrt_params_and_feature(self):
         rng = np.random.default_rng(5)
         feat = Parameter(rng.standard_normal((2, 6, 3, 3)), "feat")
-        net = LocalizationNet(channels=2, rng=rng)
+        net = LocalizationNet(channels=2, hidden=32, rng=rng)
         # bias the head to a shorter window, with source positions away from
         # integers
         net.head_b.value[:] = [-0.41, 0.13]
