@@ -10,7 +10,6 @@ Library layout:
 - :mod:`ta2n.metric` — frame-wise cosine metric, classification, episode loss
 - :mod:`ta2n.model` — full network assembly, prototypes and checkpoints
 - :mod:`ta2n.engine` — episodic training, evaluation, ablations
-- :mod:`ta2n.gradcheck` — gradient-check cases for each stage and the full model
 """
 
 __version__ = "0.1.0"

@@ -350,32 +350,29 @@ def stack(parts: Sequence[Var]) -> Var:
 # reductions
 
 
-def reduce_sum(a: Var, axis=None, keepdims: bool = False) -> Var:
+def reduce_sum(a: Var, axis=None) -> Var:
     av = a.value
-    out = av.sum(axis=axis, keepdims=keepdims)
+    out = av.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, av.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, av.shape).copy(),)
 
     return a.tape.record("sum", out, (a,), bwd)
 
 
-def reduce_mean(a: Var, axis=None, keepdims: bool = False) -> Var:
+def reduce_mean(a: Var, axis=None) -> Var:
     av = a.value
-    out = av.mean(axis=axis, keepdims=keepdims)
+    out = av.mean(axis=axis)
     count = av.size if axis is None else np.prod(
         [av.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, av.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, av.shape).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, av.shape).copy(),)
 
     return a.tape.record("mean", out, (a,), bwd)
 
@@ -961,8 +958,9 @@ def finite_diff_gradcheck(
 
     A point sitting exactly on a kink (a ReLU at 0, a max pool's tie) has
     no central difference that matches a subgradient at any step. Moving the
-    evaluation point off such a kink is the caller's job; the cases in
-    :mod:`ta2n.gradcheck` do it by nudging the zero-initialised heads.
+    evaluation point off such a kink is the caller's job; the TTM, SC and
+    full-model checks under ``tests/`` do it by nudging the zero-initialised
+    heads.
     """
     if step <= 0:
         raise ValueError("step must be positive")

@@ -95,7 +95,6 @@ def train(
     model: AlignmentModel,
     dataset: Dataset,
     config: TrainConfig,
-    split: str = "train",
 ) -> list[EpochStats]:
     """Run the episodic loop; returns one stats row per epoch."""
     config.validate()
@@ -109,7 +108,7 @@ def train(
         for index in range(config.episodes_per_epoch):
             seed = episode_seed(config.seed, epoch, index)
             episode = sample_episode(
-                dataset, split, config.n_way, config.k_shot, config.n_query, seed
+                dataset, "train", config.n_way, config.k_shot, config.n_query, seed
             )
             tape = Tape(grad=True)
             out = model.episode_forward(tape, episode, training=True, epoch=epoch)
@@ -220,7 +219,6 @@ def ablation_run(
     train_config: TrainConfig,
     model_config: ModelConfig,
     eval_episodes: int,
-    eval_split: str = "test",
     variants=ABLATION_VARIANTS,
     workers: int = 1,
 ) -> list[AblationRow]:
@@ -231,7 +229,7 @@ def ablation_run(
         model = AlignmentModel(cfg)
         history = train(model, dataset, train_config)
         report = evaluate(
-            model, dataset, eval_split, eval_episodes,
+            model, dataset, "test", eval_episodes,
             train_config.n_way, train_config.k_shot, train_config.n_query,
             seed=train_config.seed + 1, workers=workers,
         )

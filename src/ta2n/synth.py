@@ -107,9 +107,6 @@ class Dataset:
 class Episode:
     """One N-way K-shot task with labels re-indexed to 0..N-1."""
 
-    n_way: int
-    k_shot: int
-    n_query: int
     support: list[list[VideoFeature]]  # [class][shot]
     query: list[VideoFeature]
     query_labels: list[int]
@@ -324,8 +321,12 @@ def sample_episode(
     """Draw one episode: N classes, K support + Q query videos per class.
 
     Support and query sets are disjoint and labels are re-indexed to the
-    episode's 0..N-1 range.
+    episode's 0..N-1 range. Raises ``ValueError`` when K or Q is below 1, or
+    when the split or a class has too few classes or videos.
     """
+    for name, value in (("k_shot", k_shot), ("n_query", n_query)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     class_ids = dataset.split_classes(split)
     if len(class_ids) < n_way:
         raise ValueError(f"split {split!r} has {len(class_ids)} classes, need {n_way}")
@@ -345,7 +346,7 @@ def sample_episode(
         for i in picks[k_shot:]:
             query.append(vids[i])
             query_labels.append(episode_label)
-    return Episode(n_way, k_shot, n_query, support, query, query_labels, chosen)
+    return Episode(support, query, query_labels, chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,21 @@ def coordinate(tc, tape, support, query):
     return tc.forward(tc.support_side(tape, support), tc.query_side(tape, query))
 
 
+def weighted_sum(tape, v, seed):
+    """Project an output to a scalar with a fixed random weighting."""
+    w = tape.const(np.random.default_rng(seed).standard_normal(v.value.shape))
+    return ad.reduce_sum(ad.mul(v, w))
+
+
+def stage_gradcheck(build, params):
+    """The seeded gradient check of a whole coordination stage."""
+    report = ad.finite_diff_gradcheck(
+        build, params, step=1e-3, tolerance=1e-4,
+        rng=np.random.default_rng((12, 0)), max_coords_per_param=4,
+    )
+    assert report.passed, report.summary()
+
+
 def identity_tc(channels):
     tc = TemporalCoordination(channels, proj_dim=channels, rng=np.random.default_rng(0))
     tc.key_w.value[:] = np.eye(channels)
@@ -92,6 +107,21 @@ class TestTemporalCoordination:
             q = tape.const(spatially_constant(query_frames))
             _, corr = coordinate(tc, tape, s, q)
             npt.assert_array_equal(corr.value.argmax(axis=1), perm)
+
+    def test_gradients(self):
+        # support values, rearranged query values and correlation together
+        rng = np.random.default_rng(12)
+        tc = TemporalCoordination(5, proj_dim=4, rng=rng)
+        support = Parameter(rng.standard_normal((5, 6, 5, 5)), "support")
+        query = Parameter(rng.standard_normal((5, 6, 5, 5)), "query")
+
+        def build(tape):
+            s_side = tc.support_side(tape, tape.param(support))
+            v_q, corr = tc.forward(s_side, tc.query_side(tape, tape.param(query)))
+            z = ad.add(weighted_sum(tape, s_side.values, 17), weighted_sum(tape, v_q, 18))
+            return ad.add(z, weighted_sum(tape, corr, 19))
+
+        stage_gradcheck(build, [support, query, *tc.parameters()])
 
     def test_shape_mismatch(self):
         tc = TemporalCoordination(4, proj_dim=16, rng=np.random.default_rng(0))
@@ -314,6 +344,37 @@ class TestMaskedAverage:
             rng=np.random.default_rng(15),
         )
         assert report.passed, report.summary()
+
+    def test_stage_gradients(self):
+        # two queries x two classes through one predictor and one batched SC
+        # call; each query is rearranged along time onto each class before
+        # both the predictor and the masks
+        rng = np.random.default_rng(12)
+        height = width = 7
+        support = Parameter(rng.standard_normal((2, 4, 3, height, width)), "support")
+        query = Parameter(rng.standard_normal((2, 4, 3, height, width)), "query")
+        pred = OffsetPredictor(8, height, width, conv_channels=(8, 8), hidden=8, rng=rng)
+        # off zero offsets, which put grid cells exactly on the mask rings
+        nudge = np.random.default_rng((12, 1))
+        pred.fc2_w.value[:] = nudge.normal(0, 0.1, pred.fc2_w.shape)
+        pred.fc2_b.value[:] = nudge.uniform(-0.4, 0.4, 2)
+        mix_logits = Parameter(nudge.standard_normal((2, 2, 3, 3)), "mix_logits")
+
+        def build(tape):
+            s, q = tape.param(support), tape.param(query)
+            corr = ad.softmax(tape.param(mix_logits), axis=3)  # (Q, N, T, T)
+            offs = pred.forward(tape, s, q, corr, training=True)  # (Q*N, T, 2)
+            rearranged = ad.stack([
+                ad.mix_time(ad.take(ad.take(corr, i), j), ad.take(q, i))
+                for i in range(2) for j in range(2)
+            ])
+            f_s, f_q = spatial_coordinate(
+                tape, s, ad.reshape(rearranged, (2, 2, *q.shape[1:])),
+                ad.reshape(offs, (2, 2, 3, 2)),
+            )
+            return ad.add(weighted_sum(tape, f_s, 21), weighted_sum(tape, f_q, 22))
+
+        stage_gradcheck(build, [support, query, mix_logits, *pred.parameters()])
 
     def test_perturbed_masks_average_before_normalization(self):
         rng = np.random.default_rng(16)

@@ -78,6 +78,17 @@ def test_single_episode_interval_is_zero(dataset, workers):
     assert report == engine.EvalReport(want, 0.0, 1)
 
 
+@pytest.mark.parametrize("use_sc", [False, True], ids=["no_sc", "sc"])
+@pytest.mark.parametrize("field", ["k_shot", "n_query"])
+def test_evaluate_rejects_empty_episodes(dataset, field, use_sc):
+    # an episode without shots or queries is refused where it is drawn, with
+    # the field's name, before any model runs
+    model = AlignmentModel(replace(TINY_MODEL, use_sc=use_sc))
+    sizes = {"k_shot": 1, "n_query": 1, field: 0}
+    with pytest.raises(ValueError, match=field):
+        engine.evaluate(model, dataset, "test", 2, 2, sizes["k_shot"], sizes["n_query"], seed=9)
+
+
 def test_training_step_tape_is_freed_without_the_cycle_collector(dataset, no_gc):
     model = AlignmentModel(TINY_MODEL)
     assert model.sc is not None

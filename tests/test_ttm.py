@@ -114,8 +114,10 @@ class TestWarp:
         rng = np.random.default_rng(5)
         feat = Parameter(rng.standard_normal((2, 6, 3, 3)), "feat")
         net = LocalizationNet(channels=2, hidden=32, rng=rng)
-        # bias the head to a shorter window, with source positions away from
-        # integers
+        # head weights off zero, which would give the conv a zero gradient
+        # that passes any check, and the bias to a shorter window, with source
+        # positions away from integers
+        net.head_w.value[:] = np.random.default_rng(7).normal(0, 0.05, net.head_w.shape)
         net.head_b.value[:] = [-0.41, 0.13]
 
         def build(tape):
@@ -130,6 +132,7 @@ class TestWarp:
             rng=np.random.default_rng(6),
         )
         assert report.passed, report.summary()
+        assert np.abs(net.conv_w.grad).max() > 0.0 and np.abs(net.conv_b.grad).max() > 0.0
 
 
 
