@@ -177,13 +177,9 @@ class Tape:
             g_inputs = entry.backward(g_out)
             entry.backward = None
             for slot, g in zip(entry.inputs, g_inputs):
-                if g is None:
-                    continue
-                acc = grads.get(slot)
-                if acc is None:
-                    grads[slot] = g.copy() if g.base is not None or not g.flags.owndata else g
-                else:
-                    acc += g
+                if g is not None:  # out of place: g may alias another slot's gradient, or be 0-d
+                    acc = grads.get(slot)
+                    grads[slot] = np.asarray(g if acc is None else acc + g)
         for entry in self.entries:  # those no gradient reached
             entry.backward = None
         for slot, p in self._params:
@@ -475,25 +471,27 @@ def mix_time(m: Var, f: Var) -> Var:
 
 
 def conv1d_temporal(x: Var, weight: Var, bias: Var) -> Var:
-    """Temporal convolution of a C,T sequence, kernel 3, zero padding 1."""
+    """Temporal convolution of each sequence of a (C, ..., T) block, kernel 3, zero padding 1."""
     xv, wv = x.value, weight.value
     c_out, c_in, k = wv.shape
-    if k != 3 or xv.ndim != 2 or xv.shape[0] != c_in:
+    if k != 3 or xv.ndim < 2 or xv.shape[0] != c_in:
         raise ValueError(f"conv1d_temporal: bad shapes {xv.shape} vs {wv.shape}")
-    t = xv.shape[1]
-    xp = np.pad(xv, ((0, 0), (1, 1)))
-    out = np.zeros((c_out, t))
+    t = xv.shape[-1]
+    xp = np.pad(xv.reshape(c_in, -1, t), ((0, 0), (0, 0), (1, 1)))  # (C_in, B, T+2)
+    out = np.zeros((c_out, xp.shape[1], t))
     for j in range(3):
-        out += wv[:, :, j] @ xp[:, j : j + t]
-    out += bias.value[:, None]
+        out += np.tensordot(wv[:, :, j], xp[:, :, j : j + t], axes=1)
+    out += bias.value[:, None, None]
+    out = out.reshape((c_out,) + xv.shape[1:])
 
     def bwd(g):
+        g3 = g.reshape(c_out, -1, t)
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wv)
+        gw = np.empty_like(wv)
         for j in range(3):
-            gxp[:, j : j + t] += wv[:, :, j].T @ g
-            gw[:, :, j] = g @ xp[:, j : j + t].T
-        return gxp[:, 1 : 1 + t], gw, g.sum(axis=1)
+            gxp[:, :, j : j + t] += np.tensordot(wv[:, :, j].T, g3, axes=1)
+            gw[:, :, j] = np.tensordot(g3, xp[:, :, j : j + t], axes=([1, 2], [1, 2]))
+        return gxp[:, :, 1 : 1 + t].reshape(xv.shape), gw, g3.sum(axis=(1, 2))
 
     return x.tape.record("conv1d_temporal", out, (x, weight, bias), bwd)
 
@@ -807,43 +805,48 @@ def batchnorm_channels(
 
 
 def time_linear_sample(f: Var, scale: Var, shift: Var) -> Var:
-    """Resample a C,T,H,W sequence through the temporal affine map.
+    """Resample each video of a (C, ..., T, H, W) block through its temporal affine map.
 
-    Output frame ``i`` reads the input at normalized time
-    ``shift + scale * i/(T-1)``, linearly interpolating between the two
+    ``scale`` and ``shift`` are shaped like the middle batch axes (``()`` for
+    one video). Output frame ``i`` of a video reads its input at normalized
+    time ``shift + scale * i/(T-1)``, linearly interpolating between the two
     neighbouring frames. Differentiable in the frames and in both warp
     parameters (the integer frame index is treated as locally constant).
+    Raises if a window leaves the clip: scale in (0, 1], shift >= 0 and
+    shift + scale <= 1.
     """
     fv = f.value
-    if fv.ndim != 4:
-        raise ValueError("time_linear_sample expects C,T,H,W")
-    t = fv.shape[1]
+    batch = fv.shape[1:-3]
+    if fv.ndim < 4 or scale.shape != batch or shift.shape != batch:
+        raise ValueError(f"time_linear_sample expects (C, ..., T, H, W) and batch-shaped warps, "
+                         f"got {fv.shape}, {scale.shape}, {shift.shape}")
+    c, t = fv.shape[0], fv.shape[-3]
     if t < 2:
         raise ValueError("time_linear_sample needs T >= 2")
-    a = float(scale.value)
-    b = float(shift.value)
-    if not (0.0 < a <= 1.0 + 1e-12 and -1e-12 <= b and b + a <= 1.0 + 1e-9):
-        raise ValueError(f"warp parameters out of range: scale={a}, shift={b}")
+    a, b = scale.value.reshape(-1, 1), shift.value.reshape(-1, 1)
+    if not np.all((0.0 < a) & (a <= 1.0 + 1e-12) & (-1e-12 <= b) & (b + a <= 1.0 + 1e-9)):
+        raise ValueError(f"warp parameters out of range: scale={scale.value}, shift={shift.value}")
     i = np.arange(t)
-    s = (b + a * i / (t - 1)) * (t - 1)  # source frame positions
+    s = (b + a * i / (t - 1)) * (t - 1)  # (B, T) source frame positions
     lo = np.clip(np.floor(s).astype(int), 0, t - 1)
     hi = np.clip(lo + 1, 0, t - 1)
     frac = s - lo
-    # out[:, i] = (1 - frac_i) f[:, lo_i] + frac_i f[:, hi_i], as one T x T map over time
-    sampler = np.zeros((t, t))
-    sampler[i, lo] = 1.0 - frac
-    sampler[i, hi] += frac
-    c = fv.shape[0]
-    f3 = fv.reshape(c, t, -1)
-    out = (sampler @ f3).reshape(fv.shape)
+    # out[:, v, i] = (1 - frac_vi) f[:, v, lo_vi] + frac_vi f[:, v, hi_vi], one T x T map per video
+    v = np.arange(len(s))[:, None]
+    sampler = np.zeros((len(s), t, t))
+    sampler[v, i, lo] = 1.0 - frac
+    sampler[v, i, hi] += frac
+    f4 = fv.reshape(c, -1, t, fv.shape[-2] * fv.shape[-1])
+    out = (sampler @ f4).reshape(fv.shape)
 
     def bwd(g):
-        gf = (sampler.T @ g.reshape(c, t, -1)).reshape(fv.shape)
-        diff = fv[:, hi] - fv[:, lo]  # d out / d frac
-        gfrac = (g * diff).sum(axis=(0, 2, 3))
+        g4 = g.reshape(f4.shape)
+        gf = (sampler.transpose(0, 2, 1) @ g4).reshape(fv.shape)
+        diff = f4[:, v, hi] - f4[:, v, lo]  # d out / d frac
+        gfrac = np.einsum("cvtp,cvtp->vt", g4, diff)
         # d s_i / d scale = i, d s_i / d shift = T-1; d frac/d s = 1 a.e.
-        ga = np.array((gfrac * i).sum()).reshape(scale.value.shape)
-        gb = np.array((gfrac * (t - 1)).sum()).reshape(shift.value.shape)
+        ga = (gfrac @ i).reshape(batch)
+        gb = (gfrac.sum(axis=1) * (t - 1)).reshape(batch)
         return gf, ga, gb
 
     return f.tape.record("time_linear_sample", out, (f, scale, shift), bwd)

@@ -2,9 +2,12 @@
 
 The episode forward pass aligns every query against every class
 independently (fresh coordination per pair) and classifies with frame-wise
-cosine distances between the pooled pair representations. Work that depends
-on one video only runs once per video: the temporal transform, the
-coordination's pooled projections and value maps, and the offset
+cosine distances between the pooled pair representations. Stage one, the
+embedder and the temporal transform, runs once per block: all support
+videos of an episode go through one embed -> TTM -> warp chain, all its
+queries through another, and a class's prototype is the mean of its warped
+shots. Work of stage two that depends on one video only runs once per video:
+the coordination's pooled projections and value maps, and the offset
 predictor's first convolution of each support and each query. Per pair
 remain the T x T correlation, the rearranged query map and the metric. The
 masks and masked means of all pairs are one broadcast
@@ -36,7 +39,7 @@ from . import metric
 from . import ttm as ttm_mod
 from .acm import OffsetPredictor, TemporalCoordination
 from .autodiff import Array, Parameter, Tape, Var
-from .synth import Episode
+from .synth import Episode, VideoFeature
 
 @dataclass
 class ModelConfig:
@@ -73,14 +76,15 @@ class AlignmentModel:
     def __init__(self, config: ModelConfig):
         self.config = config
         c = config.channels
-        rng = np.random.default_rng(config.init_seed)
+        # one stream per module (TTM, TC, SC), so toggling one leaves the others' init alone
+        rngs = [np.random.default_rng((config.init_seed, index)) for index in range(3)]
         self.embed_w = Parameter(np.eye(c), "embed.w")
         self.embed_b = Parameter(np.zeros(c), "embed.b")
         self.ttm = (
-            ttm_mod.LocalizationNet(c, config.ttm_hidden, rng) if config.use_ttm else None
+            ttm_mod.LocalizationNet(c, config.ttm_hidden, rngs[0]) if config.use_ttm else None
         )
         self.tc = (
-            TemporalCoordination(c, config.proj_dim, rng) if config.use_tc else None
+            TemporalCoordination(c, config.proj_dim, rngs[1]) if config.use_tc else None
         )
         if config.use_sc:
             pair_channels = 2 * (config.proj_dim if config.use_tc else c)
@@ -90,7 +94,7 @@ class AlignmentModel:
                 config.width,
                 conv_channels=config.offset_channels,
                 hidden=config.offset_hidden,
-                rng=rng,
+                rng=rngs[2],
             )
         else:
             self.sc = None
@@ -108,22 +112,18 @@ class AlignmentModel:
 
     # -- forward ----------------------------------------------------------
 
-    def embed(self, tape: Tape, feature: Array) -> Var:
-        f = ad.channel_linear(
-            tape.const(feature), tape.param(self.embed_w), tape.param(self.embed_b)
-        )
-        return f
-
-    def prepare_video(self, tape: Tape, feature: Array) -> Var:
-        """Embed one video and, when enabled, warp it onto its action span."""
+    def _stage_one(self, tape: Tape, videos: list[VideoFeature]) -> Var:
+        """Embed V videos as one (C, V, T, H, W) block; with the TTM, warp each onto its action span."""
         cfg = self.config
         want = (cfg.channels, cfg.frames, cfg.height, cfg.width)
-        if feature.shape != want:
-            raise ValueError(
-                f"video features of shape {feature.shape} do not match the model's "
-                f"(C, T, H, W) {want}"
-            )
-        f = self.embed(tape, feature)
+        for v in videos:
+            if v.feature.shape != want:
+                raise ValueError(
+                    f"video features of shape {v.feature.shape} do not match the model's "
+                    f"(C, T, H, W) {want}"
+                )
+        block = tape.const(np.stack([v.feature for v in videos], axis=1))
+        f = ad.channel_linear(block, tape.param(self.embed_w), tape.param(self.embed_b))
         if self.ttm is not None:
             scale, shift = ttm_mod.localize(self.ttm, tape, f)
             f = ttm_mod.temporal_affine_warp(f, scale, shift)
@@ -140,19 +140,26 @@ class AlignmentModel:
     ) -> EpisodeOutput:
         """Class probabilities of every query of ``episode``.
 
-        A class's prototype is the mean of its shots. Nothing in the forward
+        Every class needs the same number of shots, at least one, and a
+        class's prototype is the mean of its shots. Nothing in the forward
         pass is random, so ``rng`` is ignored; the keyword is kept only for
         ``bench/workloads.py``, which still passes it.
         """
-        # stage one: every video through the embedder (+ temporal transform)
-        query_feats = [self.prepare_video(tape, v.feature) for v in episode.query]
-        class_reprs = [
-            self._class_prototype([self.prepare_video(tape, v.feature) for v in shots])
-            for shots in episode.support
-        ]
+        shots = [len(s) for s in episode.support]
+        if not shots or min(shots) < 1 or min(shots) != max(shots):
+            raise ValueError(
+                f"every class needs the same number of shots, at least one; got {shots}"
+            )
+        # stage one: one embed (+ temporal transform) chain per block, supports then queries
+        n_way, k_shot = len(shots), shots[0]
+        support = self._stage_one(tape, [v for s in episode.support for v in s])
+        by_class = ad.reshape(support, (support.shape[0], n_way, k_shot, *support.shape[2:]))
+        prototypes = ad.reduce_mean(by_class, axis=2)
+        query = self._stage_one(tape, episode.query)
+        class_reprs = [ad.take(prototypes, n, axis=1) for n in range(n_way)]
+        query_feats = [ad.take(query, q, axis=1) for q in range(len(episode.query))]
 
         # stage two: per-video coordination inputs, then every (query, class) pair
-        n_way = len(class_reprs)
         if self.tc is not None:
             support_sides = [self.tc.support_side(tape, f) for f in class_reprs]
             query_sides = [self.tc.query_side(tape, f) for f in query_feats]
@@ -169,18 +176,6 @@ class AlignmentModel:
             for qi in range(len(query_feats))
         ]
         return EpisodeOutput(probs, list(episode.query_labels))
-
-    @staticmethod
-    def _class_prototype(feats: list[Var]) -> Var:
-        """The mean of a class's K support features; a single shot passes through."""
-        if not feats:
-            raise ValueError("a class prototype needs at least one shot")
-        if len(feats) == 1:
-            return feats[0]
-        total = feats[0]
-        for f in feats[1:]:
-            total = ad.add(total, f)
-        return ad.affine(total, 1.0 / len(feats))
 
     def _pool_pairs(
         self,

@@ -300,10 +300,16 @@ def generate_dataset(
     )
 
 
-def noise_free_signal(dataset: Dataset, video: VideoFeature) -> Array:
-    """A video's actor signal without its noise, rendered from its stored ground truth."""
-    sig = make_class_signatures(dataset.num_classes, dataset.channels, dataset.seed)[video.label]
-    return _render_actor(sig, dataset.dims(), video.start, video.end, video.warp_knots, video.centers)
+def noise_free_signals(dataset: Dataset, videos: list[VideoFeature]) -> list[Array]:
+    """Each video's actor signal without its noise, rendered from its stored ground truth.
+
+    The class signatures are built once per call, not once per video.
+    """
+    sigs = make_class_signatures(dataset.num_classes, dataset.channels, dataset.seed)
+    return [
+        _render_actor(sigs[v.label], dataset.dims(), v.start, v.end, v.warp_knots, v.centers)
+        for v in videos
+    ]
 
 
 # ---------------------------------------------------------------------------

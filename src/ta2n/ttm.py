@@ -3,13 +3,16 @@
 A small localization network predicts, per video, a duration scale and a
 start offset in normalized time; the feature sequence is then resampled
 through that affine map with linear interpolation, so the whole stage is
-trainable end to end together with everything downstream.
+trainable end to end together with everything downstream. Each video is
+independent, so the stage runs once per block of videos: a (C, ..., T, H, W)
+feature gives warp parameters shaped like its middle batch axes, as a
+spatial transformer samples a batch with per-sample transforms (Jaderberg et
+al. 2015).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,26 +22,6 @@ from .autodiff import Parameter, Tape, Var
 MIN_DURATION_SCALE = 0.25
 # raw scale output at init: sigmoid gives 13/15, so the untrained warp is (0.9, 0.05)
 INIT_SCALE_LOGIT = math.log(6.5)
-
-
-@dataclass(frozen=True)
-class WarpParams:
-    """Temporal affine map: output time tau reads input time shift + scale*tau.
-
-    ``scale`` is the predicted action duration (fraction of the clip) and
-    ``shift`` the action start; (1, 0) is the identity warp. Valid values
-    satisfy scale in [MIN_DURATION_SCALE, 1] and shift in [0, 1 - scale], so
-    the sampled window stays inside the clip.
-    """
-
-    scale: float
-    shift: float
-
-    def validate(self) -> None:
-        if not MIN_DURATION_SCALE - 1e-9 <= self.scale <= 1.0 + 1e-9:
-            raise ValueError(f"duration scale {self.scale} outside [{MIN_DURATION_SCALE}, 1]")
-        if not -1e-9 <= self.shift <= 1.0 - self.scale + 1e-9:
-            raise ValueError(f"start shift {self.shift} outside [0, {1.0 - self.scale}]")
 
 
 class LocalizationNet:
@@ -66,17 +49,17 @@ class LocalizationNet:
         return [self.conv_w, self.conv_b, self.head_w, self.head_b]
 
     def raw_outputs(self, tape: Tape, feature: Var) -> Var:
-        """Unconstrained (scale residual, shift logit) pair."""
-        if len(feature.shape) != 4:
-            raise ValueError(f"localize expects C,T,H,W, got {feature.shape}")
-        pooled = ad.reduce_mean(feature, axis=(-2, -1))  # (C, T)
+        """Unconstrained (scale residual, shift logit) pairs: (2, ...) for a (C, ..., T, H, W) feature."""
+        if len(feature.shape) < 4:
+            raise ValueError(f"localize expects (C, ..., T, H, W), got {feature.shape}")
+        pooled = ad.reduce_mean(feature, axis=(-2, -1))  # (C, ..., T)
         h = ad.relu(ad.conv1d_temporal(pooled, tape.param(self.conv_w), tape.param(self.conv_b)))
-        h = ad.reduce_mean(h, axis=1)  # (hidden,)
+        h = ad.reduce_mean(h, axis=-1)  # (hidden, ...)
         return ad.channel_linear(h, tape.param(self.head_w), tape.param(self.head_b))
 
 
 def warp_from_raw(raw: Var) -> tuple[Var, Var]:
-    """Map raw head outputs to a valid (scale, shift) pair.
+    """Map raw head outputs, (2, ...), to valid (scale, shift) vars shaped ``...``.
 
     scale = MIN_DURATION_SCALE + (1 - MIN_DURATION_SCALE) * sigmoid(raw[0])
     keeps the window from collapsing; shift = sigmoid(raw[1]) * (1 - scale)
@@ -90,19 +73,23 @@ def warp_from_raw(raw: Var) -> tuple[Var, Var]:
 
 
 def localize(net: LocalizationNet, tape: Tape, feature: Var) -> tuple[Var, Var]:
-    """Predict (scale, shift) warp parameter vars for one C,T,H,W feature."""
+    """Predict (scale, shift) warp parameter vars for every video of a (C, ..., T, H, W) feature."""
     return warp_from_raw(net.raw_outputs(tape, feature))
 
 
 def temporal_affine_warp(feature: Var, scale: Var, shift: Var) -> Var:
-    """Resample the sequence onto the predicted action window.
+    """Resample each video's sequence onto its predicted action window.
 
-    Output frame i reads normalized time shift + scale * i/(T-1); values are
-    linearly interpolated between the two neighbouring input frames, so the
-    output is always a convex combination of input frames. Raises if the
-    parameters fall outside the valid window (the localization head already
-    guarantees the range; nothing is silently clamped here).
+    Output time tau reads input time shift + scale*tau: ``scale`` is the
+    predicted action duration (fraction of the clip) and ``shift`` the action
+    start, so (1, 0) is the identity warp. Output frame i reads normalized
+    time shift + scale * i/(T-1); values are linearly interpolated between
+    the two neighbouring input frames, so the output is always a convex
+    combination of input frames. Raises if a scale falls below
+    MIN_DURATION_SCALE, or (in ``ad.time_linear_sample``) if a window leaves
+    the clip; the localization head already guarantees both, and nothing is
+    silently clamped here.
     """
-    WarpParams(float(scale.value), float(shift.value)).validate()
+    if not np.all(scale.value >= MIN_DURATION_SCALE - 1e-9):
+        raise ValueError(f"duration scale {scale.value} below {MIN_DURATION_SCALE}")
     return ad.time_linear_sample(feature, scale, shift)
-

@@ -324,6 +324,20 @@ class TestGradientsMatchFiniteDifferences:
 
         check_op(build, [x, w, b])
 
+    def test_conv1d_temporal_batched(self):
+        # every (C, T) sequence of a (C, 2, 3, T) block through one kernel
+        rng = np.random.default_rng(16)
+        x = Parameter(rng.standard_normal((3, 2, 3, 8)), "x")
+        w = Parameter(rng.standard_normal((5, 3, 3)), "w")
+        b = Parameter(rng.standard_normal(5), "b")
+
+        def build(tape):
+            y = ad.conv1d_temporal(tape.param(x), tape.param(w), tape.param(b))
+            assert y.shape == (5, 2, 3, 8)
+            return scalarize(tape, y, np.random.default_rng(55))
+
+        check_op(build, [x, w, b])
+
     def test_conv3d(self):
         rng = np.random.default_rng(7)
         x = Parameter(rng.standard_normal((2, 3, 4, 5, 5)), "x")
@@ -474,6 +488,26 @@ class TestGradientsMatchFiniteDifferences:
             return scalarize(tape, y, np.random.default_rng(54))
 
         check_op(build, [f, a, b])
+
+    def test_time_linear_sample_batched(self):
+        # a (2, 3) block of videos, each with its own window; no source
+        # position 5*shift + scale*i lies within 0.06 of an integer
+        rng = np.random.default_rng(13)
+        f = Parameter(rng.standard_normal((3, 2, 3, 6, 2, 2)), "f")
+        a = Parameter(np.array([[0.47, 0.51, 0.32], [0.46, 0.65, 0.61]]), "a")
+        b = Parameter(np.array([[0.065, 0.169, 0.375], [0.284, 0.048, 0.324]]), "b")
+
+        def build(tape):
+            y = ad.time_linear_sample(tape.param(f), tape.param(a), tape.param(b))
+            return scalarize(tape, y, np.random.default_rng(56))
+
+        check_op(build, [f, a, b])
+
+    def test_time_linear_sample_warps_match_the_batch(self):
+        tape = Tape(grad=False)
+        f = tape.const(np.zeros((3, 2, 6, 2, 2)))
+        with pytest.raises(ValueError, match="batch-shaped"):
+            ad.time_linear_sample(f, tape.const(0.5), tape.const(0.1))
 
 
 def reference_batchnorm_train(x, gamma, beta, running_mean, running_var, g, momentum=0.1, eps=1e-5):
@@ -646,6 +680,28 @@ class TestGradcheckHarness:
         npt.assert_allclose(p.grad, 4 * np.ones(3))  # two accumulations of 2*theta
         p.zero_grad()
         npt.assert_array_equal(p.grad, np.zeros(3))
+
+
+class TestBackwardAccumulation:
+    """A slot reached by several gradients receives their sum."""
+
+    def test_zero_d_parameter(self):
+        # numpy arithmetic on 0-d arrays returns scalars, which have no in-place add
+        a = Parameter(np.array(1.0), "a")
+        tape = Tape()
+        av = tape.param(a)
+        tape.backward(ad.add(ad.mul(av, tape.const(3.0)), ad.mul(av, tape.const(5.0))))
+        assert a.grad.shape == () and float(a.grad) == 8.0
+
+    def test_one_array_for_two_inputs(self):
+        # add hands its output gradient to both inputs; accumulating into
+        # one of them must not change the other
+        x, y = Parameter(np.ones(3), "x"), Parameter(np.ones(3), "y")
+        tape = Tape()
+        c, d = ad.affine(tape.param(x), 1.0), ad.affine(tape.param(y), 1.0)
+        tape.backward(ad.reduce_sum(ad.add(ad.add(c, d), c)))
+        npt.assert_array_equal(x.grad, np.full(3, 2.0))
+        npt.assert_array_equal(y.grad, np.ones(3))
 
 
 class TestTapeLifetime:

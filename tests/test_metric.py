@@ -7,6 +7,7 @@ from ta2n import metric
 from ta2n.autodiff import Parameter, Tape
 from ta2n.metric import classify, cross_entropy_loss, frame_cosine_distance
 from ta2n.model import AlignmentModel, ModelConfig
+from ta2n.synth import Episode, VideoFeature
 
 
 def classify_one(query, prototypes):
@@ -15,11 +16,37 @@ def classify_one(query, prototypes):
 
 
 def prototype_model(**kw):
-    """A small model whose ``_class_prototype`` fuses (6, 8, 5, 5) shots."""
+    """A small model without the TTM, so each (6, 8, 5, 5) shot reaches the
+    prototype unchanged (the embedder starts as the identity)."""
     return AlignmentModel(ModelConfig(
         channels=6, frames=8, height=5, width=5, proj_dim=6,
-        ttm_hidden=8, offset_channels=(8, 8), offset_hidden=8, **kw,
+        ttm_hidden=8, offset_channels=(8, 8), offset_hidden=8, use_ttm=False, **kw,
     ))
+
+
+def prototypes(model, monkeypatch, shots_per_class):
+    """The class prototypes ``episode_forward`` builds from per-class lists of shot features.
+
+    They are read where stage two receives its support maps. With TC those
+    are the prototypes' value maps, which are the prototypes themselves here:
+    at ``proj_dim == channels`` the value projection starts as the identity.
+    """
+    seen = []
+    pool_pairs = AlignmentModel._pool_pairs
+
+    def spy(self, tape, supports, *rest):
+        seen.extend(s.value for s in supports)
+        return pool_pairs(self, tape, supports, *rest)
+
+    def video(feature):
+        return VideoFeature(feature, 0, 0.0, 1.0, np.zeros((8, 2)), 0, np.linspace(0.0, 1.0, 5))
+
+    monkeypatch.setattr(AlignmentModel, "_pool_pairs", spy)
+    support = [[video(f) for f in shots] for shots in shots_per_class]
+    query = video(np.ones((6, 8, 5, 5)))
+    episode = Episode(support, [query], [0], list(range(len(support))))
+    model.episode_forward(Tape(grad=False), episode, training=False)
+    return seen
 
 
 def dist(f, p):
@@ -62,33 +89,29 @@ class TestFrameCosineDistance:
 
 
 class TestBuildPrototype:
-    """K-shot fusion as the pipeline runs it, ``AlignmentModel._class_prototype``."""
+    """K-shot fusion as the pipeline runs it, through ``AlignmentModel.episode_forward``."""
 
-    def test_single_shot_is_identity(self):
-        model = prototype_model()
-        tape = Tape(grad=False)
-        f = tape.const(np.random.default_rng(3).standard_normal((6, 8, 5, 5)))
-        assert model._class_prototype([f]) is f
+    def test_single_shot_is_identity(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        shots = [[rng.standard_normal((6, 8, 5, 5))] for _ in range(2)]
+        for proto, [shot] in zip(prototypes(prototype_model(), monkeypatch, shots), shots):
+            npt.assert_array_equal(proto, shot)
 
-    def test_identical_constant_in_time_features_preserved(self):
-        model = prototype_model()
+    def test_identical_constant_in_time_features_preserved(self, monkeypatch):
         frame = np.random.default_rng(4).standard_normal(6)
         f = np.broadcast_to(frame[:, None, None, None], (6, 8, 5, 5)).copy()
-        tape = Tape(grad=False)
-        proto = model._class_prototype([tape.const(f)] * 3)
-        npt.assert_allclose(proto.value, f, atol=1e-9)
+        protos = prototypes(prototype_model(), monkeypatch, [[f] * 3, [-f] * 3])
+        npt.assert_allclose(protos[0], f, atol=1e-9)
 
     @pytest.mark.parametrize("use_tc", [False, True])
-    def test_plain_average_of_the_shots(self, use_tc):
-        model = prototype_model(use_tc=use_tc)
-        tape = Tape(grad=False)
-        shots = [tape.const(np.full((6, 8, 5, 5), v)) for v in (1.0, 3.0)]
-        proto = model._class_prototype(shots)
-        npt.assert_allclose(proto.value, np.full((6, 8, 5, 5), 2.0))
+    def test_plain_average_of_the_shots(self, monkeypatch, use_tc):
+        shots = [[np.full((6, 8, 5, 5), v) for v in (1.0, 3.0)], [np.zeros((6, 8, 5, 5))] * 2]
+        protos = prototypes(prototype_model(use_tc=use_tc), monkeypatch, shots)
+        npt.assert_allclose(protos[0], np.full((6, 8, 5, 5), 2.0))
 
-    def test_empty_errors(self):
-        with pytest.raises(ValueError, match="at least one shot"):
-            prototype_model()._class_prototype([])
+    def test_empty_errors(self, monkeypatch):
+        with pytest.raises(ValueError, match="at least one"):
+            prototypes(prototype_model(), monkeypatch, [[], []])
 
 
 class TestClassify:

@@ -120,6 +120,15 @@ class TestEpisodeForward:
             model.episode_forward(Tape(grad=False), ep, training=False)
         assert "(6, 8, 5, 5)" in str(err.value) and want in str(err.value)
 
+    @pytest.mark.parametrize(
+        "shots", [[1, 2], [2, 0], [0, 0], []], ids=["ragged", "one-empty", "all-empty", "no-class"]
+    )
+    def test_unequal_or_empty_shot_lists_rejected(self, dataset, shots):
+        ep = sample_episode(dataset, "train", 2, 2, 1, seed=3)
+        ep.support = [ep.support[n % 2][:k] for n, k in enumerate(shots)]
+        with pytest.raises(ValueError, match="same number of shots"):
+            AlignmentModel(tiny_config()).episode_forward(Tape(grad=False), ep, training=False)
+
     def test_forward_leaves_no_state_on_the_model(self, dataset):
         model = AlignmentModel(tiny_config())
         before = set(vars(model))
@@ -161,7 +170,9 @@ class TestEpisodeForward:
         # the masks of all 25 pairs: one entry for the supports, one for the queries
         assert ops.count("offset_masks") == 2
         assert (25, 32, 8, 7, 7) not in shapes
-        assert len(ops) == 737 < 1259
+        # stage one: one embed -> TTM -> warp chain for the supports, one for the queries
+        assert ops.count("time_linear_sample") == ops.count("conv1d_temporal") == 2
+        assert len(ops) == 637 < 737
 
     @pytest.mark.parametrize(
         "seed, k_shot, proj_dim",
@@ -176,6 +187,24 @@ class TestEpisodeForward:
             rng=np.random.default_rng(10), max_coords_per_param=2,
         )
         assert report.passed, report.summary()
+
+
+class TestInit:
+    """Each module draws its initial weights from its own stream."""
+
+    @staticmethod
+    def weights(**toggles):
+        return {p.name: p.value for p in AlignmentModel(tiny_config(**toggles)).parameters()}
+
+    @pytest.mark.parametrize("toggle, kept", [
+        ("use_ttm", ("embed.", "tc.", "sc.")),
+        ("use_sc", ("embed.", "ttm.", "tc.")),
+        ("use_tc", ("embed.", "ttm.")),
+    ])
+    def test_toggling_a_module_keeps_the_others_init(self, toggle, kept):
+        on, off = self.weights(), self.weights(**{toggle: False})
+        shared = [name for name in off if name.startswith(kept)]
+        assert shared and all(np.array_equal(on[name], off[name]) for name in shared)
 
 
 class TestCheckpoints:

@@ -64,8 +64,7 @@ class TestGeneration:
     def test_zero_config_same_class_signals_identical(self):
         ds = small_dataset(MisalignmentConfig(0, 0, 0, 0.2))
         vids = ds.videos_of_class(3)
-        sig_a = synth.noise_free_signal(ds, vids[0])
-        sig_b = synth.noise_free_signal(ds, vids[1])
+        sig_a, sig_b = synth.noise_free_signals(ds, vids[:2])
         cos = (sig_a * sig_b).sum() / (np.linalg.norm(sig_a) * np.linalg.norm(sig_b))
         npt.assert_allclose(cos, 1.0, atol=1e-12)
         npt.assert_allclose(sig_a, sig_b, atol=1e-12)
@@ -136,7 +135,8 @@ class TestRender:
     @staticmethod
     def render(ds, video, **truth):
         edited = replace(video, **truth)
-        return synth.noise_free_signal(ds, edited)
+        [signal] = synth.noise_free_signals(ds, [edited])
+        return signal
 
     @staticmethod
     def first_patch(sigs, video):
@@ -148,10 +148,26 @@ class TestRender:
         ds, sigs = quiet
         v = ds.videos[2]
         npt.assert_array_equal(v.centers[0], [3.0, 3.0])
-        npt.assert_array_equal(synth.noise_free_signal(ds, v), v.feature)
+        npt.assert_array_equal(synth.noise_free_signals(ds, [v])[0], v.feature)
         want = np.zeros(DIMS[:1] + DIMS[2:])
         want[:, 2:5, 2:5] = self.first_patch(sigs, v)
         npt.assert_array_equal(v.feature[:, 0], want)
+
+    def test_signals_of_a_dataset_build_the_signatures_once(self, monkeypatch):
+        # without noise a video's feature is its actor signal, bit for bit
+        ds = small_dataset(MisalignmentConfig(0.5, 0.8, 1.0, 0.0))
+        calls = []
+        build = synth.make_class_signatures
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(synth, "make_class_signatures", counted)
+        signals = synth.noise_free_signals(ds, ds.videos)
+        assert len(calls) == 1 and len(signals) == len(ds.videos) == 32
+        for signal, v in zip(signals, ds.videos):
+            npt.assert_array_equal(signal, v.feature)
 
     @pytest.mark.parametrize("centre, shifted", [
         ((3.5, 3.0), (slice(2, 5), slice(3, 6))),
