@@ -1,18 +1,20 @@
-"""Second alignment stage: coordinate action evolution across a video pair.
+"""Second alignment stage: coordinate action evolution across video pairs.
 
 Temporal coordination builds a row-stochastic correlation matrix between
-support and query timesteps from spatially pooled projections and uses it to
-rearrange the query's frames onto the support's evolution; the projections
-are computed once per video, the correlation once per pair. Spatial
-coordination predicts a per-frame (x, y) offset for every pair and compares
-soft-masked regions around the offset (support) and its negation (query)
-instead of whole frames. Its masks and masked means take any leading axes,
-which broadcast, so the pairs of an episode are pooled in one call.
+support and query timesteps from spatially pooled projections, and
+``ad.mix_time`` applies it to rearrange the query's frames onto the
+support's evolution. The projections and value maps depend on one video
+only, so they are computed once per block of videos; the correlation is
+computed once per pair, one :meth:`TemporalCoordination.forward` call each,
+which is what the benchmark counts. Spatial coordination predicts a
+per-frame (x, y) offset for every pair and compares soft-masked regions
+around the offset (support) and its negation (query) instead of whole
+frames. The offset predictor takes every pair of an episode in one call,
+and the masks and masked means take any leading axes, which broadcast, so
+the pairs of an episode are pooled in one call as well.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,24 +35,11 @@ PERTURB_INTERVAL_EPOCHS = 40
 # temporal coordination
 
 
-class CoordinationInput(NamedTuple):
-    """One video's half of temporal coordination, computed once per video.
-
-    ``proj`` is the pooled projection that enters the correlation: keys
-    (T, P), already scaled by 1/sqrt(P), for a support; queries (P, T) for a
-    query. ``values`` is the value-projected (P, T, H, W) map.
-    """
-
-    proj: Var
-    values: Var
-
-
 class TemporalCoordination:
-    """Attention over timesteps that rearranges the query onto the support.
+    """Attention over timesteps that rearranges a query onto a support.
 
-    The projections and values depend on one video only, so they are
-    prepared once per video (:meth:`support_side`, :meth:`query_side`) and
-    each pair only pays for its T x T correlation and the rearrangement.
+    :meth:`support_side` and :meth:`query_side` project a block of videos at
+    once; :meth:`forward` is one pair's T x T correlation.
     """
 
     def __init__(self, channels: int, proj_dim: int, rng: np.random.Generator):
@@ -70,40 +59,40 @@ class TemporalCoordination:
     def parameters(self) -> list[Parameter]:
         return [self.key_w, self.key_b, self.query_w, self.value_w, self.value_b]
 
-    def _values(self, tape: Tape, feature: Var) -> Var:
-        return ad.channel_linear(feature, tape.param(self.value_w), tape.param(self.value_b))
+    def _values(self, tape: Tape, block: Var) -> Var:
+        return ad.channel_linear(block, tape.param(self.value_w), tape.param(self.value_b))
 
-    def support_side(self, tape: Tape, feature: Var) -> CoordinationInput:
-        """Scaled keys (T, P) of the spatially pooled support, and its values."""
+    def support_side(self, tape: Tape, block: Var) -> tuple[Var, Var]:
+        """Scaled keys (N, T, P) of the spatially pooled (C, N, T, H, W)
+        support block, and its (P, N, T, H, W) values."""
         keys = ad.channel_linear(
-            ad.reduce_mean(feature, axis=(-2, -1)), tape.param(self.key_w), tape.param(self.key_b)
+            ad.reduce_mean(block, axis=(-2, -1)), tape.param(self.key_w), tape.param(self.key_b)
         )
-        keys = ad.affine(ad.transpose(keys, (1, 0)), 1.0 / np.sqrt(self.proj_dim))
-        return CoordinationInput(keys, self._values(tape, feature))
+        keys = ad.affine(ad.transpose(keys, (1, 2, 0)), 1.0 / np.sqrt(self.proj_dim))
+        return keys, self._values(tape, block)
 
-    def query_side(self, tape: Tape, feature: Var) -> CoordinationInput:
-        """Queries (P, T) of the spatially pooled query, and its values.
+    def query_side(self, tape: Tape, block: Var) -> tuple[Var, Var]:
+        """Queries (Q, P, T) of the spatially pooled (C, Q, T, H, W) query
+        block, and its (P, Q, T, H, W) values.
 
         The queries have no bias: it would add ``k_i . b`` to every logit of
         support row ``i``, which the softmax over query columns cancels.
         """
         queries = ad.channel_linear(
-            ad.reduce_mean(feature, axis=(-2, -1)), tape.param(self.query_w)
+            ad.reduce_mean(block, axis=(-2, -1)), tape.param(self.query_w)
         )
-        return CoordinationInput(queries, self._values(tape, feature))
+        return ad.transpose(queries, (1, 0, 2)), self._values(tape, block)
 
-    def forward(self, support: CoordinationInput, query: CoordinationInput) -> tuple[Var, Var]:
-        """Rearrange the query's values along time onto the support's evolution.
+    def forward(self, keys: Var, queries: Var) -> Var:
+        """One pair's correlation, from a support's (T, P) keys and a query's (P, T) queries.
 
-        Returns (rearranged query values, correlation). The correlation is a
-        row-stochastic T x T matrix (row = support timestep, column = query
-        timestep) computed from pooled features, but applied to the
-        full-resolution value maps, which spatial coordination consumes.
+        A row-stochastic T x T matrix (row = support timestep, column = query
+        timestep) computed from pooled features; ``ad.mix_time`` applies it to
+        the full-resolution value maps, which spatial coordination consumes.
         """
-        if support.values.shape != query.values.shape:
-            raise ValueError(f"shape mismatch {support.values.shape} vs {query.values.shape}")
-        corr = ad.softmax(ad.matmul(support.proj, query.proj), axis=1)
-        return ad.mix_time(corr, query.values), corr
+        if keys.shape[::-1] != queries.shape:
+            raise ValueError(f"keys {keys.shape} do not match queries {queries.shape}")
+        return ad.softmax(ad.matmul(keys, queries), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -449,23 +449,25 @@ def channel_linear(x: Var, weight: Var, bias: Var | None = None) -> Var:
 
 
 def mix_time(m: Var, f: Var) -> Var:
-    """Rearrange a map along time: ``out[:, t] = sum_s m[t, s] * f[:, s]``.
+    """Rearrange maps along time: ``out[..., :, t] = sum_s m[..., t, s] * f[..., :, s]``.
 
-    ``m`` is T x T, ``f`` is C,T,H,W; each output timestep is a mixture of
-    input timesteps with weights from the matching row of ``m``.
+    ``m`` is (..., T, T) and ``f`` is (..., C, T, H, W); their leading axes
+    broadcast, so one call mixes many maps by many matrices. Each output
+    timestep mixes input timesteps with the weights of a row of ``m``.
     """
     mv, fv = m.value, f.value
-    if mv.ndim != 2 or mv.shape[0] != mv.shape[1] or fv.ndim != 4 or fv.shape[1] != mv.shape[0]:
+    if mv.ndim < 2 or fv.ndim < 4 or not mv.shape[-2] == mv.shape[-1] == fv.shape[-3]:
         raise ValueError(f"mix_time: incompatible shapes {mv.shape} and {fv.shape}")
-    c, t = fv.shape[:2]
-    f3 = fv.reshape(c, t, -1)
-    out = (mv @ f3).reshape(fv.shape)
+    m4 = mv[..., None, :, :]  # (..., 1, T, T), broadcast over channels
+    f3 = fv.reshape(*fv.shape[:-2], -1)  # (..., C, T, H*W)
+    out = m4 @ f3
+    out = out.reshape(*out.shape[:-1], *fv.shape[-2:])
 
     def bwd(g):
-        g3 = g.reshape(c, t, -1)
-        gm = np.tensordot(g3, f3, axes=([0, 2], [0, 2]))
-        gf = (mv.T @ g3).reshape(fv.shape)
-        return gm, gf
+        g3 = g.reshape(*g.shape[:-2], -1)
+        gm = (g3 @ np.swapaxes(f3, -1, -2)).sum(axis=-3)
+        gf = np.swapaxes(m4, -1, -2) @ g3
+        return _unbroadcast(gm, mv.shape), _unbroadcast(gf, f3.shape).reshape(fv.shape)
 
     return m.tape.record("mix_time", out, (m, f), bwd)
 

@@ -87,16 +87,23 @@ class _ExactReader:
 
 
 def save(path: str | os.PathLike, magic: bytes, meta: dict, arrays: dict[str, Array]) -> None:
-    """Write ``meta`` and the named arrays to ``path`` through a renamed temp file."""
-    entries = [{"name": name, "shape": list(np.shape(a))} for name, a in arrays.items()]
+    """Write ``meta`` and the named arrays to ``path`` through a temp file, renamed
+    on success and removed on failure; arrays are converted before it is opened."""
+    records = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}
+    entries = [{"name": name, "shape": list(a.shape)} for name, a in records.items()]
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_PREFIX.pack(magic, FORMAT_VERSION, len(header)))
-        fh.write(header)
-        for a in arrays.values():
-            np.save(fh, np.asarray(a, dtype="<f8"), allow_pickle=False)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREFIX.pack(magic, FORMAT_VERSION, len(header)))
+            fh.write(header)
+            for a in records.values():
+                np.save(fh, a, allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]:

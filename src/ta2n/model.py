@@ -1,27 +1,30 @@
 """Full alignment network: embedder, temporal transform, coordination, metric.
 
 The episode forward pass aligns every query against every class
-independently (fresh coordination per pair) and classifies with frame-wise
-cosine distances between the pooled pair representations. Stage one, the
-embedder and the temporal transform, runs once per block: all support
-videos of an episode go through one embed -> TTM -> warp chain, all its
-queries through another, and a class's prototype is the mean of its warped
-shots. Work of stage two that depends on one video only runs once per video:
-the coordination's pooled projections and value maps, and the offset
-predictor's first convolution of each support and each query. Per pair
-remain the T x T correlation, the rearranged query map and the metric. The
-masks and masked means of all pairs are one broadcast
-``acm.spatial_coordinate`` call over (query, class) leading axes.
+independently and classifies with frame-wise cosine distances between the
+pooled pair representations. Both stages run on blocks of videos.
 
-All pairs of an episode go through one offset-predictor call, so batch-norm
-statistics are per-episode during training. Its first layer is the conv3d
-of every pair stack, the channel concatenation of ``s_n`` and
-``mix_time(M_qn, v_q)``, computed without building the stacks: by
-linearity it equals ``conv3d(s_n, W_s) + sum_k shift_k(M_qn) @ Z_k(v_q)``,
-where ``[W_s | W_q]`` splits the kernel by input half and ``Z_k`` is the
-query through the 3x3 spatial taps of temporal slice ``k`` of ``W_q``
-(``autodiff.pair_conv3d``). Without temporal coordination every ``M_qn``
-is the identity.
+Stage one, the embedder and the temporal transform, runs once per block:
+all support videos of an episode go through one embed -> TTM -> warp chain,
+all its queries through another, and the (C, N, T, H, W) prototype block
+holds the mean of each class's warped shots.
+
+Stage two takes the prototype block and the (C, Q, T, H, W) query block
+whole. Once per block run TC's pooled projections and value maps, and,
+without SC, the spatial mean. Once per episode run the rearrangement of
+every query onto every class (one ``ad.mix_time`` over (Q, N) leading
+axes), the offset predictor and the masks and masked means of all pairs
+(one broadcast ``acm.spatial_coordinate`` call). Without SC, TC mixes the
+spatially averaged queries, since the mean over H, W commutes with the time
+mix, so no (Q, N, d, T, H, W) block is built. Once per pair run only TC's
+T x T correlation and the metric, on rows taken from the pooled blocks:
+the benchmark counts one ``TemporalCoordination.forward`` and one
+``metric.frame_cosine_distance`` call per pair, and reads
+``EpisodeOutput.probs`` as one entry per query.
+
+The offset predictor takes all pairs of an episode in one call, so
+batch-norm statistics are per-episode during training, and its first layer
+never builds the pair stacks (``autodiff.pair_conv3d``).
 """
 
 from __future__ import annotations
@@ -156,74 +159,61 @@ class AlignmentModel:
         by_class = ad.reshape(support, (support.shape[0], n_way, k_shot, *support.shape[2:]))
         prototypes = ad.reduce_mean(by_class, axis=2)
         query = self._stage_one(tape, episode.query)
-        class_reprs = [ad.take(prototypes, n, axis=1) for n in range(n_way)]
-        query_feats = [ad.take(query, q, axis=1) for q in range(len(episode.query))]
-
-        # stage two: per-video coordination inputs, then every (query, class) pair
-        if self.tc is not None:
-            support_sides = [self.tc.support_side(tape, f) for f in class_reprs]
-            query_sides = [self.tc.query_side(tape, f) for f in query_feats]
-            supports = [side.values for side in support_sides]
-            queries = [side.values for side in query_sides]
-            pairs = [self.tc.forward(s, q) for q in query_sides for s in support_sides]
-        else:
-            supports, queries = class_reprs, query_feats
-            pairs = [(q, None) for q in query_feats for _ in class_reprs]
-
-        pooled = self._pool_pairs(tape, supports, queries, pairs, training, epoch)
+        pairs = self._stage_two(tape, prototypes, query, training, epoch)
         probs = [
-            metric.classify(pooled[qi * n_way : (qi + 1) * n_way])
-            for qi in range(len(query_feats))
+            metric.classify(pairs[qi * n_way : (qi + 1) * n_way])
+            for qi in range(len(episode.query))
         ]
         return EpisodeOutput(probs, list(episode.query_labels))
 
-    def _pool_pairs(
-        self,
-        tape: Tape,
-        supports: list[Var],
-        queries: list[Var],
-        pairs: list[tuple[Var, Var | None]],
-        training: bool,
-        epoch: int,
+    def _stage_two(
+        self, tape: Tape, prototypes: Var, query: Var, training: bool, epoch: int
     ) -> list[tuple[Var, Var]]:
-        """Spatially coordinate (or plainly pool) every pair -> (d,T) pairs.
-
-        ``supports`` and ``queries`` hold one map per class and per query;
-        ``pairs[q*N + n]`` is query ``q`` rearranged onto class ``n`` and the
-        correlation that did it (None without TC). With SC, every pair goes
-        through one broadcast ``acm.spatial_coordinate`` call, whose output is
-        split per pair for the metric.
-        """
-        n_way = len(supports)
-        if self.sc is None:
-            pooled_supports = [ad.reduce_mean(s, axis=(-2, -1)) for s in supports]
-            pooled = [
-                (pooled_supports[k % n_way], ad.reduce_mean(q, axis=(-2, -1)))
-                for k, (q, _) in enumerate(pairs)
-            ]
-            return pooled
-        n_query, t = len(queries), supports[0].shape[1]
-        support_stack, query_stack = ad.stack(supports), ad.stack(queries)
-        if pairs[0][1] is None:
-            mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
-            rearranged = ad.reshape(query_stack, (n_query, 1, *query_stack.shape[1:]))
+        """Pooled (d, T) maps of every (query, class) pair, ``pairs[q*N + n]``, from the
+        (C, N, T, H, W) prototype block and the (C, Q, T, H, W) query block."""
+        n_way, n_query, t = prototypes.shape[1], query.shape[1], prototypes.shape[2]
+        if self.tc is not None:
+            keys, support_values = self.tc.support_side(tape, prototypes)
+            queries, query_values = self.tc.query_side(tape, query)
+            key_rows = _rows(keys)
+            corrs = [self.tc.forward(k, q) for q in _rows(queries) for k in key_rows]
+            mix = ad.reshape(ad.stack(corrs), (n_query, n_way, t, t))
         else:
-            mix = ad.reshape(ad.stack([corr for _, corr in pairs]), (n_query, n_way, t, t))
-            rearranged = ad.reshape(
-                ad.stack([q for q, _ in pairs]), (n_query, n_way, *query_stack.shape[1:])
-            )
-        offsets = self.sc.forward(tape, support_stack, query_stack, mix, training)  # (Q*N, T, 2)
+            support_values, query_values, mix = prototypes, query, None
+        supports = ad.transpose(support_values, (1, 0, 2, 3, 4))  # (N, d, T, H, W)
+        queries = ad.transpose(query_values, (1, 0, 2, 3, 4))  # (Q, d, T, H, W)
+        d = supports.shape[1]
+        if self.sc is None:
+            f_s = ad.reduce_mean(supports, axis=(-2, -1))  # (N, d, T)
+            f_q = ad.reduce_mean(queries, axis=(-2, -1))  # (Q, d, T)
+            if mix is None:
+                query_rows = [f for f in _rows(f_q) for _ in range(n_way)]
+            else:
+                f_q = ad.mix_time(mix, ad.reshape(f_q, (n_query, 1, d, t, 1, 1)))
+                query_rows = _rows(ad.reshape(f_q, (n_query * n_way, d, t)))
+            return list(zip(_rows(f_s) * n_query, query_rows))
+        by_query = ad.reshape(queries, (n_query, 1, d, *queries.shape[2:]))
+        if mix is None:
+            mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
+            rearranged = by_query
+        else:
+            rearranged = ad.mix_time(mix, by_query)  # (Q, N, d, T, H, W)
+        offsets = self.sc.forward(tape, supports, queries, mix, training)  # (Q*N, T, 2)
         if training:
             displacements = acm.perturb_displacements(epoch)
         else:
             displacements = acm.NO_DISPLACEMENT
-        f_s, f_q = acm.spatial_coordinate(
-            tape, support_stack, rearranged, ad.reshape(offsets, (n_query, n_way, t, 2)),
+        pooled = acm.spatial_coordinate(
+            tape, supports, rearranged, ad.reshape(offsets, (n_query, n_way, t, 2)),
             displacements=displacements,
-        )  # (Q, N, d, T) each
-        f_s = ad.reshape(f_s, (len(pairs), *f_s.shape[2:]))
-        f_q = ad.reshape(f_q, (len(pairs), *f_q.shape[2:]))
-        return [(ad.take(f_s, k), ad.take(f_q, k)) for k in range(len(pairs))]
+        )  # (Q, N, d, T) support and query means
+        f_s, f_q = (ad.reshape(f, (n_query * n_way, d, t)) for f in pooled)
+        return list(zip(_rows(f_s), _rows(f_q)))
+
+
+def _rows(block: Var) -> list[Var]:
+    """The slices of ``block`` along its leading axis."""
+    return [ad.take(block, i) for i in range(block.shape[0])]
 
 
 # ---------------------------------------------------------------------------

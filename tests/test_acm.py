@@ -32,9 +32,17 @@ def predict(pred, support, query, training=False):
     ).value[0]
 
 
+def block(*videos):
+    """(C, T, H, W) maps as one (C, V, T, H, W) block of videos."""
+    return ad.transpose(ad.stack(videos), (1, 0, 2, 3, 4))
+
+
 def coordinate(tc, tape, support, query):
-    """(rearranged query values, correlation) of one pair of maps."""
-    return tc.forward(tc.support_side(tape, support), tc.query_side(tape, query))
+    """(rearranged query values, correlation) of one pair of (C, T, H, W) maps."""
+    keys, _ = tc.support_side(tape, block(support))
+    queries, values = tc.query_side(tape, block(query))
+    corr = tc.forward(ad.take(keys, 0), ad.take(queries, 0))
+    return ad.mix_time(corr, ad.take(values, 0, axis=1)), corr
 
 
 def weighted_sum(tape, v, seed):
@@ -79,7 +87,7 @@ class TestTemporalCoordination:
         tc = identity_tc(4)
         tape = Tape(grad=False)
         q = tape.const(rng.standard_normal((4, 6, 5, 5)))
-        values = tc.query_side(tape, q).values
+        values = ad.take(tc.query_side(tape, block(q))[1], 0, axis=1)
         out = ad.mix_time(tape.const(np.eye(6)), values)
         npt.assert_allclose(out.value, values.value, atol=1e-12)
 
@@ -108,17 +116,42 @@ class TestTemporalCoordination:
             _, corr = coordinate(tc, tape, s, q)
             npt.assert_array_equal(corr.value.argmax(axis=1), perm)
 
+    def test_block_equals_single_videos(self):
+        # a block of three videos through each side against three one-video blocks
+        rng = np.random.default_rng(4)
+        tc = TemporalCoordination(5, proj_dim=4, rng=rng)
+        tape = Tape(grad=False)
+        videos = [tape.const(rng.standard_normal((5, 6, 4, 3))) for _ in range(3)]
+        for side in (tc.support_side, tc.query_side):
+            proj, values = side(tape, block(*videos))
+            for i, v in enumerate(videos):
+                one_proj, one_values = side(tape, block(v))
+                npt.assert_allclose(proj.value[i], one_proj.value[0], rtol=0, atol=1e-12)
+                npt.assert_allclose(
+                    values.value[:, i], one_values.value[:, 0], rtol=0, atol=1e-12
+                )
+
     def test_gradients(self):
-        # support values, rearranged query values and correlation together
+        # two supports x two queries, as the pipeline runs them: block sides,
+        # one correlation per pair and one batched rearrangement; support
+        # values, rearranged query values and correlations together
         rng = np.random.default_rng(12)
         tc = TemporalCoordination(5, proj_dim=4, rng=rng)
-        support = Parameter(rng.standard_normal((5, 6, 5, 5)), "support")
-        query = Parameter(rng.standard_normal((5, 6, 5, 5)), "query")
+        support = Parameter(rng.standard_normal((5, 2, 6, 5, 5)), "support")
+        query = Parameter(rng.standard_normal((5, 2, 6, 5, 5)), "query")
 
         def build(tape):
-            s_side = tc.support_side(tape, tape.param(support))
-            v_q, corr = tc.forward(s_side, tc.query_side(tape, tape.param(query)))
-            z = ad.add(weighted_sum(tape, s_side.values, 17), weighted_sum(tape, v_q, 18))
+            keys, s_values = tc.support_side(tape, tape.param(support))
+            queries, q_values = tc.query_side(tape, tape.param(query))
+            corr = ad.stack([
+                tc.forward(ad.take(keys, n), ad.take(queries, q))
+                for q in range(2) for n in range(2)
+            ])
+            corr = ad.reshape(corr, (2, 2, 6, 6))
+            rearranged = ad.mix_time(
+                corr, ad.reshape(ad.transpose(q_values, (1, 0, 2, 3, 4)), (2, 1, 4, 6, 5, 5))
+            )
+            z = ad.add(weighted_sum(tape, s_values, 17), weighted_sum(tape, rearranged, 18))
             return ad.add(z, weighted_sum(tape, corr, 19))
 
         stage_gradcheck(build, [support, query, *tc.parameters()])
@@ -239,11 +272,14 @@ class TestOffsetPredictor:
             tape = Tape()
             videos = [tape.param(f) for f in feats]
             if use_tc:
-                s_sides = [tc.support_side(tape, v) for v in videos[:n]]
-                q_sides = [tc.query_side(tape, v) for v in videos[n:]]
-                supports = [side.values for side in s_sides]
-                queries = [side.values for side in q_sides]
-                mixes = [tc.forward(s, q)[1] for q in q_sides for s in s_sides]
+                keys, s_values = tc.support_side(tape, block(*videos[:n]))
+                q_proj, q_values = tc.query_side(tape, block(*videos[n:]))
+                supports = [ad.take(s_values, i, axis=1) for i in range(n)]
+                queries = [ad.take(q_values, i, axis=1) for i in range(n)]
+                mixes = [
+                    tc.forward(ad.take(keys, ci), ad.take(q_proj, qi))
+                    for qi in range(n) for ci in range(n)
+                ]
             else:
                 supports, queries = videos[:n], videos[n:]
                 mixes = [tape.const(np.eye(t)) for _ in range(n * n)]
@@ -364,13 +400,9 @@ class TestMaskedAverage:
             s, q = tape.param(support), tape.param(query)
             corr = ad.softmax(tape.param(mix_logits), axis=3)  # (Q, N, T, T)
             offs = pred.forward(tape, s, q, corr, training=True)  # (Q*N, T, 2)
-            rearranged = ad.stack([
-                ad.mix_time(ad.take(ad.take(corr, i), j), ad.take(q, i))
-                for i in range(2) for j in range(2)
-            ])
+            rearranged = ad.mix_time(corr, ad.reshape(q, (2, 1, *q.shape[1:])))
             f_s, f_q = spatial_coordinate(
-                tape, s, ad.reshape(rearranged, (2, 2, *q.shape[1:])),
-                ad.reshape(offs, (2, 2, 3, 2)),
+                tape, s, rearranged, ad.reshape(offs, (2, 2, 3, 2)),
             )
             return ad.add(weighted_sum(tape, f_s, 21), weighted_sum(tape, f_q, 22))
 

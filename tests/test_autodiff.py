@@ -466,6 +466,19 @@ class TestGradientsMatchFiniteDifferences:
 
         check_op(build, [m, f])
 
+    def test_mix_time_batched(self):
+        # (2, 3) mixes over (2, 1) maps: the leading axes broadcast
+        rng = np.random.default_rng(17)
+        m = Parameter(rng.standard_normal((2, 3, 4, 4)), "m")
+        f = Parameter(rng.standard_normal((2, 1, 3, 4, 2, 2)), "f")
+
+        def build(tape):
+            y = ad.mix_time(tape.param(m), tape.param(f))
+            assert y.shape == (2, 3, 3, 4, 2, 2)
+            return scalarize(tape, y, np.random.default_rng(57))
+
+        check_op(build, [m, f])
+
     def test_offset_masks(self):
         # offsets chosen so no grid coordinate sits on a profile kink
         o = Parameter(np.array([[0.37, -0.21], [1.13, 0.58], [-0.66, 0.29]]), "o")
@@ -508,6 +521,55 @@ class TestGradientsMatchFiniteDifferences:
         f = tape.const(np.zeros((3, 2, 6, 2, 2)))
         with pytest.raises(ValueError, match="batch-shaped"):
             ad.time_linear_sample(f, tape.const(0.5), tape.const(0.1))
+
+
+class TestMixTime:
+    @pytest.mark.parametrize("map_classes", [1, 3])
+    def test_block_equals_single_pairs(self, map_classes):
+        # (Q, N) = (2, 3) mixes over (Q, 1) or (Q, N) maps in one call, against
+        # one single-video call per pair: values and both gradients
+        rng = np.random.default_rng(18)
+        n_query, n_way, t = 2, 3, 5
+        mixes = rng.standard_normal((n_query, n_way, t, t))
+        maps = rng.standard_normal((n_query, map_classes, 4, t, 3, 2))
+        upstream = rng.standard_normal((n_query, n_way, 4, t, 3, 2))
+
+        def run(batched):
+            m, f = Parameter(mixes, "m"), Parameter(maps, "f")
+            tape = Tape()
+            mv, fv = tape.param(m), tape.param(f)
+            if batched:
+                out = ad.mix_time(mv, fv)
+            else:
+                pairs = [
+                    ad.mix_time(
+                        ad.take(ad.take(mv, q), n), ad.take(ad.take(fv, q), n % map_classes)
+                    )
+                    for q in range(n_query) for n in range(n_way)
+                ]
+                out = ad.reshape(ad.stack(pairs), upstream.shape)
+            tape.backward(ad.reduce_sum(ad.mul(out, tape.const(upstream))))
+            return out.value, m.grad, f.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.shape == want.shape
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "m_shape, f_shape",
+        [
+            ((4, 4), (3, 5, 2, 2)),  # T of the map differs
+            ((4, 5), (3, 5, 2, 2)),  # mix not square
+            ((2, 3, 4, 4), (2, 1, 3, 5, 2, 2)),
+            ((4,), (3, 4, 2, 2)),
+            ((4, 4), (4, 2, 2)),  # map without a channel axis
+            ((2, 4, 4), (3, 3, 4, 2, 2)),  # leading axes do not broadcast
+        ],
+    )
+    def test_mismatched_shapes_raise(self, m_shape, f_shape):
+        tape = Tape(grad=False)
+        with pytest.raises(ValueError):
+            ad.mix_time(tape.const(np.zeros(m_shape)), tape.const(np.zeros(f_shape)))
 
 
 def reference_batchnorm_train(x, gamma, beta, running_mean, running_var, g, momentum=0.1, eps=1e-5):

@@ -155,3 +155,20 @@ def test_malformed_file_raises_container_error(files, tmp_path, kind, fault):
 def test_split_join_round_trip(files, kind):
     # the helpers above rebuild a file byte for byte, so each fault changes only what it names
     assert join(*split(files[kind])) == files[kind]
+
+
+def test_unconvertible_array_leaves_no_file(tmp_path):
+    path = tmp_path / "d"
+    with pytest.raises(ValueError):
+        container.save(path, container.DATASET, {}, {"a": np.zeros(3), "b": "abc"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_removes_the_temp_file(tmp_path, monkeypatch):
+    def failing_save(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        container.save(tmp_path / "d", container.DATASET, {}, {"a": np.zeros(3)})
+    assert list(tmp_path.iterdir()) == []

@@ -27,21 +27,19 @@ def prototype_model(**kw):
 def prototypes(model, monkeypatch, shots_per_class):
     """The class prototypes ``episode_forward`` builds from per-class lists of shot features.
 
-    They are read where stage two receives its support maps. With TC those
-    are the prototypes' value maps, which are the prototypes themselves here:
-    at ``proj_dim == channels`` the value projection starts as the identity.
+    They are read where stage two receives them, as one (C, N, T, H, W) block.
     """
     seen = []
-    pool_pairs = AlignmentModel._pool_pairs
+    stage_two = AlignmentModel._stage_two
 
-    def spy(self, tape, supports, *rest):
-        seen.extend(s.value for s in supports)
-        return pool_pairs(self, tape, supports, *rest)
+    def spy(self, tape, prototype_block, *rest):
+        seen.extend(np.moveaxis(prototype_block.value, 1, 0))
+        return stage_two(self, tape, prototype_block, *rest)
 
     def video(feature):
         return VideoFeature(feature, 0, 0.0, 1.0, np.zeros((8, 2)), 0, np.linspace(0.0, 1.0, 5))
 
-    monkeypatch.setattr(AlignmentModel, "_pool_pairs", spy)
+    monkeypatch.setattr(AlignmentModel, "_stage_two", spy)
     support = [[video(f) for f in shots] for shots in shots_per_class]
     query = video(np.ones((6, 8, 5, 5)))
     episode = Episode(support, [query], [0], list(range(len(support))))

@@ -53,6 +53,25 @@ def episode_loss(seed, cfg, k_shot):
     return build, model.parameters()
 
 
+def training_step_census(cfg, monkeypatch):
+    """(tape ops, recorded value shapes) of one 5-way 1-shot 1-query training step."""
+    dims = (cfg.channels, cfg.frames, cfg.height, cfg.width)
+    data = generate_dataset(20, 2, dims, MisalignmentConfig(0.5, 0.8, 1.0, 0.1), seed=0)
+    episode = sample_episode(data, "train", 5, 1, 1, seed=0)
+    shapes = []
+    record = Tape.record
+
+    def recording(tape, op, value, inputs, backward):
+        shapes.append(np.shape(value))
+        return record(tape, op, value, inputs, backward)
+
+    monkeypatch.setattr(Tape, "record", recording)
+    tape = Tape()
+    out = AlignmentModel(cfg).episode_forward(tape, episode, training=True)
+    metric.cross_entropy_loss(out.probs, out.labels)
+    return [e.op for e in tape.entries], shapes
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return generate_dataset(8, 6, DIMS, MisalignmentConfig(0.4, 0.8, 1.0, 0.2), seed=3)
@@ -150,29 +169,27 @@ class TestEpisodeForward:
         # ModelConfig(), 5-way 1-shot 1-query: the offset predictor's first
         # layer is one conv3d entry over per-video inputs, so the
         # (25, 32, 8, 7, 7) pair stack is never built
-        cfg = ModelConfig()
-        dims = (cfg.channels, cfg.frames, cfg.height, cfg.width)
-        data = generate_dataset(20, 2, dims, MisalignmentConfig(0.5, 0.8, 1.0, 0.1), seed=0)
-        episode = sample_episode(data, "train", 5, 1, 1, seed=0)
-        shapes = []
-        record = Tape.record
-
-        def recording(tape, op, value, inputs, backward):
-            shapes.append(np.shape(value))
-            return record(tape, op, value, inputs, backward)
-
-        monkeypatch.setattr(Tape, "record", recording)
-        tape = Tape()
-        out = AlignmentModel(cfg).episode_forward(tape, episode, training=True)
-        metric.cross_entropy_loss(out.probs, out.labels)
-        ops = [e.op for e in tape.entries]
+        ops, shapes = training_step_census(ModelConfig(), monkeypatch)
         assert ops.count("conv3d") == 2
         # the masks of all 25 pairs: one entry for the supports, one for the queries
         assert ops.count("offset_masks") == 2
         assert (25, 32, 8, 7, 7) not in shapes
         # stage one: one embed -> TTM -> warp chain for the supports, one for the queries
         assert ops.count("time_linear_sample") == ops.count("conv1d_temporal") == 2
-        assert len(ops) == 637 < 737
+        # stage two: one correlation per pair, one rearrangement of every pair
+        assert ops.count("matmul") == 25
+        assert ops.count("mix_time") == 1
+        assert len(ops) == 581 < 637
+
+    def test_training_step_op_census_without_sc(self, monkeypatch):
+        # without SC the queries are averaged over space before TC mixes
+        # them, so no (Q, N, d, T, H, W) block of rearranged maps is built
+        ops, shapes = training_step_census(ModelConfig(use_sc=False), monkeypatch)
+        assert ops.count("matmul") == 25
+        assert ops.count("mix_time") == 1
+        assert (5, 5, 16, 8, 7, 7) not in shapes
+        assert (5, 5, 16, 8, 1, 1) in shapes
+        assert len(ops) == 522 < 569
 
     @pytest.mark.parametrize(
         "seed, k_shot, proj_dim",
