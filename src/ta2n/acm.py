@@ -43,7 +43,6 @@ class TemporalCoordination:
     """
 
     def __init__(self, channels: int, proj_dim: int, rng: np.random.Generator):
-        self.channels = channels
         self.proj_dim = proj_dim
         s = 1.0 / np.sqrt(channels)
         self.key_w = Parameter(rng.normal(0.0, s, size=(channels, proj_dim)), "tc.key_w")
@@ -286,7 +285,7 @@ def spatial_coordinate(
     """
     h, w = support.shape[-2:]
     m_s = averaged_masks(tape, offsets, h, w, displacements)
-    m_q = averaged_masks(tape, ad.neg(offsets), h, w, -displacements)
+    m_q = averaged_masks(tape, ad.affine(offsets, -1.0), h, w, -displacements)
     return masked_spatial_average(support, m_s), masked_spatial_average(query, m_q)
 
 

@@ -248,10 +248,6 @@ def div(a: Var, b: Var) -> Var:
     return a.tape.record("div", out, (a, b), bwd)
 
 
-def neg(a: Var) -> Var:
-    return a.tape.record("neg", -a.value, (a,), lambda g: (-g,))
-
-
 def affine(a: Var, gain: float, shift: float = 0.0) -> Var:
     """Elementwise ``gain * a + shift`` with ordinary float constants."""
     out = gain * a.value + shift

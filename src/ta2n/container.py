@@ -9,12 +9,14 @@ offset   bytes  field
 4        2      u16 format version, :data:`FORMAT_VERSION`
 6        4      u32 length ``n`` of the header
 10       n      UTF-8 JSON header ``{"meta": {...}, "arrays": [...]}``
-10 + n   ...    one ``.npy`` record (``np.save``) per array, in header order
+10 + n   8·s    each array's raw little-endian, C-order float64 values, in
+                header order; ``s`` is the sum of the arrays' sizes
 =======  =====  ==========================================================
 
-The file ends right after the last record. ``meta`` carries everything
+The file ends right after the last payload. ``meta`` carries everything
 that is not an array (dimensions, seeds, configs); each ``arrays`` entry is
-``{"name": ..., "shape": [...]}``, and every array is float64.
+``{"name": ..., "shape": [...]}``, and its ``shape`` is the only statement
+of that array's size.
 
 What is wrong with a file's contents raises :class:`ContainerError` or one
 of its subclasses; OS errors such as a missing file pass through unwrapped.
@@ -34,12 +36,8 @@ from .autodiff import Array
 DATASET = b"TA2N"
 CHECKPOINT = b"TA2M"
 KINDS = {DATASET: "dataset", CHECKPOINT: "checkpoint"}
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _PREFIX = struct.Struct("<4sHI")  # magic, version, header length
-_NPY_HEADER_READERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
 
 
 class ContainerError(Exception):
@@ -88,17 +86,18 @@ class _ExactReader:
 
 def save(path: str | os.PathLike, magic: bytes, meta: dict, arrays: dict[str, Array]) -> None:
     """Write ``meta`` and the named arrays to ``path`` through a temp file, renamed
-    on success and removed on failure; arrays are converted before it is opened."""
-    records = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}
-    entries = [{"name": name, "shape": list(a.shape)} for name, a in records.items()]
+    on success and removed on failure; arrays are converted before it is opened,
+    and a C-ordered float64 array is written without a copy."""
+    payloads = {name: np.asarray(a, dtype="<f8", order="C") for name, a in arrays.items()}
+    entries = [{"name": name, "shape": list(a.shape)} for name, a in payloads.items()]
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_PREFIX.pack(magic, FORMAT_VERSION, len(header)))
             fh.write(header)
-            for a in records.values():
-                np.save(fh, a, allow_pickle=False)
+            for a in payloads.values():
+                fh.write(a.reshape(-1).view(np.uint8))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,33 +122,21 @@ def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]
         try:
             doc = json.loads(fh.read(size).decode("utf-8"))
             meta = doc["meta"]
-            shapes = {e["name"]: tuple(e["shape"]) for e in doc["arrays"]}
+            shapes = {e["name"]: _shape(e["shape"]) for e in doc["arrays"]}
         except (ValueError, KeyError, TypeError) as e:
             raise ContainerError(f"malformed {kind} header: {e}") from e
         if not isinstance(meta, dict) or len(shapes) != len(doc["arrays"]):
             raise ContainerError(f"malformed {kind} header: meta is not an object, or array names repeat")
-        arrays = {name: _read_record(fh, name, shape) for name, shape in shapes.items()}
+        arrays = {name: fh.read_float64(shape) for name, shape in shapes.items()}
         if raw.read(1):
             raise TruncatedFileError(f"trailing bytes after the last array of the {kind} file")
     return meta, arrays
 
 
-def _read_record(fh: _ExactReader, name: str, shape: tuple[int, ...]) -> Array:
-    """The next ``.npy`` record, whose own header must agree with the JSON header's
-    ``shape``: the payload is sized and allocated only after that check."""
-    try:
-        version = np.lib.format.read_magic(fh)
-        if version not in _NPY_HEADER_READERS:
-            raise ValueError(f".npy format version {version} is not supported")
-        npy_shape, fortran, dtype = _NPY_HEADER_READERS[version](fh)
-    except ValueError as e:
-        raise ContainerError(f"array {name!r}: {e}") from e
-    if dtype != np.float64 or fortran or npy_shape != shape or min(npy_shape, default=0) < 0:
-        order = "F" if fortran else "C"
-        raise ContainerError(
-            f"array {name!r} is {dtype} {npy_shape} ({order} order), header says float64 {shape}"
-        )
-    return fh.read_float64(npy_shape)
+def _shape(shape) -> tuple[int, ...]:
+    if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"array shape {shape!r} is not a list of non-negative ints")
+    return tuple(shape)
 
 
 def expect_shapes(arrays: dict[str, Array], shapes: dict[str, tuple[int, ...]]) -> None:

@@ -34,12 +34,12 @@ def classify(pairs: Sequence[tuple[Var, Var]]) -> Var:
     if len(pairs) < 2:
         raise ValueError("classification needs at least two classes")
     distances = [frame_cosine_distance(q, p) for p, q in pairs]
-    return ad.softmax(ad.neg(ad.stack(distances)), axis=0)
+    return ad.softmax(ad.affine(ad.stack(distances), -1.0), axis=0)
 
 
 def nll_from_probs(probs: Var, label: int) -> Var:
     """Negative log-probability of the true class for one query."""
-    return ad.neg(ad.log(ad.take(probs, label)))
+    return ad.affine(ad.log(ad.take(probs, label)), -1.0)
 
 
 def cross_entropy_loss(per_query_probs: Sequence[Var], labels: Sequence[int]) -> Var:

@@ -13,8 +13,9 @@ Stage two takes the prototype block and the (C, Q, T, H, W) query block
 whole. Once per block run TC's pooled projections and value maps, and,
 without SC, the spatial mean. Once per episode run the rearrangement of
 every query onto every class (one ``ad.mix_time`` over (Q, N) leading
-axes), the offset predictor and the masks and masked means of all pairs
-(one broadcast ``acm.spatial_coordinate`` call). Without SC, TC mixes the
+axes, whose mix is the identity without TC), the offset predictor and the
+masks and masked means of all pairs (one broadcast
+``acm.spatial_coordinate`` call). Without SC the mix rearranges the
 spatially averaged queries, since the mean over H, W commutes with the time
 mix, so no (Q, N, d, T, H, W) block is built. Once per pair run only TC's
 T x T correlation and the metric, on rows taken from the pooled blocks:
@@ -179,25 +180,18 @@ class AlignmentModel:
             corrs = [self.tc.forward(k, q) for q in _rows(queries) for k in key_rows]
             mix = ad.reshape(ad.stack(corrs), (n_query, n_way, t, t))
         else:
-            support_values, query_values, mix = prototypes, query, None
+            support_values, query_values = prototypes, query
+            mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
         supports = ad.transpose(support_values, (1, 0, 2, 3, 4))  # (N, d, T, H, W)
         queries = ad.transpose(query_values, (1, 0, 2, 3, 4))  # (Q, d, T, H, W)
         d = supports.shape[1]
         if self.sc is None:
             f_s = ad.reduce_mean(supports, axis=(-2, -1))  # (N, d, T)
             f_q = ad.reduce_mean(queries, axis=(-2, -1))  # (Q, d, T)
-            if mix is None:
-                query_rows = [f for f in _rows(f_q) for _ in range(n_way)]
-            else:
-                f_q = ad.mix_time(mix, ad.reshape(f_q, (n_query, 1, d, t, 1, 1)))
-                query_rows = _rows(ad.reshape(f_q, (n_query * n_way, d, t)))
-            return list(zip(_rows(f_s) * n_query, query_rows))
+            f_q = ad.mix_time(mix, ad.reshape(f_q, (n_query, 1, d, t, 1, 1)))
+            return list(zip(_rows(f_s) * n_query, _rows(ad.reshape(f_q, (n_query * n_way, d, t)))))
         by_query = ad.reshape(queries, (n_query, 1, d, *queries.shape[2:]))
-        if mix is None:
-            mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
-            rearranged = by_query
-        else:
-            rearranged = ad.mix_time(mix, by_query)  # (Q, N, d, T, H, W)
+        rearranged = ad.mix_time(mix, by_query)  # (Q, N, d, T, H, W)
         offsets = self.sc.forward(tape, supports, queries, mix, training)  # (Q*N, T, 2)
         if training:
             displacements = acm.perturb_displacements(epoch)

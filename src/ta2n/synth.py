@@ -55,7 +55,6 @@ class VideoFeature:
     start: float  # action interval [start, end] in normalized clip time
     end: float
     centers: Array  # (T, 2) actor centre per frame as (x, y)
-    warp_id: int
     warp_knots: Array  # (WARP_KNOTS + 2,) y-values of the evolution warp
 
     def evolution_curve(self, points: int) -> Array:
@@ -80,13 +79,12 @@ class Dataset:
     height: int
     width: int
     num_classes: int
-    split_counts: tuple[int, int, int]  # train, val, test class counts
     config: MisalignmentConfig
     seed: int
     videos: list[VideoFeature] = field(default_factory=list)
 
     def split_classes(self, split: str) -> list[int]:
-        n_train, n_val, n_test = self.split_counts
+        n_train, n_val, n_test = default_split_counts(self.num_classes)
         ranges = {
             "train": range(0, n_train),
             "val": range(n_train, n_train + n_val),
@@ -248,18 +246,17 @@ def generate_video(
         start=start,
         end=end,
         centers=centers,
-        warp_id=video_id,
         warp_knots=knots,
     )
 
 
 def default_split_counts(num_classes: int) -> tuple[int, int, int]:
+    """Train, val and test class counts; ``ValueError`` below 6 classes."""
+    if num_classes < 6:
+        raise ValueError(f"need at least 6 classes to carve out usable splits, got {num_classes}")
     n_test = max(2, round(num_classes * 0.3))
     n_val = max(1, round(num_classes * 0.15))
-    n_train = num_classes - n_test - n_val
-    if n_train < 1:
-        raise ValueError(f"{num_classes} classes leave no train classes after the split")
-    return n_train, n_val, n_test
+    return num_classes - n_test - n_val, n_val, n_test
 
 
 def generate_dataset(
@@ -271,8 +268,7 @@ def generate_dataset(
 ) -> Dataset:
     """Deterministic dataset of misaligned videos with disjoint class splits."""
     config.validate()
-    if num_classes < 6:
-        raise ValueError("need at least 6 classes to carve out usable splits")
+    default_split_counts(num_classes)
     channels, frames, height, width = dims
     if min(dims) <= 0:
         raise ValueError("dims must be positive")
@@ -293,7 +289,6 @@ def generate_dataset(
         height=height,
         width=width,
         num_classes=num_classes,
-        split_counts=default_split_counts(num_classes),
         config=config,
         seed=seed,
         videos=videos,
@@ -366,7 +361,6 @@ def _array_shapes(n_videos: int, dims: tuple[int, int, int, int]) -> dict[str, t
         "centers": (n_videos, dims[1], 2),
         "warp_knots": (n_videos, WARP_KNOTS + 2),
         "labels": (n_videos,),
-        "warp_ids": (n_videos,),
         "spans": (n_videos, 2),  # (start, end)
     }
 
@@ -378,7 +372,6 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         "videos": len(videos),
         "dims": list(dataset.dims()),
         "num_classes": dataset.num_classes,
-        "split_counts": list(dataset.split_counts),
         "seed": dataset.seed,
         "config": asdict(dataset.config),
     }
@@ -387,7 +380,6 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         "centers": [v.centers for v in videos],
         "warp_knots": [v.warp_knots for v in videos],
         "labels": [v.label for v in videos],
-        "warp_ids": [v.warp_id for v in videos],
         "spans": [(v.start, v.end) for v in videos],
     }
     arrays = {
@@ -398,7 +390,8 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    """Inverse of :func:`save_dataset`; a malformed file raises a ``ContainerError``."""
+    """Inverse of :func:`save_dataset`; a malformed file, or ground truth that
+    :func:`generate_dataset` could not have written, raises a ``ContainerError``."""
     meta, arrays = container.load(path, container.DATASET)
     try:
         n = int(meta["videos"])
@@ -409,33 +402,33 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             height=height,
             width=width,
             num_classes=int(meta["num_classes"]),
-            split_counts=tuple(meta["split_counts"]),
             config=MisalignmentConfig(**meta["config"]),
             seed=int(meta["seed"]),
         )
         dataset.config.validate()
-        counts = dataset.split_counts
-        if (
-            len(counts) != 3 or any(type(c) is not int or c < 0 for c in counts)
-            or sum(counts) != dataset.num_classes
-        ):
-            raise ValueError(
-                f"split counts {counts} are not three non-negative ints "
-                f"partitioning {dataset.num_classes} classes"
-            )
+        default_split_counts(dataset.num_classes)
     except (KeyError, TypeError, ValueError) as e:
         raise container.ContainerError(f"malformed dataset meta: {e}") from e
     container.expect_shapes(arrays, _array_shapes(n, dataset.dims()))
     features, centers, knots = arrays["features"], arrays["centers"], arrays["warp_knots"]
-    labels, warp_ids, spans = arrays["labels"], arrays["warp_ids"], arrays["spans"]
+    labels, spans = arrays["labels"], arrays["spans"]
+    # a NaN propagates through min and max, and an infinity is one of them, so no
+    # temporary the size of the features raises the loader's peak memory
+    if not all(np.isfinite([a.min(initial=0.0), a.max(initial=0.0)]).all() for a in arrays.values()):
+        raise container.ContainerError("dataset arrays must be finite")
     if not np.all((labels >= 0) & (labels < dataset.num_classes) & (labels == np.floor(labels))):
         raise container.ContainerError(
             f"dataset labels must be class ids in [0, {dataset.num_classes})"
         )
+    if not np.all((0.0 <= spans[:, 0]) & (spans[:, 0] < spans[:, 1]) & (spans[:, 1] <= 1.0)):
+        raise container.ContainerError("dataset spans must satisfy 0 <= start < end <= 1")
+    if not np.all((centers >= 0.0) & (centers <= [width - 1.0, height - 1.0])):
+        raise container.ContainerError(
+            f"dataset centres must lie in [0, {width - 1}] x [0, {height - 1}]"
+        )
     dataset.videos = [
         VideoFeature(
-            features[i], int(labels[i]), float(spans[i, 0]), float(spans[i, 1]),
-            centers[i], int(warp_ids[i]), knots[i],
+            features[i], int(labels[i]), float(spans[i, 0]), float(spans[i, 1]), centers[i], knots[i]
         )
         for i in range(n)
     ]

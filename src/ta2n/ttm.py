@@ -37,8 +37,6 @@ class LocalizationNet:
     """
 
     def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
-        self.channels = channels
-        self.hidden = hidden
         k = np.sqrt(2.0 / (channels * 3))
         self.conv_w = Parameter(rng.normal(0.0, k, size=(hidden, channels, 3)), "ttm.conv_w")
         self.conv_b = Parameter(np.zeros(hidden), "ttm.conv_b")

@@ -372,7 +372,7 @@ class TestMaskedAverage:
             f_s, f_q = spatial_coordinate(
                 tape, tape.param(support), tape.param(query), tape.param(offs)
             )
-            diff = ad.add(f_s, ad.neg(f_q))
+            diff = ad.add(f_s, ad.affine(f_q, -1.0))
             return ad.reduce_sum(ad.mul(diff, diff))
 
         report = ad.finite_diff_gradcheck(

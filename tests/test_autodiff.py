@@ -238,8 +238,8 @@ class TestGradientsMatchFiniteDifferences:
 
         def build(tape):
             a, b = tape.param(p), tape.param(q)
-            z = ad.div(ad.mul(ad.add(a, b), ad.add(a, ad.neg(b))), b)
-            z = ad.add(ad.sigmoid(z), ad.tanh(ad.neg(z)))
+            z = ad.div(ad.mul(ad.add(a, b), ad.add(a, ad.affine(b, -1.0))), b)
+            z = ad.add(ad.sigmoid(z), ad.tanh(ad.affine(z, -1.0)))
             z = ad.add(z, ad.log(ad.add(ad.sqrt(b), tape.const(np.ones(1)))))
             return scalarize(tape, z, np.random.default_rng(42))
 

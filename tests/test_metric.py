@@ -37,7 +37,7 @@ def prototypes(model, monkeypatch, shots_per_class):
         return stage_two(self, tape, prototype_block, *rest)
 
     def video(feature):
-        return VideoFeature(feature, 0, 0.0, 1.0, np.zeros((8, 2)), 0, np.linspace(0.0, 1.0, 5))
+        return VideoFeature(feature, 0, 0.0, 1.0, np.zeros((8, 2)), np.linspace(0.0, 1.0, 5))
 
     monkeypatch.setattr(AlignmentModel, "_stage_two", spy)
     support = [[video(f) for f in shots] for shots in shots_per_class]

@@ -28,14 +28,12 @@ def small_dataset(config=None, seed=11, classes=8, per_class=4):
 
 
 def dataset_equal(a: Dataset, b: Dataset) -> bool:
-    if (a.dims(), a.num_classes, a.split_counts, a.seed, a.config) != (
-        b.dims(), b.num_classes, b.split_counts, b.seed, b.config
-    ):
+    if (a.dims(), a.num_classes, a.seed, a.config) != (b.dims(), b.num_classes, b.seed, b.config):
         return False
     if len(a.videos) != len(b.videos):
         return False
     for va, vb in zip(a.videos, b.videos):
-        if va.label != vb.label or va.warp_id != vb.warp_id:
+        if va.label != vb.label:
             return False
         if (va.start, va.end) != (vb.start, vb.end):
             return False
@@ -240,7 +238,7 @@ class TestEpisodes:
         e1 = sample_episode(ds, "train", 3, 1, 2, 42)
         e2 = sample_episode(ds, "train", 3, 1, 2, 42)
         assert e1.class_ids == e2.class_ids
-        assert [v.warp_id for v in e1.query] == [v.warp_id for v in e2.query]
+        assert [id(v) for v in e1.query] == [id(v) for v in e2.query]
 
     def test_insufficient_resources(self):
         ds = small_dataset(per_class=3)
@@ -302,26 +300,33 @@ class TestPersistence:
             save_dataset(ds, missing)
         assert not missing.exists()
 
-    @pytest.mark.parametrize("meta_update, first_label", [
-        ({"config": {"duration_jitter": 5.0}}, 0.0),
-        ({"split_counts": [1, 1, 9]}, 0.0),
-        ({"split_counts": [1, 1]}, 0.0),
-        ({"split_counts": [5, 2, -1]}, 0.0),
-        ({"split_counts": [4.0, 1, 1]}, 0.0),
-        ({}, 6.0),
-        ({}, -1.0),
-        ({}, 0.5),
-    ], ids=[
-        "jitter_above_1", "counts_exceed_classes", "two_counts", "negative_count",
-        "float_count", "label_too_large", "label_negative", "label_not_integer",
+    @pytest.mark.parametrize("meta_update, edit, match", [
+        pytest.param({"config": {"duration_jitter": 5.0}}, None, "meta", id="jitter_above_1"),
+        pytest.param({"num_classes": 5}, None, "meta.*at least 6 classes", id="too_few_classes"),
+        pytest.param({}, ("labels", 0, 6.0), "labels", id="label_too_large"),
+        pytest.param({}, ("labels", 0, -1.0), "labels", id="label_negative"),
+        pytest.param({}, ("labels", 0, 0.5), "labels", id="label_not_integer"),
+        pytest.param({}, ("spans", 0, (0.5, 0.5)), "spans", id="span_empty"),
+        pytest.param({}, ("spans", 0, (0.6, 0.4)), "spans", id="span_reversed"),
+        pytest.param({}, ("spans", 0, (-0.1, 0.5)), "spans", id="span_before_clip"),
+        pytest.param({}, ("spans", 0, (0.5, 1.1)), "spans", id="span_after_clip"),
+        pytest.param({}, ("centers", (0, 0, 0), -0.1), "centres", id="centre_x_negative"),
+        pytest.param({}, ("centers", (0, 0, 0), 6.1), "centres", id="centre_x_beyond_grid"),
+        pytest.param({}, ("centers", (0, 0, 1), 6.1), "centres", id="centre_y_beyond_grid"),
+        pytest.param({}, ("centers", (0, 0, 1), np.nan), "finite", id="centre_nan"),
+        pytest.param({}, ("spans", (0, 1), np.inf), "finite", id="span_inf"),
+        pytest.param({}, ("features", (0, 0, 0, 0, 0), np.nan), "finite", id="feature_nan"),
+        pytest.param({}, ("warp_knots", (0, 1), -np.inf), "finite", id="knot_inf"),
     ])
-    def test_invalid_meta_raises_container_error(self, tmp_path, meta_update, first_label):
-        # generate_dataset rejects each of these; a file must not bring them in either
+    def test_invalid_meta_raises_container_error(self, tmp_path, meta_update, edit, match):
+        # generate_dataset rejects or never writes each of these; a file must not bring them in either
         path = tmp_path / "data.ta2n"
         save_dataset(small_dataset(classes=6, per_class=1), path)
         meta, arrays = container.load(path, container.DATASET)
-        assert meta["num_classes"] == 6 and arrays["labels"][0] == 0.0
-        arrays["labels"][0] = first_label
+        assert meta["num_classes"] == 6 and DIMS[2:] == (7, 7)
+        if edit is not None:
+            name, index, value = edit
+            arrays[name][index] = value
         container.save(path, container.DATASET, {**meta, **meta_update}, arrays)
-        with pytest.raises(ContainerError, match="meta|labels"):
+        with pytest.raises(ContainerError, match=match):
             load_dataset(path)
