@@ -14,7 +14,8 @@ Conventions:
 - all values are float64 ``numpy`` arrays; outputs are marked read-only so
   accidental in-place mutation of a recorded value fails loudly,
 - non-differentiable points use subgradients: ReLU passes zero at 0, max
-  pooling routes gradient to the first maximal element,
+  pooling routes gradient to the first maximal element, a vector norm
+  passes zero at the origin,
 - broadcasting follows numpy; backward passes sum gradients back over
   broadcast axes.
 """
@@ -274,21 +275,6 @@ def tanh(a: Var) -> Var:
     return a.tape.record("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def log(a: Var) -> Var:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.log(a.value)
-    _check_finite("log", out)
-    av = a.value
-    return a.tape.record("log", out, (a,), lambda g: (g / av,))
-
-
-def sqrt(a: Var) -> Var:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.sqrt(a.value)
-    _check_finite("sqrt", out)
-    return a.tape.record("sqrt", out, (a,), lambda g: (g / (2.0 * out),))
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -392,6 +378,76 @@ def softmax(a: Var, axis: int) -> Var:
         return ((g - dot) * out,)
 
     return a.tape.record("softmax", out, (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# metric head
+
+
+def _recip_or_zero(a: Array) -> Array:
+    """``1 / a``, and 0 where ``a`` is 0: a norm's subgradient at the origin."""
+    return np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
+
+
+def cosine_distance(f: Var, p: Var, eps: float) -> Var:
+    """Sum over frames of (1 - cosine similarity) between (..., d, T) maps.
+
+    ``out[...] = sum_t (1 - <f_t, p_t> / ((|f_t| + eps) (|p_t| + eps)))`` over
+    the d-vectors ``f_t``, ``p_t`` of each frame t. Leading axes broadcast, and
+    the output has their broadcast shape. At an all-zero column the norm takes
+    the subgradient 0, so the gradient stays finite there.
+    """
+    fv, pv = f.value, p.value
+    if fv.ndim < 2 or pv.ndim < 2 or fv.shape[-2:] != pv.shape[-2:]:
+        raise ValueError(f"cosine_distance: expected (..., d, T) maps, got {fv.shape} vs {pv.shape}")
+    dots = (fv * pv).sum(axis=-2)
+    norm_f = np.sqrt((fv * fv).sum(axis=-2))
+    norm_p = np.sqrt((pv * pv).sum(axis=-2))
+    denom = (norm_f + eps) * (norm_p + eps)
+    cos = dots / denom
+    out = (1.0 - cos).sum(axis=-1)
+    _check_finite("cosine_distance", out)
+
+    def bwd(g):
+        g = np.asarray(g)[..., None]  # one gradient per pair, the same for each of its frames
+        g_dots = (-g / denom)[..., None, :]
+        g_norm_f = (g * cos / (norm_f + eps) * _recip_or_zero(norm_f))[..., None, :]
+        g_norm_p = (g * cos / (norm_p + eps) * _recip_or_zero(norm_p))[..., None, :]
+        return (
+            _unbroadcast(g_dots * pv + g_norm_f * fv, fv.shape),
+            _unbroadcast(g_dots * fv + g_norm_p * pv, pv.shape),
+        )
+
+    return f.tape.record("cosine_distance", out, (f, p), bwd)
+
+
+def nll(probs: Var, labels: Sequence[int]) -> Var:
+    """Summed negative log-probability of each row's label, ``sum_q -log probs[q, labels[q]]``.
+
+    ``probs`` is a (Q, N) block with one row per query. The terms are added
+    one at a time in row order, so the sum equals a running per-query total
+    bit for bit.
+    """
+    pv = probs.value
+    cols = np.asarray(labels)
+    if pv.ndim != 2 or pv.shape[0] == 0 or cols.shape != pv.shape[:1]:
+        raise ValueError(f"nll: expected one label per row of a (Q, N) block, got {pv.shape}")
+    bad = (cols < 0) | (cols >= pv.shape[1])
+    if bad.any():
+        raise ValueError(f"label {cols[bad.argmax()]} out of range")
+    rows = np.arange(pv.shape[0])
+    picked = pv[rows, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -np.log(picked)
+    _check_finite("nll", terms)
+    out = np.cumsum(terms)[-1]
+
+    def bwd(g):
+        full = np.zeros(pv.shape)
+        full[rows, cols] = -g / picked
+        return (full,)
+
+    return probs.tape.record("nll", out, (probs,), bwd)
 
 
 # ---------------------------------------------------------------------------

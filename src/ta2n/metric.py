@@ -14,15 +14,11 @@ def frame_cosine_distance(f: Var, p: Var) -> Var:
     """Sum over frames of (1 - cosine similarity) between d,T columns.
 
     Range [0, 2T]; scale-invariant per frame up to the tiny epsilon that
-    keeps zero-norm columns defined.
+    keeps zero-norm columns defined. One ``cosine_distance`` tape entry.
     """
     if f.shape != p.shape or len(f.shape) != 2:
         raise ValueError(f"expected matching d,T arrays, got {f.shape} vs {p.shape}")
-    dots = ad.reduce_sum(ad.mul(f, p), axis=0)  # (T,)
-    nf = ad.affine(ad.sqrt(ad.reduce_sum(ad.mul(f, f), axis=0)), 1.0, NORM_EPS)
-    np_ = ad.affine(ad.sqrt(ad.reduce_sum(ad.mul(p, p), axis=0)), 1.0, NORM_EPS)
-    cos = ad.div(dots, ad.mul(nf, np_))
-    return ad.reduce_sum(ad.affine(cos, -1.0, 1.0))
+    return ad.cosine_distance(f, p, NORM_EPS)
 
 
 def classify(pairs: Sequence[tuple[Var, Var]]) -> Var:
@@ -37,19 +33,12 @@ def classify(pairs: Sequence[tuple[Var, Var]]) -> Var:
     return ad.softmax(ad.affine(ad.stack(distances), -1.0), axis=0)
 
 
-def nll_from_probs(probs: Var, label: int) -> Var:
-    """Negative log-probability of the true class for one query."""
-    return ad.affine(ad.log(ad.take(probs, label)), -1.0)
-
-
 def cross_entropy_loss(per_query_probs: Sequence[Var], labels: Sequence[int]) -> Var:
-    """Summed negative log-likelihood over an episode's query set."""
+    """Summed negative log-likelihood over an episode's query set.
+
+    One ``stack`` of the per-query probabilities and one ``nll`` tape entry;
+    a label out of range raises ``ValueError``.
+    """
     if len(per_query_probs) != len(labels):
         raise ValueError("one label per query expected")
-    total = None
-    for probs, label in zip(per_query_probs, labels):
-        if not 0 <= label < probs.value.shape[0]:
-            raise ValueError(f"label {label} out of range")
-        term = nll_from_probs(probs, label)
-        total = term if total is None else ad.add(total, term)
-    return total
+    return ad.nll(ad.stack(per_query_probs), labels)

@@ -21,7 +21,9 @@ mix, so no (Q, N, d, T, H, W) block is built. Once per pair run only TC's
 T x T correlation and the metric, on rows taken from the pooled blocks:
 the benchmark counts one ``TemporalCoordination.forward`` and one
 ``metric.frame_cosine_distance`` call per pair, and reads
-``EpisodeOutput.probs`` as one entry per query.
+``EpisodeOutput.probs`` as one entry per query. Each pair's distance is a
+single ``ad.cosine_distance`` tape entry, and the episode loss a single
+``ad.nll`` entry over the stacked probabilities.
 
 The offset predictor takes all pairs of an episode in one call, so
 batch-norm statistics are per-episode during training, and its first layer

@@ -426,6 +426,17 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         raise container.ContainerError(
             f"dataset centres must lie in [0, {width - 1}] x [0, {height - 1}]"
         )
+    # _sample_warp_knots writes knots from exactly 0 to exactly 1 whose segment
+    # slopes lie in [1/(1+s), 1+s], up to the rounding of its cumulative sum
+    severity = dataset.config.evolution_severity
+    slopes = np.diff(knots, axis=1) * (WARP_KNOTS + 1)
+    if not (
+        np.all(knots[:, 0] == 0.0) and np.all(knots[:, -1] == 1.0)
+        and np.all(slopes >= 1.0 / (1.0 + severity) - 1e-9) and np.all(slopes <= 1.0 + severity + 1e-9)
+    ):
+        raise container.ContainerError(
+            f"dataset warp knots must rise from 0 to 1 with slopes in [1/(1+s), 1+s], s = {severity}"
+        )
     dataset.videos = [
         VideoFeature(
             features[i], int(labels[i]), float(spans[i, 0]), float(spans[i, 1]), centers[i], knots[i]

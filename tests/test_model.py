@@ -72,6 +72,13 @@ def training_step_census(cfg, monkeypatch):
     return [e.op for e in tape.entries], shapes
 
 
+def assert_fused_metric_head(ops):
+    """One distance entry per pair (5 x 5) and one loss entry per episode."""
+    assert ops.count("cosine_distance") == 25
+    assert ops.count("nll") == 1
+    assert "sqrt" not in ops and "log" not in ops
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return generate_dataset(8, 6, DIMS, MisalignmentConfig(0.4, 0.8, 1.0, 0.2), seed=3)
@@ -179,7 +186,8 @@ class TestEpisodeForward:
         # stage two: one correlation per pair, one rearrangement of every pair
         assert ops.count("matmul") == 25
         assert ops.count("mix_time") == 1
-        assert len(ops) == 581 < 637
+        assert_fused_metric_head(ops)
+        assert len(ops) == 239 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC the queries are averaged over space before TC mixes
@@ -189,7 +197,8 @@ class TestEpisodeForward:
         assert ops.count("mix_time") == 1
         assert (5, 5, 16, 8, 7, 7) not in shapes
         assert (5, 5, 16, 8, 1, 1) in shapes
-        assert len(ops) == 522 < 569
+        assert_fused_metric_head(ops)
+        assert len(ops) == 180 < 522
 
     @pytest.mark.parametrize(
         "seed, k_shot, proj_dim",

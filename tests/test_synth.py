@@ -317,6 +317,12 @@ class TestPersistence:
         pytest.param({}, ("spans", (0, 1), np.inf), "finite", id="span_inf"),
         pytest.param({}, ("features", (0, 0, 0, 0, 0), np.nan), "finite", id="feature_nan"),
         pytest.param({}, ("warp_knots", (0, 1), -np.inf), "finite", id="knot_inf"),
+        pytest.param({}, ("warp_knots", 0, [0.0, 0.9, 0.2, 0.5, 1.0]), "warp knots", id="knots_not_monotone"),
+        pytest.param({}, ("warp_knots", 1, [0.3, 0.4, 0.5, 0.6, 0.7]), "warp knots", id="knots_not_onto"),
+        pytest.param(
+            {"config": {"evolution_severity": 1.0}}, ("warp_knots", 0, [0.0, 0.1, 0.2, 0.3, 1.0]),
+            "warp knots", id="knot_slopes_beyond_s",
+        ),
     ])
     def test_invalid_meta_raises_container_error(self, tmp_path, meta_update, edit, match):
         # generate_dataset rejects or never writes each of these; a file must not bring them in either
