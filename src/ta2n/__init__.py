@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`ta2n.autodiff` — reverse-mode tensor core and gradient checker
+- :mod:`ta2n.autodiff` — reverse-mode tensor core: the tape and the ops the pipeline records
 - :mod:`ta2n.container` — the one binary file format (datasets, checkpoints)
 - :mod:`ta2n.synth` — synthetic misaligned episode data, persistence
 - :mod:`ta2n.ttm` — temporal transform stage (duration alignment)

@@ -95,25 +95,7 @@ class TemporalCoordination:
 
 
 # ---------------------------------------------------------------------------
-# offset masks
-
-
-def generate_offset_mask(offset, height: int, width: int) -> Array:
-    """Soft window around grid centre + (x, y) offset, as a plain array.
-
-    The profile is 1 within distance 1 of the centre along each axis, falls
-    off linearly with ``MASK_SLOPE`` and is exactly 0 beyond distance
-    1 + 1/MASK_SLOPE; the 2-D mask is the product of the two axis profiles.
-    """
-    ox, oy = float(offset[0]), float(offset[1])
-    cx = (width - 1) / 2.0 + ox
-    cy = (height - 1) / 2.0 + oy
-
-    def profile(n, c):
-        d = np.abs(np.arange(n) - c)
-        return np.where(d < 1.0, 1.0, np.maximum(0.0, 1.0 - MASK_SLOPE * (d - 1.0)))
-
-    return profile(height, cy)[:, None] * profile(width, cx)[None, :]
+# mask perturbation
 
 
 def perturb_displacements(epoch: int) -> Array:

@@ -22,8 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,15 +34,7 @@ __all__ = [
     "Parameter",
     "Tape",
     "Var",
-    "GradCheckReport",
-    "as_tensor",
-    "finite_diff_gradcheck",
 ]
-
-
-def as_tensor(x) -> Array:
-    """Coerce to a C-ordered float64 array (0-d allowed for scalars)."""
-    return np.asarray(x, dtype=np.float64, order="C")
 
 
 def _frozen(a: Array) -> Array:
@@ -66,7 +57,7 @@ class Parameter:
 
     def __init__(self, value, name: str):
         self.name = name
-        self.value = as_tensor(value)
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.value)
 
     @property
@@ -291,18 +282,6 @@ def transpose(a: Var, axes: tuple[int, ...]) -> Var:
     return a.tape.record("transpose", out, (a,), lambda g: (np.transpose(g, inv),))
 
 
-def concat(parts: Sequence[Var], axis: int = 0) -> Var:
-    tape = parts[0].tape
-    sizes = [p.value.shape[axis] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return tape.record("concat", out, tuple(parts), bwd)
-
-
 def take(a: Var, index: int, axis: int = 0) -> Var:
     """Select one slice along ``axis`` (keeps the remaining axes)."""
     out = np.take(a.value, index, axis=axis)
@@ -389,33 +368,34 @@ def _recip_or_zero(a: Array) -> Array:
     return np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
 
 
-def cosine_distance(f: Var, p: Var, eps: float) -> Var:
+def cosine_distance(f: Var, p: Var) -> Var:
     """Sum over frames of (1 - cosine similarity) between (..., d, T) maps.
 
-    ``out[...] = sum_t (1 - <f_t, p_t> / ((|f_t| + eps) (|p_t| + eps)))`` over
-    the d-vectors ``f_t``, ``p_t`` of each frame t. Leading axes broadcast, and
-    the output has their broadcast shape. At an all-zero column the norm takes
-    the subgradient 0, so the gradient stays finite there.
+    ``out[...] = sum_t (1 - <f_t, p_t> r(|f_t|) r(|p_t|))`` over the d-vectors
+    ``f_t``, ``p_t`` of each frame t, with ``r`` from :func:`_recip_or_zero`.
+    Leading axes broadcast, and the output has their broadcast shape. An
+    all-zero column has cosine 0, so its frame adds distance 1, and the norm
+    passes zero at the origin, so the column's gradient is exactly 0.
     """
     fv, pv = f.value, p.value
     if fv.ndim < 2 or pv.ndim < 2 or fv.shape[-2:] != pv.shape[-2:]:
         raise ValueError(f"cosine_distance: expected (..., d, T) maps, got {fv.shape} vs {pv.shape}")
     dots = (fv * pv).sum(axis=-2)
-    norm_f = np.sqrt((fv * fv).sum(axis=-2))
-    norm_p = np.sqrt((pv * pv).sum(axis=-2))
-    denom = (norm_f + eps) * (norm_p + eps)
-    cos = dots / denom
+    r_f = _recip_or_zero(np.sqrt((fv * fv).sum(axis=-2)))
+    r_p = _recip_or_zero(np.sqrt((pv * pv).sum(axis=-2)))
+    cos = dots * r_f * r_p
     out = (1.0 - cos).sum(axis=-1)
     _check_finite("cosine_distance", out)
 
     def bwd(g):
+        # d cos / d f = r_f r_p p - cos r_f^2 f, and symmetrically for p
         g = np.asarray(g)[..., None]  # one gradient per pair, the same for each of its frames
-        g_dots = (-g / denom)[..., None, :]
-        g_norm_f = (g * cos / (norm_f + eps) * _recip_or_zero(norm_f))[..., None, :]
-        g_norm_p = (g * cos / (norm_p + eps) * _recip_or_zero(norm_p))[..., None, :]
+        g_cross = (-g * r_f * r_p)[..., None, :]
+        g_f = (g * cos * r_f * r_f)[..., None, :]
+        g_p = (g * cos * r_p * r_p)[..., None, :]
         return (
-            _unbroadcast(g_dots * pv + g_norm_f * fv, fv.shape),
-            _unbroadcast(g_dots * fv + g_norm_p * pv, pv.shape),
+            _unbroadcast(g_cross * pv + g_f * fv, fv.shape),
+            _unbroadcast(g_cross * fv + g_p * pv, pv.shape),
         )
 
     return f.tape.record("cosine_distance", out, (f, p), bwd)
@@ -941,131 +921,3 @@ def offset_masks(offsets: Var, height: int, width: int, gamma: float) -> Var:
         return (np.stack([gx, gy], axis=1),)
 
     return offsets.tape.record("offset_masks", out, (offsets,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of comparing backward gradients with central differences."""
-
-    max_rel_err: float = 0.0
-    checked: int = 0
-    failures: list[tuple[str, int, float]] = field(default_factory=list)
-    tolerance: float = 1e-4
-    # per checked coordinate: (parameter, flat index, error at the first
-    # step, ladder rung it stopped at; rung 0 is the first step)
-    ladder: list[tuple[str, int, float, int]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures and self.checked > 0
-
-    @property
-    def first_rung_max_err(self) -> float:
-        """Largest error at the first step: the margin ``max_rel_err`` hides."""
-        return max((err for _, _, err, _ in self.ladder), default=0.0)
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        lower = sum(1 for *_, rung in self.ladder if rung > 0)
-        deepest = max((rung for *_, rung in self.ladder), default=0)
-        return (
-            f"{status}: {self.checked} coordinates, max rel err "
-            f"{self.max_rel_err:.3e} (tol {self.tolerance:.1e}); first step max "
-            f"{self.first_rung_max_err:.3e}, {lower} stopped lower (deepest rung {deepest})"
-        )
-
-
-GRADCHECK_STEP_FLOOR = 1e-8
-
-
-def _rel_err(numeric: float, analytic: float) -> float:
-    denom = max(abs(numeric), abs(analytic))
-    if denom < 1e-8:
-        return abs(numeric - analytic)
-    return abs(numeric - analytic) / denom
-
-
-def finite_diff_gradcheck(
-    fn: Callable[[Tape], Var],
-    params: Sequence[Parameter],
-    *,
-    step: float = 1e-3,
-    tolerance: float = 1e-4,
-    rng: np.random.Generator | None = None,
-    max_coords_per_param: int = 8,
-) -> GradCheckReport:
-    """Check backward gradients of a scalar function against central differences.
-
-    ``fn`` must be deterministic: called with a recording tape once to obtain
-    analytic gradients, then forward-only at perturbed parameter values. Each
-    sampled coordinate is probed down a ladder of steps that starts at
-    ``step`` and divides by 4 while the step stays at or above
-    ``GRADCHECK_STEP_FLOOR``; the first step whose central difference agrees
-    with backward within ``tolerance`` (relative error, or absolute error
-    when both estimates are below 1e-8) passes the coordinate, and the
-    smallest step's error is recorded otherwise. The report also keeps each
-    coordinate's error at the first step and the rung it stopped at, so a
-    pass that needed a smaller step, or passed near the tolerance, shows. A subgradient kink close to
-    the evaluation point is thus stepped under rather than straddled, while a
-    backward that is wrong stays wrong at every rung.
-
-    A point sitting exactly on a kink (a ReLU at 0, a max pool's tie) has
-    no central difference that matches a subgradient at any step. Moving the
-    evaluation point off such a kink is the caller's job; the TTM, SC and
-    full-model checks under ``tests/`` do it by nudging the zero-initialised
-    heads.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rng = rng or np.random.default_rng(0)
-
-    for p in params:
-        p.zero_grad()
-    tape = Tape(grad=True)
-    loss = fn(tape)
-    base = float(loss.value)
-    if not math.isfinite(base):
-        raise FloatingPointError("gradcheck: objective is not finite")
-    tape.backward(loss)
-
-    def value_at() -> float:
-        v = float(fn(Tape(grad=False)).value)
-        if not math.isfinite(v):
-            raise FloatingPointError("gradcheck: objective is not finite")
-        return v
-
-    report = GradCheckReport(tolerance=tolerance)
-    for p in params:
-        n = p.value.size
-        k = min(max_coords_per_param, n)
-        coords = rng.choice(n, size=k, replace=False) if n > k else np.arange(n)
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for c in coords:
-            analytic = float(gflat[c])
-            orig = float(flat[c])
-            h = step
-            rung = 0
-            while True:
-                flat[c] = orig + h
-                up = value_at()
-                flat[c] = orig - h
-                down = value_at()
-                flat[c] = orig
-                err = _rel_err((up - down) / (2.0 * h), analytic)
-                if rung == 0:
-                    first_err = err
-                if err <= tolerance or h / 4.0 < GRADCHECK_STEP_FLOOR:
-                    break
-                h /= 4.0
-                rung += 1
-            report.checked += 1
-            report.ladder.append((p.name, int(c), first_err, rung))
-            report.max_rel_err = max(report.max_rel_err, err)
-            if err > tolerance:
-                report.failures.append((p.name, int(c), err))
-    return report

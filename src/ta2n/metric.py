@@ -7,18 +7,17 @@ from typing import Sequence
 from . import autodiff as ad
 from .autodiff import Var
 
-NORM_EPS = 1e-12
-
 
 def frame_cosine_distance(f: Var, p: Var) -> Var:
     """Sum over frames of (1 - cosine similarity) between d,T columns.
 
-    Range [0, 2T]; scale-invariant per frame up to the tiny epsilon that
-    keeps zero-norm columns defined. One ``cosine_distance`` tape entry.
+    Range [0, 2T]; scale-invariant per frame. An all-zero column, such as a
+    blank frame, has cosine 0 and gradient 0. One ``cosine_distance`` tape
+    entry.
     """
     if f.shape != p.shape or len(f.shape) != 2:
         raise ValueError(f"expected matching d,T arrays, got {f.shape} vs {p.shape}")
-    return ad.cosine_distance(f, p, NORM_EPS)
+    return ad.cosine_distance(f, p)
 
 
 def classify(pairs: Sequence[tuple[Var, Var]]) -> Var:

@@ -62,6 +62,23 @@ class ModelConfig:
     use_sc: bool = True
     init_seed: int = 0
 
+    def validate(self) -> None:
+        """``ValueError`` unless every size is a positive int, every toggle a
+        bool, and the TTM, when on, has at least two frames to resample."""
+        if not (isinstance(self.offset_channels, tuple) and len(self.offset_channels) == 2):
+            raise ValueError(f"offset_channels must be a pair of sizes, got {self.offset_channels!r}")
+        names = ("channels", "frames", "height", "width", "proj_dim", "ttm_hidden", "offset_hidden")
+        sizes = [(name, getattr(self, name)) for name in names]
+        sizes += [(f"offset_channels[{i}]", c) for i, c in enumerate(self.offset_channels)]
+        for name, value in sizes:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        for name in ("use_ttm", "use_tc", "use_sc"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.use_ttm and self.frames < 2:
+            raise ValueError(f"the TTM resamples in time and needs frames >= 2, got {self.frames}")
+
 
 @dataclass
 class EpisodeOutput:
@@ -80,6 +97,7 @@ class AlignmentModel:
     """Assembled network; module toggles select any ablation variant."""
 
     def __init__(self, config: ModelConfig):
+        config.validate()
         self.config = config
         c = config.channels
         # one stream per module (TTM, TC, SC), so toggling one leaves the others' init alone

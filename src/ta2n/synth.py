@@ -259,6 +259,20 @@ def default_split_counts(num_classes: int) -> tuple[int, int, int]:
     return num_classes - n_test - n_val, n_val, n_test
 
 
+def _check_layout(num_classes: int, dims: tuple[int, int, int, int], config: MisalignmentConfig) -> None:
+    """``ValueError`` unless :func:`generate_dataset` can build ``num_classes``
+    classes of (C, T, H, W) ``dims`` videos under ``config``."""
+    config.validate()
+    default_split_counts(num_classes)
+    if min(dims) <= 0:
+        raise ValueError(f"dims must be positive, got {list(dims)}")
+    height, width = dims[2:]
+    if TEMPLATE_SIZE > height or TEMPLATE_SIZE > width:
+        raise ValueError(
+            f"actor template {TEMPLATE_SIZE}x{TEMPLATE_SIZE} does not fit a {height}x{width} grid"
+        )
+
+
 def generate_dataset(
     num_classes: int,
     videos_per_class: int,
@@ -267,15 +281,8 @@ def generate_dataset(
     seed: int,
 ) -> Dataset:
     """Deterministic dataset of misaligned videos with disjoint class splits."""
-    config.validate()
-    default_split_counts(num_classes)
+    _check_layout(num_classes, dims, config)
     channels, frames, height, width = dims
-    if min(dims) <= 0:
-        raise ValueError("dims must be positive")
-    if TEMPLATE_SIZE > height or TEMPLATE_SIZE > width:
-        raise ValueError(
-            f"actor template {TEMPLATE_SIZE}x{TEMPLATE_SIZE} does not fit a {height}x{width} grid"
-        )
     signatures = make_class_signatures(num_classes, channels, seed)
     videos = []
     vid = 0
@@ -293,18 +300,6 @@ def generate_dataset(
         seed=seed,
         videos=videos,
     )
-
-
-def noise_free_signals(dataset: Dataset, videos: list[VideoFeature]) -> list[Array]:
-    """Each video's actor signal without its noise, rendered from its stored ground truth.
-
-    The class signatures are built once per call, not once per video.
-    """
-    sigs = make_class_signatures(dataset.num_classes, dataset.channels, dataset.seed)
-    return [
-        _render_actor(sigs[v.label], dataset.dims(), v.start, v.end, v.warp_knots, v.centers)
-        for v in videos
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +400,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             config=MisalignmentConfig(**meta["config"]),
             seed=int(meta["seed"]),
         )
-        dataset.config.validate()
-        default_split_counts(dataset.num_classes)
+        _check_layout(dataset.num_classes, dataset.dims(), dataset.config)
     except (KeyError, TypeError, ValueError) as e:
         raise container.ContainerError(f"malformed dataset meta: {e}") from e
     container.expect_shapes(arrays, _array_shapes(n, dataset.dims()))

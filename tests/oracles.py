@@ -1,0 +1,59 @@
+"""Plain reference implementations the tests compare the pipeline against.
+
+None of these runs on the pipeline path: ``concat`` builds the pair stacks
+that ``ad.pair_conv3d`` never materializes, ``generate_offset_mask`` is one
+mask as a plain array, and ``noise_free_signals`` renders a video's actor
+without its noise from the ground truth it carries.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from ta2n import acm, synth
+from ta2n.autodiff import Array, Var
+
+
+def concat(parts: Sequence[Var], axis: int = 0) -> Var:
+    """Join vars along an existing axis, recorded as one ``concat`` tape entry."""
+    tape = parts[0].tape
+    sizes = [p.value.shape[axis] for p in parts]
+    out = np.concatenate([p.value for p in parts], axis=axis)
+    splits = np.cumsum(sizes)[:-1]
+
+    def bwd(g):
+        return tuple(np.split(g, splits, axis=axis))
+
+    return tape.record("concat", out, tuple(parts), bwd)
+
+
+def generate_offset_mask(offset, height: int, width: int) -> Array:
+    """Soft window around grid centre + (x, y) offset, as a plain array.
+
+    The profile is 1 within distance 1 of the centre along each axis, falls
+    off linearly with ``acm.MASK_SLOPE`` and is exactly 0 beyond distance
+    1 + 1/MASK_SLOPE; the 2-D mask is the product of the two axis profiles.
+    """
+    ox, oy = float(offset[0]), float(offset[1])
+    cx = (width - 1) / 2.0 + ox
+    cy = (height - 1) / 2.0 + oy
+
+    def profile(n, c):
+        d = np.abs(np.arange(n) - c)
+        return np.where(d < 1.0, 1.0, np.maximum(0.0, 1.0 - acm.MASK_SLOPE * (d - 1.0)))
+
+    return profile(height, cy)[:, None] * profile(width, cx)[None, :]
+
+
+def noise_free_signals(dataset: synth.Dataset, videos: list[synth.VideoFeature]) -> list[Array]:
+    """Each video's actor signal without its noise, rendered from its stored ground truth.
+
+    The class signatures are built once per call, not once per video.
+    """
+    sigs = synth.make_class_signatures(dataset.num_classes, dataset.channels, dataset.seed)
+    return [
+        synth._render_actor(sigs[v.label], dataset.dims(), v.start, v.end, v.warp_knots, v.centers)
+        for v in videos
+    ]

@@ -7,13 +7,15 @@ from ta2n import autodiff as ad
 from ta2n.acm import (
     OffsetPredictor,
     TemporalCoordination,
-    generate_offset_mask,
     masked_spatial_average,
     sc_enumerate_oracle,
     spatial_coordinate,
 )
 from ta2n.autodiff import Parameter, Tape
 from ta2n.model import ModelConfig
+
+from gradcheck import finite_diff_gradcheck
+from oracles import concat, generate_offset_mask
 
 
 def spatially_constant(frames):
@@ -53,7 +55,7 @@ def weighted_sum(tape, v, seed):
 
 def stage_gradcheck(build, params):
     """The seeded gradient check of a whole coordination stage."""
-    report = ad.finite_diff_gradcheck(
+    report = finite_diff_gradcheck(
         build, params, step=1e-3, tolerance=1e-4,
         rng=np.random.default_rng((12, 0)), max_coords_per_param=4,
     )
@@ -291,11 +293,11 @@ class TestOffsetPredictor:
                 stacks = []
                 for qi in range(n):
                     for ci in range(n):
-                        both = ad.concat(
+                        both = concat(
                             (supports[ci], ad.mix_time(mixes[qi * n + ci], queries[qi])), axis=0
                         )
                         stacks.append(ad.reshape(both, (1, *both.shape)))
-                out = ad.conv3d(ad.concat(stacks, axis=0), w, b)
+                out = ad.conv3d(concat(stacks, axis=0), w, b)
             tape.backward(ad.reduce_sum(ad.mul(out, tape.const(upstream))))
             return out.value, [p.grad.copy() for p in params]
 
@@ -375,7 +377,7 @@ class TestMaskedAverage:
             diff = ad.add(f_s, ad.affine(f_q, -1.0))
             return ad.reduce_sum(ad.mul(diff, diff))
 
-        report = ad.finite_diff_gradcheck(
+        report = finite_diff_gradcheck(
             build, [support, query, offs], step=1e-4, tolerance=1e-4,
             rng=np.random.default_rng(15),
         )

@@ -52,6 +52,27 @@ def test_every_ttm_parameter_has_gradient_after_two_steps(dataset):
     assert all(n > 0.0 for n in norms.values()), norms
 
 
+@pytest.mark.parametrize("toggles", [
+    pytest.param({"use_ttm": False, "use_tc": False, "use_sc": False}, id="baseline"),
+    pytest.param({"use_tc": False, "use_sc": False}, id="ttm"),
+    pytest.param({}, id="full"),
+])
+def test_blank_frames_keep_gradients_bounded(toggles):
+    # without noise every frame outside a video's action is blank, and so is
+    # its column in the pooled maps; the cosine gives such a column gradient 0
+    blank = generate_dataset(8, 3, (4, 8, 5, 5), MisalignmentConfig(1.0, 0.0, 0.0, 0.0), seed=3)
+    config = replace(TINY_MODEL, frames=8, **toggles)
+    model = AlignmentModel(config)
+    episode = sample_episode(blank, "train", 3, 1, 1, seed=engine.episode_seed(TINY_TRAIN.seed, 0, 0))
+    tape = Tape(grad=True)
+    out = model.episode_forward(tape, episode, training=True, epoch=0)
+    tape.backward(metric.cross_entropy_loss(out.probs, out.labels))
+    assert max(float(np.abs(p.grad).max()) for p in model.parameters()) < 1e3
+    # and training runs on without overflowing a sigmoid, which pytest would raise
+    history = engine.train(AlignmentModel(config), blank, replace(TINY_TRAIN, episodes_per_epoch=5))
+    assert all(np.isfinite(h.mean_loss) for h in history)
+
+
 def test_worker_pool_matches_serial_evaluation(dataset):
     # two calls in one process, each with its own model: a pool's workers get
     # (model, dataset) once, and a later pool must not see an earlier model.

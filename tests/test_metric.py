@@ -3,11 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from ta2n import autodiff as ad
-from ta2n import metric
 from ta2n.autodiff import Parameter, Tape
 from ta2n.metric import classify, cross_entropy_loss, frame_cosine_distance
 from ta2n.model import AlignmentModel, ModelConfig
 from ta2n.synth import Episode, VideoFeature
+
+from gradcheck import finite_diff_gradcheck
 
 
 def classify_one(query, prototypes):
@@ -88,9 +89,9 @@ class TestFrameCosineDistance:
     def test_forward_is_the_numpy_formula_bit_for_bit(self):
         rng = np.random.default_rng(12)
         f, p = rng.standard_normal((16, 8)), rng.standard_normal((16, 8))
-        nf = np.sqrt((f * f).sum(axis=0)) + metric.NORM_EPS
-        np_ = np.sqrt((p * p).sum(axis=0)) + metric.NORM_EPS
-        cos = (f * p).sum(axis=0) / (nf * np_)
+        r_f = 1.0 / np.sqrt((f * f).sum(axis=0))
+        r_p = 1.0 / np.sqrt((p * p).sum(axis=0))
+        cos = (f * p).sum(axis=0) * r_f * r_p
         assert dist(f, p) == (1.0 - cos).sum()
 
     def test_gradients_of_one_pair(self):
@@ -101,7 +102,7 @@ class TestFrameCosineDistance:
         def build(tape):
             return frame_cosine_distance(tape.param(f), tape.param(p))
 
-        report = ad.finite_diff_gradcheck(build, [f, p], step=1e-5, tolerance=1e-6)
+        report = finite_diff_gradcheck(build, [f, p], step=1e-5, tolerance=1e-6)
         assert report.passed, report.summary()
 
     def test_broadcast_blocks_match_pairs_and_gradients(self):
@@ -110,23 +111,25 @@ class TestFrameCosineDistance:
         f = Parameter(rng.standard_normal((3, 1, 5, 7)), "f")
         p = Parameter(rng.standard_normal((1, 4, 5, 7)), "p")
         tape = Tape(grad=False)
-        block = ad.cosine_distance(tape.const(f.value), tape.const(p.value), metric.NORM_EPS)
+        block = ad.cosine_distance(tape.const(f.value), tape.const(p.value))
         pairs = [[dist(f.value[i, 0], p.value[0, j]) for j in range(4)] for i in range(3)]
         npt.assert_allclose(block.value, pairs, rtol=1e-15, atol=0.0)
         weights = rng.standard_normal((3, 4))
 
         def build(tape):
-            d = ad.cosine_distance(tape.param(f), tape.param(p), metric.NORM_EPS)
+            d = ad.cosine_distance(tape.param(f), tape.param(p))
             return ad.reduce_sum(ad.mul(d, tape.const(weights)))
 
-        report = ad.finite_diff_gradcheck(
+        report = finite_diff_gradcheck(
             build, [f, p], step=1e-5, tolerance=1e-6, max_coords_per_param=24,
         )
         assert report.passed, report.summary()
 
     def test_zero_column_has_finite_gradients(self):
-        # the norm's subgradient at an all-zero column is 0; the frames are
-        # independent, so the other columns' gradients are those of the pair without it
+        # the norm's subgradient at an all-zero column is 0, and so is the
+        # column's cosine, so both sides of that frame get gradient exactly 0;
+        # the frames are independent, so the other columns' gradients are
+        # those of the pair without it
         rng = np.random.default_rng(15)
         f, p = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
         f[:, 2] = 0.0
@@ -139,6 +142,7 @@ class TestFrameCosineDistance:
 
         g_f, g_p = grads(f, p)
         assert np.all(np.isfinite(g_f)) and np.all(np.isfinite(g_p))
+        npt.assert_array_equal(g_f[:, 2], 0.0)
         npt.assert_array_equal(g_p[:, 2], 0.0)
         rest = [0, 1, 3, 4, 5]
         g_f_rest, g_p_rest = grads(f[:, rest], p[:, rest])
@@ -286,7 +290,7 @@ class TestCrossEntropy:
 
     def test_nll_gradients(self):
         probs = Parameter(np.random.default_rng(16).uniform(0.1, 0.9, size=(3, 4)), "probs")
-        report = ad.finite_diff_gradcheck(
+        report = finite_diff_gradcheck(
             lambda tape: ad.nll(tape.param(probs), [2, 0, 2]), [probs],
             step=1e-5, tolerance=1e-6, max_coords_per_param=12,
         )
@@ -305,7 +309,7 @@ class TestCrossEntropy:
             )
             return cross_entropy_loss([probs], [1])
 
-        report = ad.finite_diff_gradcheck(
+        report = finite_diff_gradcheck(
             build, [q, p0, p1, p2], step=1e-4, tolerance=1e-4,
             rng=np.random.default_rng(10),
         )

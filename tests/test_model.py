@@ -1,12 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ta2n import container, metric
-from ta2n.autodiff import Tape, finite_diff_gradcheck
+from ta2n import autodiff as ad
+from ta2n import container, engine, metric
+from ta2n.autodiff import Tape
 from ta2n.container import BadMagicError, UnsupportedVersionError
 from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkpoint
 from ta2n.synth import MisalignmentConfig, generate_dataset, sample_episode
+
+from gradcheck import directional_gradcheck, finite_diff_gradcheck
 
 DIMS = (6, 8, 5, 5)
 
@@ -26,8 +31,9 @@ def episode_loss(seed, cfg, k_shot):
     Central differences are only meaningful at smooth points, but the warp's
     integer source positions, the mask ring edges, and the ReLUs and max
     pools of the offset predictor are all subgradient kinks. A kink that
-    merely lies near a sampled point is left to the step ladder of
-    ``finite_diff_gradcheck``. A point sitting exactly on one has no such
+    merely lies near the evaluation point is left to the step ladder that
+    ``gradcheck.finite_diff_gradcheck`` and ``gradcheck.directional_gradcheck``
+    share. A point sitting exactly on one has no such
     step, and the SC head starts on some: zero offsets put grid cells on the
     mask rings. The zero-initialized TTM head weights would also give the
     TTM's conv a zero gradient, which a check passes trivially. So every
@@ -77,6 +83,15 @@ def assert_fused_metric_head(ops):
     assert ops.count("cosine_distance") == 25
     assert ops.count("nll") == 1
     assert "sqrt" not in ops and "log" not in ops
+
+
+# the full-model gradient-check cases: six 1-shot seeds, and a 3-shot case
+# whose TC projects to fewer dimensions than it reads
+FULL_MODEL_CASES = pytest.mark.parametrize(
+    "seed, k_shot, proj_dim",
+    [pytest.param(s, 1, 6, id=str(s)) for s in (2, 3, 5, 12, 15, 18)]
+    + [pytest.param(12, 3, 4, id="12-3shot-proj4")],
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +215,7 @@ class TestEpisodeForward:
         assert_fused_metric_head(ops)
         assert len(ops) == 180 < 522
 
-    @pytest.mark.parametrize(
-        "seed, k_shot, proj_dim",
-        [pytest.param(s, 1, 6, id=str(s)) for s in (2, 3, 5, 12, 15, 18)]
-        + [pytest.param(12, 3, 4, id="12-3shot-proj4")],
-    )
+    @FULL_MODEL_CASES
     def test_full_model_gradients(self, seed, k_shot, proj_dim):
         cfg = tiny_config(height=7, width=7, proj_dim=proj_dim)
         build, params = episode_loss(seed, cfg, k_shot)
@@ -213,6 +224,59 @@ class TestEpisodeForward:
             rng=np.random.default_rng(10), max_coords_per_param=2,
         )
         assert report.passed, report.summary()
+
+    @FULL_MODEL_CASES
+    def test_full_model_directional_gradients(self, seed, k_shot, proj_dim):
+        # J·v of the whole episode loss along random unit directions through
+        # every parameter at once
+        cfg = tiny_config(height=7, width=7, proj_dim=proj_dim)
+        build, params = episode_loss(seed, cfg, k_shot)
+        report = directional_gradcheck(build, params, rng=np.random.default_rng(11))
+        assert report.passed and report.checked == 2, report.summary()
+
+    def test_directional_check_catches_a_wrong_backward(self, monkeypatch):
+        # every pair distance's backward 5% too large: the loss gradient is off
+        # by 5% along every direction
+        record = Tape.record
+
+        def skewed(tape, op, value, inputs, backward):
+            if op != "cosine_distance":
+                return record(tape, op, value, inputs, backward)
+            return record(tape, op, value, inputs, lambda g: tuple(1.05 * gi for gi in backward(g)))
+
+        build, params = episode_loss(12, tiny_config(height=7, width=7), 1)
+        monkeypatch.setattr(Tape, "record", skewed)
+        report = directional_gradcheck(build, params, rng=np.random.default_rng(11))
+        assert not report.passed and len(report.failures) == 2
+        assert all(err > 0.04 for *_, err in report.failures)
+
+    def test_every_autodiff_op_runs_in_the_pipeline(self, dataset, monkeypatch):
+        # the public functions of ``ta2n.autodiff`` are the pipeline's ops and
+        # nothing else: one full-model training step and one eval-mode forward
+        # call each of them
+        names = sorted(
+            name for name, fn in vars(ad).items()
+            if callable(fn) and not name.startswith("_") and not isinstance(fn, type)
+            and getattr(fn, "__module__", None) == ad.__name__
+        )
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+        model = AlignmentModel(tiny_config())
+        step = engine.TrainConfig(epochs=1, episodes_per_epoch=1, n_way=3, k_shot=1, n_query=1)
+        engine.train(model, dataset, step)
+        episode = sample_episode(dataset, "test", 2, 1, 1, seed=0)
+        model.episode_forward(Tape(grad=False), episode, training=False)
+        assert {"conv3d", "cosine_distance", "nll"} <= set(names)
+        assert [name for name in names if not calls[name]] == []
 
 
 class TestInit:
@@ -289,6 +353,31 @@ class TestCheckpoints:
         message = str(err.value)
         assert f"unknown keys {deleted}" in message
         assert "missing keys ['frames', 'use_sc']" in message
+
+    @pytest.mark.parametrize("update, match", [
+        pytest.param({"proj_dim": 0}, "proj_dim", id="zero_proj_dim"),
+        pytest.param({"channels": 0}, "channels", id="zero_channels"),
+        pytest.param({"offset_channels": [0, 8]}, r"offset_channels\[0\]", id="zero_offset_channels"),
+        pytest.param({"ttm_hidden": 2.5}, "ttm_hidden", id="fractional_size"),
+        pytest.param({"height": True}, "height", id="bool_size"),
+        pytest.param({"offset_channels": [8, 8, 8]}, "offset_channels", id="three_offset_layers"),
+        pytest.param({"use_tc": "yes"}, "use_tc", id="string_toggle"),
+        pytest.param({"frames": 1}, "frames", id="one_frame_with_ttm"),
+    ])
+    def test_checkpoint_with_invalid_config_is_rejected(self, tmp_path, update, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        meta, arrays = container.load(path, container.CHECKPOINT)
+        meta["config"].update(update)
+        container.save(path, container.CHECKPOINT, meta, arrays)
+        with pytest.raises(container.ContainerError, match=match):
+            load_checkpoint(path)
+        cfg = {**meta["config"], "offset_channels": tuple(meta["config"]["offset_channels"])}
+        with pytest.raises(ValueError, match=match):
+            AlignmentModel(ModelConfig(**cfg))
+
+    def test_one_frame_without_ttm_is_accepted(self):
+        assert AlignmentModel(tiny_config(frames=1, use_ttm=False)).ttm is None
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"

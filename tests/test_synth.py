@@ -20,6 +20,8 @@ from ta2n.synth import (
     save_dataset,
 )
 
+from oracles import noise_free_signals
+
 DIMS = (6, 8, 7, 7)
 
 
@@ -62,7 +64,7 @@ class TestGeneration:
     def test_zero_config_same_class_signals_identical(self):
         ds = small_dataset(MisalignmentConfig(0, 0, 0, 0.2))
         vids = ds.videos_of_class(3)
-        sig_a, sig_b = synth.noise_free_signals(ds, vids[:2])
+        sig_a, sig_b = noise_free_signals(ds, vids[:2])
         cos = (sig_a * sig_b).sum() / (np.linalg.norm(sig_a) * np.linalg.norm(sig_b))
         npt.assert_allclose(cos, 1.0, atol=1e-12)
         npt.assert_allclose(sig_a, sig_b, atol=1e-12)
@@ -133,7 +135,7 @@ class TestRender:
     @staticmethod
     def render(ds, video, **truth):
         edited = replace(video, **truth)
-        [signal] = synth.noise_free_signals(ds, [edited])
+        [signal] = noise_free_signals(ds, [edited])
         return signal
 
     @staticmethod
@@ -146,7 +148,7 @@ class TestRender:
         ds, sigs = quiet
         v = ds.videos[2]
         npt.assert_array_equal(v.centers[0], [3.0, 3.0])
-        npt.assert_array_equal(synth.noise_free_signals(ds, [v])[0], v.feature)
+        npt.assert_array_equal(noise_free_signals(ds, [v])[0], v.feature)
         want = np.zeros(DIMS[:1] + DIMS[2:])
         want[:, 2:5, 2:5] = self.first_patch(sigs, v)
         npt.assert_array_equal(v.feature[:, 0], want)
@@ -162,7 +164,7 @@ class TestRender:
             return build(*args)
 
         monkeypatch.setattr(synth, "make_class_signatures", counted)
-        signals = synth.noise_free_signals(ds, ds.videos)
+        signals = noise_free_signals(ds, ds.videos)
         assert len(calls) == 1 and len(signals) == len(ds.videos) == 32
         for signal, v in zip(signals, ds.videos):
             npt.assert_array_equal(signal, v.feature)
@@ -262,6 +264,20 @@ class TestPersistence:
         path = tmp_path / "data.ta2n"
         save_dataset(ds, path)
         assert dataset_equal(ds, load_dataset(path))
+
+    @pytest.mark.parametrize("dims", [
+        pytest.param((4, 0, 5, 5), id="zero_frames"),
+        pytest.param((0, 4, 5, 5), id="zero_channels"),
+        pytest.param((4, 4, 2, 2), id="grid_below_template"),
+    ])
+    def test_dims_that_generation_rejects_do_not_load(self, tmp_path, dims):
+        # a well-formed file without videos, whose dims generate_dataset refuses
+        with pytest.raises(ValueError):
+            generate_dataset(8, 1, dims, MisalignmentConfig(), seed=0)
+        path = tmp_path / "data.ta2n"
+        save_dataset(Dataset(*dims, num_classes=8, config=MisalignmentConfig(), seed=0), path)
+        with pytest.raises(ContainerError, match="meta"):
+            load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.ta2n"

@@ -7,6 +7,8 @@ from ta2n import ttm
 from ta2n.autodiff import Parameter, Tape
 from ta2n.ttm import LocalizationNet
 
+from gradcheck import finite_diff_gradcheck
+
 
 def warp(feature, scale, shift):
     """Forward-only run of the pipeline's warp with fixed parameters."""
@@ -127,7 +129,7 @@ class TestWarp:
             w = tape.const(np.random.default_rng(99).standard_normal(out.value.shape))
             return ad.reduce_sum(ad.mul(out, w))
 
-        report = ad.finite_diff_gradcheck(
+        report = finite_diff_gradcheck(
             build, [feat, *net.parameters()], step=1e-4, tolerance=1e-4,
             rng=np.random.default_rng(6),
         )
