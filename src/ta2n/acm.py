@@ -11,7 +11,11 @@ per-frame (x, y) offset for every pair and compares soft-masked regions
 around the offset (support) and its negation (query) instead of whole
 frames. The offset predictor takes every pair of an episode in one call,
 and the masks and masked means take any leading axes, which broadcast, so
-the pairs of an episode are pooled in one call as well.
+the pairs of an episode are pooled in one call as well. In eval mode the
+predictor's convolutions compute only the conv outputs its 2x2 pools read:
+eval batch norm is per position and each pool drops its grid's trailing odd
+row and column. Training convolves the full grid, because batch-norm
+statistics read every position.
 """
 
 from __future__ import annotations
@@ -126,6 +130,12 @@ class OffsetPredictor:
     input, so ``ad.pair_conv3d`` splits it into a support half computed once
     per class and the query's tap responses computed once per query, mixed
     per pair by the T x T matrix ``M_qn`` (see its docstring for the identity).
+
+    In eval mode both convolutions compute only the outputs the 2x2 pools
+    read, the even top-left part of each grid (6x6 of 7x7, then 2x2 of 3x3 at
+    ``ModelConfig()``): eval batch norm is a per-position affine map, and a
+    pool drops its grid's trailing odd row and column. Training convolves the
+    full grid, because batch-norm statistics read every position.
     """
 
     def __init__(
@@ -186,15 +196,23 @@ class OffsetPredictor:
         rearranged by ``mix[q, n]``, with class ``n``. Without temporal
         coordination every mix is the identity. Batch norm uses the
         statistics of the current block of pairs while training and the
-        frozen running statistics in eval mode.
+        frozen running statistics in eval mode, where each conv computes
+        only its top-left ``2*(h//2) x 2*(w//2)`` outputs (see the class
+        docstring); the offsets equal those of the full-grid convolutions.
         """
-        x = ad.pair_conv3d(support, query, mix, tape.param(self.conv1_w), tape.param(self.conv1_b))
+        def extent(x: Var) -> tuple[int, int]:
+            h, w = x.shape[-2:]
+            return (h, w) if training else (2 * (h // 2), 2 * (w // 2))
+
+        x = ad.pair_conv3d(
+            support, query, mix, tape.param(self.conv1_w), tape.param(self.conv1_b), extent(support)
+        )
         x = ad.batchnorm_channels(
             x, tape.param(self.bn1_gamma), tape.param(self.bn1_beta),
             self.bn1_mean, self.bn1_var, training,
         )
         x = ad.relu(ad.max_pool_spatial2(x))
-        x = ad.conv3d(x, tape.param(self.conv2_w), tape.param(self.conv2_b))
+        x = ad.conv3d(x, tape.param(self.conv2_w), tape.param(self.conv2_b), extent(x))
         x = ad.batchnorm_channels(
             x, tape.param(self.bn2_gamma), tape.param(self.bn2_beta),
             self.bn2_mean, self.bn2_var, training,

@@ -363,16 +363,26 @@ def softmax(a: Var, axis: int) -> Var:
 # metric head
 
 
-def _recip_or_zero(a: Array) -> Array:
-    """``1 / a``, and 0 where ``a`` is 0: a norm's subgradient at the origin."""
-    return np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
+def _recip_norms(fv: Array, pv: Array) -> tuple[Array, Array]:
+    """``1 / |column|`` of two (..., d, T) maps, and 0 at an all-zero column:
+    a norm's subgradient at the origin.
+
+    Both maps' column norms share one buffer, so one masked division in
+    place serves both and the zero norms stay 0.
+    """
+    sf, sp = (fv * fv).sum(axis=-2), (pv * pv).sum(axis=-2)
+    buf = np.concatenate((sf.ravel(), sp.ravel()))
+    np.sqrt(buf, out=buf)
+    np.divide(1.0, buf, out=buf, where=buf > 0.0)
+    return buf[: sf.size].reshape(sf.shape), buf[sf.size :].reshape(sp.shape)
 
 
 def cosine_distance(f: Var, p: Var) -> Var:
     """Sum over frames of (1 - cosine similarity) between (..., d, T) maps.
 
     ``out[...] = sum_t (1 - <f_t, p_t> r(|f_t|) r(|p_t|))`` over the d-vectors
-    ``f_t``, ``p_t`` of each frame t, with ``r`` from :func:`_recip_or_zero`.
+    ``f_t``, ``p_t`` of each frame t, where ``r(n) = 1/n`` and ``r(0) = 0``
+    (:func:`_recip_norms`).
     Leading axes broadcast, and the output has their broadcast shape. An
     all-zero column has cosine 0, so its frame adds distance 1, and the norm
     passes zero at the origin, so the column's gradient is exactly 0.
@@ -381,8 +391,7 @@ def cosine_distance(f: Var, p: Var) -> Var:
     if fv.ndim < 2 or pv.ndim < 2 or fv.shape[-2:] != pv.shape[-2:]:
         raise ValueError(f"cosine_distance: expected (..., d, T) maps, got {fv.shape} vs {pv.shape}")
     dots = (fv * pv).sum(axis=-2)
-    r_f = _recip_or_zero(np.sqrt((fv * fv).sum(axis=-2)))
-    r_p = _recip_or_zero(np.sqrt((pv * pv).sum(axis=-2)))
+    r_f, r_p = _recip_norms(fv, pv)
     cos = dots * r_f * r_p
     out = (1.0 - cos).sum(axis=-1)
     _check_finite("cosine_distance", out)
@@ -533,58 +542,67 @@ def conv1d_temporal(x: Var, weight: Var, bias: Var) -> Var:
 _SPATIAL_TAPS = [(kh, kw) for kh in range(3) for kw in range(3)]
 
 
-def _tap_window(d: int, n: int) -> tuple[slice, slice]:
+def _tap_window(d: int, n: int, m: int) -> tuple[slice, slice]:
     """(output, input) slices along one spatial axis of a tap displaced by ``d`` in {-1, 0, 1}.
 
-    Output position ``i`` reads input position ``i + d``; positions whose
-    input falls outside [0, n) are not covered and stay zero.
+    Output position ``i`` in [0, m) reads input position ``i + d`` of an
+    axis of ``n >= m`` positions; outputs whose input falls outside [0, n)
+    are not covered and stay zero.
     """
-    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d))
+    return slice(max(0, -d), min(m, n - d)), slice(max(0, d), min(m + d, n))
 
 
-def _spatial_patches(xv: Array) -> Array:
-    """All 3x3 spatial windows of a (B,C,T,H,W) block as a (9*C, B*T*H*W) matrix.
+def _spatial_patches(xv: Array, extent: tuple[int, int]) -> Array:
+    """The 3x3 spatial windows of a (B,C,T,H,W) block as a (9*C, B*T*rows*cols) matrix.
 
-    Row ``k*C + c`` is channel ``c`` seen through spatial tap ``k``,
-    zero-padded at the border. Time is not windowed: the three temporal taps
-    are combined after the GEMM, so a channel takes 9 rows, not 27.
+    Only the windows of the top-left ``extent = (rows, cols)`` output
+    positions are taken. Row ``k*C + c`` is channel ``c`` seen through
+    spatial tap ``k``, zero-padded at the border. Time is not windowed: the
+    three temporal taps are combined after the GEMM, so a channel takes 9
+    rows, not 27.
     """
     b, c, t, h, w = xv.shape
+    rows, cols = extent
     xt = xv.transpose(1, 0, 2, 3, 4)
-    patches = np.zeros((9, c, b, t, h, w))
+    patches = np.zeros((9, c, b, t, rows, cols))
     for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
-        (oh, ih), (ow, iw) = _tap_window(kh - 1, h), _tap_window(kw - 1, w)
+        (oh, ih), (ow, iw) = _tap_window(kh - 1, h, rows), _tap_window(kw - 1, w, cols)
         patches[k, :, :, :, oh, ow] = xt[:, :, :, ih, iw]
-    return patches.reshape(9 * c, b * t * h * w)
+    return patches.reshape(9 * c, b * t * rows * cols)
 
 
-def _tap_responses(xv: Array, wv: Array) -> tuple[Array, Array, Array]:
+def _tap_responses(xv: Array, wv: Array, extent: tuple[int, int]) -> tuple[Array, Array, Array]:
     """Every frame's response to every temporal slice of a 3x3x3 kernel.
 
     Returns (patches, tap matrix, responses). ``responses[o, k, b, s]`` is
     frame ``s`` of video ``b`` through the 3x3 spatial taps of ``wv[o, :, k]``,
-    over the H*W positions: one (3*C_out, 9*C_in) GEMM against the patches.
+    over the rows*cols positions of ``extent``: one (3*C_out, 9*C_in) GEMM
+    against the patches.
     """
-    b, c_in, t, h, w = xv.shape
+    b, c_in, t = xv.shape[:3]
     c_out = wv.shape[0]
-    patches = _spatial_patches(xv)
+    patches = _spatial_patches(xv, extent)
     taps = np.ascontiguousarray(wv.transpose(0, 2, 3, 4, 1).reshape(3 * c_out, 9 * c_in))
-    return patches, taps, (taps @ patches).reshape(c_out, 3, b, t, h * w)
+    return patches, taps, (taps @ patches).reshape(c_out, 3, b, t, -1)
 
 
-def _tap_responses_grad(g: Array, patches: Array, taps: Array, shape) -> tuple[Array, Array]:
+def _tap_responses_grad(
+    g: Array, patches: Array, taps: Array, shape, extent: tuple[int, int]
+) -> tuple[Array, Array]:
     """(input gradient, weight gradient) from the gradient of the tap responses."""
     b, c_in, t, h, w = shape
+    rows, cols = extent
     c_out = taps.shape[0] // 3
-    g = g.reshape(3 * c_out, b * t * h * w)
+    g = g.reshape(3 * c_out, b * t * rows * cols)
     gw = (g @ patches.T).reshape(c_out, 3, 3, 3, c_in).transpose(0, 4, 1, 2, 3)
-    gcol = (taps.T @ g).reshape(9, c_in, b, t, h, w)
-    gx = np.empty((b, c_in, t, h, w))
+    gcol = (taps.T @ g).reshape(9, c_in, b, t, rows, cols)
+    # the centre tap covers every input of a full grid; a smaller extent leaves some unread
+    gx = np.empty(shape) if extent == (h, w) else np.zeros(shape)
     gxt = gx.transpose(1, 0, 2, 3, 4)
-    gxt[...] = gcol[4]  # the centre tap covers every position
+    gxt[:, :, :, :rows, :cols] = gcol[4]
     for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
         if k != 4:
-            (oh, ih), (ow, iw) = _tap_window(kh - 1, h), _tap_window(kw - 1, w)
+            (oh, ih), (ow, iw) = _tap_window(kh - 1, h, rows), _tap_window(kw - 1, w, cols)
             gxt[:, :, :, ih, iw] += gcol[k, :, :, :, oh, ow]
     return gx, np.ascontiguousarray(gw)
 
@@ -630,7 +648,20 @@ def _shift_taps_grad(g: Array) -> Array:
     return gm
 
 
-def conv3d(x: Var, weight: Var, bias: Var) -> Var:
+def _output_extent(op: str, extent, h: int, w: int) -> tuple[int, int]:
+    """``extent`` as (rows, cols), the full (h, w) grid when it is None.
+
+    ``ValueError`` unless ``1 <= rows <= h`` and ``1 <= cols <= w``.
+    """
+    if extent is None:
+        return h, w
+    rows, cols = extent
+    if not (1 <= rows <= h and 1 <= cols <= w):
+        raise ValueError(f"{op}: extent {extent} outside the {h}x{w} grid")
+    return rows, cols
+
+
+def conv3d(x: Var, weight: Var, bias: Var, extent: tuple[int, int] | None = None) -> Var:
     """3-D convolution over (T,H,W), kernel 3, zero padding 1, stride 1.
 
     ``x`` is (B, C_in, T, H, W) and ``weight`` is (C_out, C_in, 3, 3, 3).
@@ -638,40 +669,55 @@ def conv3d(x: Var, weight: Var, bias: Var) -> Var:
     spatial patch matrix gives each frame's response to each temporal slice
     of the kernel; output frame ``t`` sums slice ``k`` of frame ``t+k-1``.
     Backward is two GEMMs against the same patches plus a 9-tap scatter.
+
+    ``extent = (rows, cols)`` computes only the top-left rows x cols of the
+    H x W output grid, (B, C_out, T, rows, cols), equal to that crop of the
+    full output; the default is the full grid. The patch matrix and the GEMM
+    shrink to those positions. The offset predictor uses it in eval mode,
+    where batch norm is a per-position affine map and the 2x2 pool that
+    follows never reads a trailing odd row or column; training keeps the
+    full grid, because batch-norm statistics read every position.
     """
     xv, wv = x.value, weight.value
     if xv.ndim != 5 or wv.ndim != 5 or wv.shape[1] != xv.shape[1] or wv.shape[2:] != (3, 3, 3):
         raise ValueError(f"conv3d: bad shapes {xv.shape} vs {wv.shape}")
     b, _, t, h, w = xv.shape
+    extent = _output_extent("conv3d", extent, h, w)
+    p = extent[0] * extent[1]
     c_out = wv.shape[0]
-    patches, taps, resp = _tap_responses(xv, wv)
+    patches, taps, resp = _tap_responses(xv, wv, extent)
     out = _sum_taps(resp)
     out += bias.value[:, None, None]
-    out = out.reshape(b, c_out, t, h, w)
+    out = out.reshape(b, c_out, t, *extent)
 
     def bwd(g):
-        g4 = g.reshape(b, c_out, t, h * w)
-        gx, gw = _tap_responses_grad(_sum_taps_grad(g4), patches, taps, xv.shape)
+        g4 = g.reshape(b, c_out, t, p)
+        gx, gw = _tap_responses_grad(_sum_taps_grad(g4), patches, taps, xv.shape, extent)
         return gx, gw, g4.sum(axis=(0, 2, 3))
 
     return x.tape.record("conv3d", out, (x, weight, bias), bwd)
 
 
-def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var) -> Var:
+def pair_conv3d(
+    support: Var, query: Var, mix: Var, weight: Var, bias: Var,
+    extent: tuple[int, int] | None = None,
+) -> Var:
     """``conv3d`` of every (query, class) pair stack, without building the stacks.
 
     ``support`` is (N, C_s, T, H, W), ``query`` is (Q, C_q, T, H, W), ``mix``
     is (Q, N, T, T) and ``weight`` is (C_out, C_s + C_q, 3, 3, 3). Row
-    ``q*N + n`` of the (Q*N, C_out, T, H, W) result is ``conv3d(x, weight,
-    bias)`` of the channel concatenation ``x`` of ``support[n]`` and
-    ``mix_time(mix[q, n], query[q])``.
+    ``q*N + n`` of the (Q*N, C_out, T, rows, cols) result is ``conv3d(x,
+    weight, bias, extent)`` of the channel concatenation ``x`` of
+    ``support[n]`` and ``mix_time(mix[q, n], query[q])``; ``extent`` is as
+    in :func:`conv3d` and defaults to the full H x W grid.
 
     The convolution is linear, so with ``weight = [W_s | W_q]`` that row is
     ``conv3d(support[n], W_s) + sum_k shift_k(mix[q, n]) @ Z_k(query[q])``,
     where ``Z_k`` is each query frame through the spatial taps of temporal
     slice ``k`` of ``W_q`` and ``shift_k`` moves the mix's rows by ``k - 1``.
     The tap responses run once per support and once per query video; only
-    the T x 3T mix is per pair. Recorded as a ``conv3d`` entry.
+    the T x 3T mix is per pair, over the rows*cols positions of the extent.
+    Recorded as a ``conv3d`` entry.
     """
     sv, qv, mv, wv = support.value, query.value, mix.value, weight.value
     shapes_ok = (
@@ -685,27 +731,33 @@ def pair_conv3d(support: Var, query: Var, mix: Var, weight: Var, bias: Var) -> V
             f"pair_conv3d: bad shapes {sv.shape}, {qv.shape}, {mv.shape} vs {wv.shape}"
         )
     n, c_s, t, h, w = sv.shape
+    extent = _output_extent("pair_conv3d", extent, h, w)
+    p = extent[0] * extent[1]
     nq = qv.shape[0]
     c_out = wv.shape[0]
-    s_patches, s_taps, s_resp = _tap_responses(sv, wv[:, :c_s])
-    q_patches, q_taps, q_resp = _tap_responses(qv, wv[:, c_s:])
-    # (Q, 3T, C_out*H*W): a query's tap responses, rows ordered like the shifted mix's columns
-    z = np.ascontiguousarray(q_resp.transpose(2, 1, 3, 0, 4)).reshape(nq, 3 * t, c_out * h * w)
+    s_patches, s_taps, s_resp = _tap_responses(sv, wv[:, :c_s], extent)
+    q_patches, q_taps, q_resp = _tap_responses(qv, wv[:, c_s:], extent)
+    # (Q, 3T, C_out*P): a query's tap responses, rows ordered like the shifted mix's columns
+    z = np.ascontiguousarray(q_resp.transpose(2, 1, 3, 0, 4)).reshape(nq, 3 * t, c_out * p)
     shifted = _shift_taps(mv).reshape(nq, n * t, 3 * t)
-    mixed = (shifted @ z).reshape(nq, n, t, c_out, h * w).transpose(0, 1, 3, 2, 4)
-    per_class = _sum_taps(s_resp)  # (N, C_out, T, H*W): the support half, once per class
+    mixed = (shifted @ z).reshape(nq, n, t, c_out, p).transpose(0, 1, 3, 2, 4)
+    per_class = _sum_taps(s_resp)  # (N, C_out, T, P): the support half, once per class
     per_class += bias.value[:, None, None]
-    out = np.empty((nq, n, c_out, t, h * w))
+    out = np.empty((nq, n, c_out, t, p))
     np.add(mixed, per_class, out=out)
-    out = out.reshape(nq * n, c_out, t, h, w)
+    out = out.reshape(nq * n, c_out, t, *extent)
 
     def bwd(g):
-        g5 = g.reshape(nq, n, c_out, t, h * w)
-        gs, gws = _tap_responses_grad(_sum_taps_grad(g5.sum(axis=0)), s_patches, s_taps, sv.shape)
-        gt = np.ascontiguousarray(g5.transpose(0, 1, 3, 2, 4)).reshape(nq, n * t, c_out * h * w)
+        g5 = g.reshape(nq, n, c_out, t, p)
+        gs, gws = _tap_responses_grad(
+            _sum_taps_grad(g5.sum(axis=0)), s_patches, s_taps, sv.shape, extent
+        )
+        gt = np.ascontiguousarray(g5.transpose(0, 1, 3, 2, 4)).reshape(nq, n * t, c_out * p)
         gm = _shift_taps_grad((gt @ z.transpose(0, 2, 1)).reshape(nq, n, t, 3 * t))
-        g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, c_out, h * w)
-        gq, gwq = _tap_responses_grad(g_resp.transpose(3, 1, 0, 2, 4), q_patches, q_taps, qv.shape)
+        g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, c_out, p)
+        gq, gwq = _tap_responses_grad(
+            g_resp.transpose(3, 1, 0, 2, 4), q_patches, q_taps, qv.shape, extent
+        )
         gw = np.concatenate([gws, gwq], axis=1)
         return gs, gw, gq, gm, g5.sum(axis=(0, 1, 3, 4))
 

@@ -1,9 +1,11 @@
 """Plain reference implementations the tests compare the pipeline against.
 
 None of these runs on the pipeline path: ``concat`` builds the pair stacks
-that ``ad.pair_conv3d`` never materializes, ``generate_offset_mask`` is one
-mask as a plain array, and ``noise_free_signals`` renders a video's actor
-without its noise from the ground truth it carries.
+that ``ad.pair_conv3d`` never materializes, ``full_grid_offsets`` runs the
+offset predictor's convolutions over every grid position in eval mode too,
+``generate_offset_mask`` is one mask as a plain array, and
+``noise_free_signals`` renders a video's actor without its noise from the
+ground truth it carries.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from ta2n import acm, synth
-from ta2n.autodiff import Array, Var
+from ta2n import autodiff as ad
+from ta2n.autodiff import Array, Tape, Var
 
 
 def concat(parts: Sequence[Var], axis: int = 0) -> Var:
@@ -27,6 +30,34 @@ def concat(parts: Sequence[Var], axis: int = 0) -> Var:
         return tuple(np.split(g, splits, axis=axis))
 
     return tape.record("concat", out, tuple(parts), bwd)
+
+
+def full_grid_offsets(
+    pred: acm.OffsetPredictor, tape: Tape, support: Var, query: Var, mix: Var
+) -> Var:
+    """Eval-mode ``pred.forward`` with both convolutions over the full grid.
+
+    The same layer sequence, in which only the 2x2 pools drop a trailing
+    odd row or column; the pipeline's eval mode never computes the conv
+    outputs those pools drop.
+    """
+    x = ad.pair_conv3d(support, query, mix, tape.param(pred.conv1_w), tape.param(pred.conv1_b))
+    x = ad.batchnorm_channels(
+        x, tape.param(pred.bn1_gamma), tape.param(pred.bn1_beta),
+        pred.bn1_mean, pred.bn1_var, False,
+    )
+    x = ad.relu(ad.max_pool_spatial2(x))
+    x = ad.conv3d(x, tape.param(pred.conv2_w), tape.param(pred.conv2_b))
+    x = ad.batchnorm_channels(
+        x, tape.param(pred.bn2_gamma), tape.param(pred.bn2_beta),
+        pred.bn2_mean, pred.bn2_var, False,
+    )
+    x = ad.relu(ad.max_pool_spatial2(x))
+    g = ad.transpose(ad.global_max_pool_spatial(x), (1, 0, 2))  # (C, B, T)
+    h = ad.relu(ad.channel_linear(g, tape.param(pred.fc1_w), tape.param(pred.fc1_b)))
+    raw = ad.tanh(ad.channel_linear(h, tape.param(pred.fc2_w), tape.param(pred.fc2_b)))
+    scale = np.array([(pred.width - 1) / 2.0, (pred.height - 1) / 2.0]).reshape(2, 1, 1)
+    return ad.transpose(ad.mul(raw, tape.const(scale)), (1, 2, 0))  # (B, T, 2)
 
 
 def generate_offset_mask(offset, height: int, width: int) -> Array:

@@ -15,7 +15,7 @@ from ta2n.autodiff import Parameter, Tape
 from ta2n.model import ModelConfig
 
 from gradcheck import finite_diff_gradcheck
-from oracles import concat, generate_offset_mask
+from oracles import concat, full_grid_offsets, generate_offset_mask
 
 
 def spatially_constant(frames):
@@ -248,6 +248,30 @@ class TestOffsetPredictor:
         npt.assert_array_equal(pred.bn1_mean, before)
         predict(pred, s, q, training=True)
         assert not np.array_equal(pred.bn1_mean, before)
+
+    @pytest.mark.parametrize("grid", [(7, 7), (7, 5), (5, 4), (4, 4), (8, 8)])
+    def test_eval_forward_matches_the_full_grid_reference(self, grid):
+        # eval mode convolves only the positions the 2x2 pools read. The last
+        # layer is made nonzero, since the zero-initialised one gives offsets
+        # of 0 whatever the convolutions compute; the running statistics are
+        # moved off (0, 1) so batch norm is not the identity
+        h, w = grid
+        rng = np.random.default_rng(24)
+        pred = OffsetPredictor(12, h, w, conv_channels=(10, 12), hidden=8, rng=rng)
+        pred.fc2_w.value[:] = rng.standard_normal((8, 2)) * 0.05
+        for mean, var in ((pred.bn1_mean, pred.bn1_var), (pred.bn2_mean, pred.bn2_var)):
+            mean[:] = rng.normal(0.0, 0.3, mean.shape)
+            var[:] = rng.uniform(0.5, 2.0, var.shape)
+        tape = Tape(grad=False)
+        support = tape.const(rng.standard_normal((3, 6, 5, h, w)))
+        query = tape.const(rng.standard_normal((2, 6, 5, h, w)))
+        logits = rng.standard_normal((2, 3, 5, 5))
+        mix = tape.const(np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True))
+        got = pred.forward(tape, support, query, mix, training=False).value
+        want = full_grid_offsets(pred, tape, support, query, mix).value
+        assert got.shape == (6, 5, 2)
+        assert np.ptp(got) > 0.3
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
     @pytest.mark.parametrize("use_tc", [True, False])

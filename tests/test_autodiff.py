@@ -229,6 +229,9 @@ class TestPurity:
 # spatial grids conv3d meets: on 1x1 and 2x3 some taps have no valid window,
 # 3x3 is the offset predictor's second layer
 CONV3D_GRIDS = [(1, 1), (2, 3), (3, 3), (5, 4)]
+# those that admit a smaller output extent, with the even extent the offset
+# predictor computes in eval mode
+WINDOWED_GRIDS = [((2, 3), (2, 2)), ((3, 3), (2, 2)), ((5, 4), (4, 4))]
 
 
 class TestGradientsMatchFiniteDifferences:
@@ -411,6 +414,85 @@ class TestGradientsMatchFiniteDifferences:
             return scalarize(tape, y, np.random.default_rng(55))
 
         check_op(build, [x, w_, b])
+
+    @pytest.mark.parametrize("grid, extent", WINDOWED_GRIDS)
+    def test_windowed_conv3d_gradients(self, grid, extent):
+        rng = np.random.default_rng(21)
+        x = Parameter(rng.standard_normal((2, 3, 4, *grid)), "x")
+        w_ = Parameter(rng.standard_normal((4, 3, 3, 3, 3)) * 0.3, "w")
+        b = Parameter(rng.standard_normal(4), "b")
+
+        def build(tape):
+            y = ad.conv3d(tape.param(x), tape.param(w_), tape.param(b), extent)
+            assert y.shape == (2, 4, 4, *extent)
+            return scalarize(tape, y, np.random.default_rng(56))
+
+        check_op(build, [x, w_, b])
+
+    @pytest.mark.parametrize("grid, extent", WINDOWED_GRIDS)
+    def test_windowed_pair_conv3d_gradients(self, grid, extent):
+        rng = np.random.default_rng(22)
+        s = Parameter(rng.standard_normal((2, 3, 4, *grid)), "support")
+        q = Parameter(rng.standard_normal((3, 2, 4, *grid)), "query")
+        m = Parameter(rng.standard_normal((3, 2, 4, 4)), "mix")
+        w_ = Parameter(rng.standard_normal((4, 5, 3, 3, 3)) * 0.3, "w")
+        b = Parameter(rng.standard_normal(4), "b")
+
+        def build(tape):
+            y = ad.pair_conv3d(
+                tape.param(s), tape.param(q), tape.param(m), tape.param(w_), tape.param(b), extent
+            )
+            assert y.shape == (6, 4, 4, *extent)
+            return scalarize(tape, y, np.random.default_rng(57))
+
+        check_op(build, [s, q, m, w_, b])
+
+    @pytest.mark.parametrize("op", ["conv3d", "pair_conv3d"])
+    @pytest.mark.parametrize("grid, extent", WINDOWED_GRIDS + [((3, 3), (1, 1)), ((5, 4), (2, 3))])
+    def test_windowed_convs_are_the_top_left_crop(self, op, grid, extent):
+        # forward: the crop of the full-grid output; backward: the full grid's
+        # backward of an upstream gradient that is zero outside the crop, so
+        # inputs that no kept output reads get exactly zero gradient
+        rng = np.random.default_rng(23)
+        rows, cols = extent
+        s = Parameter(rng.standard_normal((2, 3, 4, *grid)), "support")
+        q = Parameter(rng.standard_normal((3, 2, 4, *grid)), "query")
+        m = Parameter(rng.standard_normal((3, 2, 4, 4)), "mix")
+        w_ = rng.standard_normal((4, 5, 3, 3, 3)) * 0.3
+        b = Parameter(rng.standard_normal(4), "b")
+        if op == "conv3d":
+            params = [s, Parameter(w_[:, :3], "w"), b]
+        else:
+            params = [s, q, m, Parameter(w_, "w"), b]
+        upstream = rng.standard_normal((6, 4, 4, *extent))
+
+        def run(window):
+            for p in params:
+                p.zero_grad()
+            tape = Tape()
+            y = getattr(ad, op)(*(tape.param(p) for p in params), window)
+            g = np.zeros(y.shape)
+            g[..., :rows, :cols] = upstream[: len(g)]
+            tape.backward(ad.reduce_sum(ad.mul(y, tape.const(g))))
+            return y.value, [p.grad.copy() for p in params]
+
+        (got, got_grads), (full, full_grads) = run(extent), run(None)
+        assert got.shape == full.shape[:3] + extent
+        npt.assert_allclose(got, full[..., :rows, :cols], rtol=0, atol=1e-12)
+        for p, g, want in zip(params, got_grads, full_grads):
+            npt.assert_allclose(g, want, rtol=0, atol=1e-12, err_msg=p.name)
+
+    def test_conv_extent_outside_the_grid_raises(self):
+        t = Tape(grad=False)
+        s, q = t.const(np.zeros((2, 3, 4, 3, 4))), t.const(np.zeros((3, 2, 4, 3, 4)))
+        m = t.const(np.zeros((3, 2, 4, 4)))
+        w, b = t.const(np.zeros((4, 5, 3, 3, 3))), t.const(np.zeros(4))
+        ws = t.const(np.zeros((4, 3, 3, 3, 3)))
+        for extent in [(0, 2), (2, 0), (4, 2), (3, 5)]:
+            with pytest.raises(ValueError, match="extent"):
+                ad.conv3d(s, ws, b, extent)
+            with pytest.raises(ValueError, match="extent"):
+                ad.pair_conv3d(s, q, m, w, b, extent)
 
     def test_max_pools(self):
         rng = np.random.default_rng(9)

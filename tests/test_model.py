@@ -59,8 +59,9 @@ def episode_loss(seed, cfg, k_shot):
     return build, model.parameters()
 
 
-def training_step_census(cfg, monkeypatch):
-    """(tape ops, recorded value shapes) of one 5-way 1-shot 1-query training step."""
+def step_census(cfg, monkeypatch, training=True):
+    """(tape ops, recorded value shapes) of one 5-way 1-shot 1-query step on a
+    recording tape, a training step or an eval-mode forward and loss."""
     dims = (cfg.channels, cfg.frames, cfg.height, cfg.width)
     data = generate_dataset(20, 2, dims, MisalignmentConfig(0.5, 0.8, 1.0, 0.1), seed=0)
     episode = sample_episode(data, "train", 5, 1, 1, seed=0)
@@ -73,9 +74,14 @@ def training_step_census(cfg, monkeypatch):
 
     monkeypatch.setattr(Tape, "record", recording)
     tape = Tape()
-    out = AlignmentModel(cfg).episode_forward(tape, episode, training=True)
+    out = AlignmentModel(cfg).episode_forward(tape, episode, training=training)
     metric.cross_entropy_loss(out.probs, out.labels)
     return [e.op for e in tape.entries], shapes
+
+
+def conv_shapes(ops, shapes):
+    """The recorded output shapes of the ``conv3d`` entries, in tape order."""
+    return [shape for op, shape in zip(ops, shapes) if op == "conv3d"]
 
 
 def assert_fused_metric_head(ops):
@@ -191,11 +197,13 @@ class TestEpisodeForward:
         # ModelConfig(), 5-way 1-shot 1-query: the offset predictor's first
         # layer is one conv3d entry over per-video inputs, so the
         # (25, 32, 8, 7, 7) pair stack is never built
-        ops, shapes = training_step_census(ModelConfig(), monkeypatch)
+        ops, shapes = step_census(ModelConfig(), monkeypatch)
         assert ops.count("conv3d") == 2
         # the masks of all 25 pairs: one entry for the supports, one for the queries
         assert ops.count("offset_masks") == 2
         assert (25, 32, 8, 7, 7) not in shapes
+        # training convolves the full grid: batch-norm statistics read every position
+        assert conv_shapes(ops, shapes) == [(25, 128, 8, 7, 7), (25, 128, 8, 3, 3)]
         # stage one: one embed -> TTM -> warp chain for the supports, one for the queries
         assert ops.count("time_linear_sample") == ops.count("conv1d_temporal") == 2
         # stage two: one correlation per pair, one rearrangement of every pair
@@ -207,13 +215,21 @@ class TestEpisodeForward:
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC the queries are averaged over space before TC mixes
         # them, so no (Q, N, d, T, H, W) block of rearranged maps is built
-        ops, shapes = training_step_census(ModelConfig(use_sc=False), monkeypatch)
+        ops, shapes = step_census(ModelConfig(use_sc=False), monkeypatch)
         assert ops.count("matmul") == 25
         assert ops.count("mix_time") == 1
         assert (5, 5, 16, 8, 7, 7) not in shapes
         assert (5, 5, 16, 8, 1, 1) in shapes
         assert_fused_metric_head(ops)
         assert len(ops) == 180 < 522
+
+    def test_eval_forward_convolves_only_what_the_pools_read(self, monkeypatch):
+        # ModelConfig(): eval batch norm is per position and each 2x2 pool
+        # drops the trailing odd row and column, so the 7x7 and 3x3 convs
+        # compute their top-left 6x6 and 2x2 outputs, even on a recording tape
+        ops, shapes = step_census(ModelConfig(), monkeypatch, training=False)
+        assert conv_shapes(ops, shapes) == [(25, 128, 8, 6, 6), (25, 128, 8, 2, 2)]
+        assert "batchnorm_eval" in ops and "batchnorm_train" not in ops
 
     @FULL_MODEL_CASES
     def test_full_model_gradients(self, seed, k_shot, proj_dim):
