@@ -10,12 +10,12 @@ which is what the benchmark counts. Spatial coordination predicts a
 per-frame (x, y) offset for every pair and compares soft-masked regions
 around the offset (support) and its negation (query) instead of whole
 frames. The offset predictor takes every pair of an episode in one call,
-and the masks and masked means take any leading axes, which broadcast, so
-the pairs of an episode are pooled in one call as well. In eval mode the
-predictor's convolutions compute only the conv outputs its 2x2 pools read:
-eval batch norm is per position and each pool drops its grid's trailing odd
-row and column. Training convolves the full grid, because batch-norm
-statistics read every position.
+and the masks and masked means follow numpy's broadcasting rules, with no
+reshape from the offsets to the means, so the pairs are pooled in one call
+as well. In eval mode the predictor's convolutions compute only the conv
+outputs its 2x2 pools read: eval batch norm is per position and each pool
+drops its grid's trailing odd row and column. Training convolves the full
+grid, because batch-norm statistics read every position.
 """
 
 from __future__ import annotations
@@ -232,38 +232,29 @@ class OffsetPredictor:
 # masked spatial averaging
 
 
-def averaged_masks(
-    tape: Tape, offsets: Var, height: int, width: int, displacements: Array
-) -> Var:
-    """Soft (..., T, H, W) masks at (..., T, 2) offsets, averaged over variants.
+def averaged_masks(tape: Tape, offsets: Var, height: int, width: int, displacements: Array) -> Var:
+    """Soft (..., H, W) masks at (..., 2) offsets, averaged over variants.
 
-    Variant ``k`` places the masks at ``offsets + displacements[k]``; the
-    (K, 2) displacements are averaged before any normalization downstream.
+    Variant ``k`` places the masks at ``offsets + displacements[k]``, on a
+    new leading axis averaged away before any normalization downstream.
     Unperturbed masks are the single variant ``NO_DISPLACEMENT``.
     """
-    lead = offsets.shape[:-1]
-    k = len(displacements)
-    shifts = tape.const(displacements.reshape((k,) + (1,) * len(lead) + (2,)))
-    variants = ad.reshape(ad.add(offsets, shifts), (-1, 2))
-    masks = ad.offset_masks(variants, height, width, MASK_SLOPE)
-    return ad.reduce_mean(ad.reshape(masks, (k, *lead, height, width)), axis=0)
+    shifts = tape.const(displacements.reshape((-1,) + (1,) * (len(offsets.shape) - 1) + (2,)))
+    masks = ad.offset_masks(ad.add(offsets, shifts), height, width, MASK_SLOPE)
+    return ad.reduce_mean(masks, axis=0)
 
 
 def masked_spatial_average(f: Var, masks: Var) -> Var:
     """Weighted spatial mean of (..., d, T, H, W) maps under (..., T, H, W) masks.
 
-    Returns (..., d, T); the leading axes of maps and masks broadcast. A
-    small uniform floor keeps the normalizer positive even if a mask's
-    support were to vanish entirely.
+    Returns (..., d, T); maps and masks broadcast under numpy's rules. Masks
+    are >= 0, so the uniform floor keeps every normalizer >= H*W*MASK_FLOOR.
     """
     if f.shape[-3:] != masks.shape[-3:]:
         raise ValueError(f"mask shape {masks.shape} does not match map {f.shape}")
     floored = ad.affine(masks, 1.0, MASK_FLOOR)
-    floored = ad.reshape(floored, (*masks.shape[:-3], 1, *masks.shape[-3:]))  # (..., 1, T, H, W)
     num = ad.reduce_sum(ad.mul(f, floored), axis=(-2, -1))  # (..., d, T)
-    den = ad.reduce_sum(floored, axis=(-2, -1))  # (..., 1, T)
-    if np.any(den.value <= 0.0):
-        raise ValueError("mask normalizer vanished")
+    den = ad.reduce_sum(floored, axis=(-2, -1))  # (..., T)
     return ad.div(num, den)
 
 
@@ -278,9 +269,10 @@ def spatial_coordinate(
     """Masked spatial means of aligned pairs under predicted offsets.
 
     ``support`` and ``query`` are (..., d, T, H, W) maps and ``offsets`` is
-    (..., T, 2); their leading axes broadcast, so one call pools every pair
-    of an episode. Returns the (..., d, T) support and query means. Support
-    is pooled around +offset, query around -offset; with perturbation
+    (..., T, 2), whose leading axes broadcast with the maps' (..., d) under
+    numpy's rules: (Q, N, 1, T, 2) offsets pool every pair of (Q, N, d, T,
+    H, W) maps in one call. Returns the (..., d, T) support and query means.
+    Support is pooled around +offset, query around -offset; with perturbation
     displacements the masks are averaged first and normalized once.
     """
     h, w = support.shape[-2:]

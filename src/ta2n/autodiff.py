@@ -941,35 +941,30 @@ def time_linear_sample(f: Var, scale: Var, shift: Var) -> Var:
 def offset_masks(offsets: Var, height: int, width: int, gamma: float) -> Var:
     """Soft rectangular windows from per-frame grid offsets.
 
-    ``offsets`` is (T, 2) as (x, y) in cells relative to the grid centre.
-    Each frame's mask is the outer product of two 1-D profiles that are 1
-    within distance 1 of the centre, fall linearly with slope ``gamma``, and
-    are 0 beyond distance ``1 + 1/gamma``.
+    ``offsets`` is (..., 2) as (x, y) in cells relative to the grid centre;
+    the masks are (..., H, W). Each mask is the outer product of two 1-D
+    profiles that are 1 within distance 1 of the centre, fall linearly with
+    slope ``gamma``, and are 0 beyond distance ``1 + 1/gamma``.
     """
     ov = offsets.value
-    if ov.ndim != 2 or ov.shape[1] != 2:
-        raise ValueError("offset_masks expects (T, 2) offsets")
-    t = ov.shape[0]
-    cx = (width - 1) / 2.0 + ov[:, 0]  # (T,)
-    cy = (height - 1) / 2.0 + ov[:, 1]
-    xs = np.arange(width)
-    ys = np.arange(height)
+    cx = (width - 1) / 2.0 + ov[..., 0]  # (...,)
+    cy = (height - 1) / 2.0 + ov[..., 1]
 
     def profile(coords, centers):
-        d = np.abs(coords[None, :] - centers[:, None])  # (T, n)
+        d = np.abs(coords - centers[..., None])  # (..., n)
         m = np.where(d < 1.0, 1.0, np.maximum(0.0, 1.0 - gamma * (d - 1.0)))
         on_ramp = (d >= 1.0) & (d < 1.0 + 1.0 / gamma)
         # d m / d center = gamma * sign(coord - center) on the ramp
-        dm_dc = np.where(on_ramp, gamma * np.sign(coords[None, :] - centers[:, None]), 0.0)
+        dm_dc = np.where(on_ramp, gamma * np.sign(coords - centers[..., None]), 0.0)
         return m, dm_dc
 
-    mx, dmx = profile(xs, cx)  # (T, W)
-    my, dmy = profile(ys, cy)  # (T, H)
-    out = my[:, :, None] * mx[:, None, :]  # (T, H, W)
+    mx, dmx = profile(np.arange(width), cx)  # (..., W)
+    my, dmy = profile(np.arange(height), cy)  # (..., H)
+    out = my[..., :, None] * mx[..., None, :]  # (..., H, W)
 
     def bwd(g):
-        gx = (g * my[:, :, None] * dmx[:, None, :]).sum(axis=(1, 2))
-        gy = (g * dmy[:, :, None] * mx[:, None, :]).sum(axis=(1, 2))
-        return (np.stack([gx, gy], axis=1),)
+        gx = (g * my[..., :, None] * dmx[..., None, :]).sum(axis=(-2, -1))
+        gy = (g * dmy[..., :, None] * mx[..., None, :]).sum(axis=(-2, -1))
+        return (np.stack([gx, gy], axis=-1),)
 
     return offsets.tape.record("offset_masks", out, (offsets,), bwd)

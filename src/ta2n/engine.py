@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    """Episode loss became non-finite; carries the offending step."""
+    """A training step produced non-finite values; names the epoch, episode and lr."""
 
 
 @dataclass
@@ -111,18 +111,19 @@ def train(
                 dataset, "train", config.n_way, config.k_shot, config.n_query, seed
             )
             tape = Tape(grad=True)
-            out = model.episode_forward(tape, episode, training=True, epoch=epoch)
-            loss = metric.cross_entropy_loss(out.probs, out.labels)
-            loss_val = float(loss.value)
-            if not np.isfinite(loss_val):
+            # FloatingPointError: a non-finite warp, division, distance or loss in the forward pass
+            try:
+                out = model.episode_forward(tape, episode, training=True, epoch=epoch)
+                loss = metric.cross_entropy_loss(out.probs, out.labels)
+            except FloatingPointError as e:
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, episode {index} (lr={lr})"
-                )
+                    f"non-finite values at epoch {epoch}, episode {index} (lr={lr}): {e}"
+                ) from e
             model.zero_grads()
             tape.backward(loss)
             opt.step(lr)
             seen += 1
-            losses.append(loss_val / len(out.labels))
+            losses.append(float(loss.value) / len(out.labels))
             accs.append(out.accuracy())
         stats = EpochStats(epoch, seen, float(np.mean(losses)), float(np.mean(accs)), lr)
         history.append(stats)

@@ -222,7 +222,7 @@ class AlignmentModel:
         else:
             displacements = acm.NO_DISPLACEMENT
         pooled = acm.spatial_coordinate(
-            tape, supports, rearranged, ad.reshape(offsets, (n_query, n_way, t, 2)),
+            tape, supports, rearranged, ad.reshape(offsets, (n_query, n_way, 1, t, 2)),
             displacements=displacements,
         )  # (Q, N, d, T) support and query means
         f_s, f_q = (ad.reshape(f, (n_query * n_way, d, t)) for f in pooled)
@@ -273,6 +273,12 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[AlignmentModel, dict]:
         raise container.ContainerError(f"malformed checkpoint config: {e}") from e
     targets = _named_arrays(model)
     container.expect_shapes(arrays, {name: a.shape for name, a in targets.items()})
+    # a NaN propagates through min and max, and an infinity is one of them, so no
+    # temporary the size of the weights raises the loader's peak memory
+    bounds = {n: (a.min(initial=0.0), a.max(initial=0.0)) for n, a in arrays.items()}
+    bad = [n for n, b in bounds.items() if not np.isfinite(b).all() or (n.endswith("_var") and b[0] < 0)]
+    if bad:
+        raise container.ContainerError(f"checkpoint arrays non-finite, or negative variances: {bad}")
     for name, a in arrays.items():
         targets[name][...] = a
     return model, meta

@@ -83,11 +83,14 @@ def temporal_affine_warp(feature: Var, scale: Var, shift: Var) -> Var:
     start, so (1, 0) is the identity warp. Output frame i reads normalized
     time shift + scale * i/(T-1); values are linearly interpolated between
     the two neighbouring input frames, so the output is always a convex
-    combination of input frames. Raises if a scale falls below
-    MIN_DURATION_SCALE, or (in ``ad.time_linear_sample``) if a window leaves
-    the clip; the localization head already guarantees both, and nothing is
-    silently clamped here.
+    combination of input frames. Raises ``FloatingPointError`` for a
+    non-finite warp, as after a diverged step, and ``ValueError`` if a scale
+    falls below MIN_DURATION_SCALE or (in ``ad.time_linear_sample``) a window
+    leaves the clip; the localization head guarantees neither happens for
+    finite weights, and nothing is silently clamped here.
     """
+    if not (np.isfinite(scale.value).all() and np.isfinite(shift.value).all()):
+        raise FloatingPointError(f"temporal warp: non-finite scale {scale.value} or shift {shift.value}")
     if not np.all(scale.value >= MIN_DURATION_SCALE - 1e-9):
         raise ValueError(f"duration scale {scale.value} below {MIN_DURATION_SCALE}")
     return ad.time_linear_sample(feature, scale, shift)

@@ -428,11 +428,18 @@ class TestMaskedAverage:
             offs = pred.forward(tape, s, q, corr, training=True)  # (Q*N, T, 2)
             rearranged = ad.mix_time(corr, ad.reshape(q, (2, 1, *q.shape[1:])))
             f_s, f_q = spatial_coordinate(
-                tape, s, rearranged, ad.reshape(offs, (2, 2, 3, 2)),
+                tape, s, rearranged, ad.reshape(offs, (2, 2, 1, 3, 2)),
             )
             return ad.add(weighted_sum(tape, f_s, 21), weighted_sum(tape, f_q, 22))
 
         stage_gradcheck(build, [support, query, mix_logits, *pred.parameters()])
+
+    def test_all_zero_mask_gives_the_plain_spatial_mean(self):
+        # masks are >= 0, so the floor alone keeps every normalizer positive
+        f = np.random.default_rng(19).standard_normal((3, 2, 7, 7))
+        tape = Tape(grad=False)
+        got = masked_spatial_average(tape.const(f), tape.const(np.zeros((2, 7, 7)))).value
+        npt.assert_allclose(got, f.mean(axis=(2, 3)), rtol=0, atol=1e-12)
 
     def test_perturbed_masks_average_before_normalization(self):
         rng = np.random.default_rng(16)
@@ -459,7 +466,8 @@ class TestMaskedAverage:
         n_query, n_way, d, t = 2, 3, 4, 3
         support = Parameter(rng.standard_normal((n_way, d, t, 7, 7)), "support")
         query = Parameter(rng.standard_normal((n_query, query_classes, d, t, 7, 7)), "query")
-        offs = Parameter(rng.uniform(-1.5, 1.5, (n_query, n_way, t, 2)), "offsets")
+        # a unit axis in place of d: the offsets' leading axes broadcast with the maps' (..., d)
+        offs = Parameter(rng.uniform(-1.5, 1.5, (n_query, n_way, 1, t, 2)), "offsets")
         up_s, up_q = rng.standard_normal((2, n_query, n_way, d, t))
         disp = acm.perturb_displacements(0) if perturbed else acm.NO_DISPLACEMENT
         params = [support, query, offs]

@@ -573,6 +573,31 @@ class TestGradientsMatchFiniteDifferences:
 
         check_op(build, [o])
 
+    def test_offset_masks_batched(self):
+        # a (2, 3) block of (T, 2) offsets; a grid coordinate sits on a profile
+        # kink (distance 1 or 1 + 1/3 from a centre) when an offset's
+        # fractional part is 0, 1/3 or 2/3, so every offset keeps over 0.06 from those
+        rng = np.random.default_rng(14)
+        shape = (2, 3, 4, 2)
+        o = Parameter(
+            rng.integers(-2, 2, shape) + rng.choice([1 / 6, 1 / 2, 5 / 6], shape)
+            + rng.uniform(-0.1, 0.1, shape),
+            "o",
+        )
+        tape = Tape(grad=False)
+        masks = ad.offset_masks(tape.const(o.value), 7, 7, gamma=3.0).value
+        assert masks.shape == (2, 3, 4, 7, 7)
+        for i in range(2):
+            for j in range(3):
+                row = ad.offset_masks(tape.const(o.value[i, j]), 7, 7, gamma=3.0).value
+                npt.assert_array_equal(masks[i, j], row)
+
+        def build(tape):
+            masks = ad.offset_masks(tape.param(o), 7, 7, gamma=3.0)
+            return scalarize(tape, masks, np.random.default_rng(58))
+
+        check_op(build, [o])
+
     def test_time_linear_sample(self):
         rng = np.random.default_rng(12)
         f = Parameter(rng.standard_normal((3, 6, 2, 2)), "f")

@@ -127,6 +127,18 @@ def test_training_step_tape_is_freed_without_the_cycle_collector(dataset, no_gc)
     assert ref() is None
 
 
+@pytest.mark.parametrize("name", ["tc.key_w", "embed.w"])
+def test_nan_weight_raises_training_diverged(dataset, name):
+    # a NaN in TC's keys first shows in a masked mean's normalizer, one in
+    # the embedding in the TTM's warp; both name the step that diverged
+    model = AlignmentModel(TINY_MODEL)
+    param = {p.name: p for p in model.parameters()}[name]
+    param.value[0, 0] = np.nan
+    with pytest.raises(engine.TrainingDiverged, match=r"epoch 0, episode 0 \(lr=0.01\)") as err:
+        engine.train(model, dataset, TINY_TRAIN)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+
+
 def test_ablation_run_smoke(dataset):
     variants = engine.ABLATION_VARIANTS[:1] + engine.ABLATION_VARIANTS[-1:]
     config = replace(TINY_TRAIN, epochs=1, n_way=2)  # the test split has 2 classes

@@ -6,7 +6,7 @@ import pytest
 
 from ta2n import autodiff as ad
 from ta2n import container, engine, metric
-from ta2n.autodiff import Tape
+from ta2n.autodiff import Parameter, Tape
 from ta2n.container import BadMagicError, UnsupportedVersionError
 from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkpoint
 from ta2n.synth import MisalignmentConfig, generate_dataset, sample_episode
@@ -210,7 +210,9 @@ class TestEpisodeForward:
         assert ops.count("matmul") == 25
         assert ops.count("mix_time") == 1
         assert_fused_metric_head(ops)
-        assert len(ops) == 239 < 581
+        # offsets, masks and masked means broadcast: no reshape inside SC pooling
+        assert ops.count("reshape") == 6
+        assert len(ops) == 233 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC the queries are averaged over space before TC mixes
@@ -329,6 +331,42 @@ class TestCheckpoints:
             npt.assert_array_equal(a.value, b.value)
         npt.assert_array_equal(loaded.sc.bn1_mean, model.sc.bn1_mean)
         assert loaded.config == model.config
+
+    def test_every_parameter_attribute_is_trained_and_saved(self, tmp_path):
+        # a Parameter a module holds but leaves out of its parameters() would
+        # get no optimizer step and no checkpoint entry
+        def attributes(model):
+            owners = (model, model.ttm, model.tc, model.sc)
+            return [v for o in owners for v in vars(o).values() if isinstance(v, Parameter)]
+
+        model = AlignmentModel(tiny_config())
+        params = model.parameters()
+        assert Counter(map(id, params)) == Counter(map(id, attributes(model)))
+        assert len({p.name for p in params}) == len(params)
+        rng = np.random.default_rng(1)
+        for p in params:
+            p.value += rng.normal(0.0, 0.01, p.value.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = {p.name: p.value for p in attributes(load_checkpoint(path)[0])}
+        assert loaded.keys() == {p.name for p in params}
+        for p in params:
+            npt.assert_array_equal(loaded[p.name], p.value, err_msg=p.name)
+
+    @pytest.mark.parametrize("name, index, value", [
+        pytest.param("sc.conv1_w", (0, 1, 2, 0, 1), np.nan, id="nan_weight"),
+        pytest.param("tc.value_b", (2,), -np.inf, id="inf_bias"),
+        pytest.param("sc.bn1_var", (3,), -1.0, id="negative_var"),
+    ])
+    def test_checkpoint_with_malformed_array_is_rejected(self, tmp_path, name, index, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AlignmentModel(tiny_config()), path)
+        meta, arrays = container.load(path, container.CHECKPOINT)
+        arrays[name][index] = value
+        container.save(path, container.CHECKPOINT, meta, arrays)
+        with pytest.raises(container.ContainerError) as err:
+            load_checkpoint(path)
+        assert str(err.value).endswith(f"['{name}']")
 
     def test_checkpoint_with_query_bias_is_rejected(self, tmp_path):
         # checkpoints written while TC had a query bias carry tc.query_b,
