@@ -66,17 +66,17 @@ class TemporalCoordination:
         return ad.channel_linear(block, tape.param(self.value_w), tape.param(self.value_b))
 
     def support_side(self, tape: Tape, block: Var) -> tuple[Var, Var]:
-        """Scaled keys (N, T, P) of the spatially pooled (C, N, T, H, W)
-        support block, and its (P, N, T, H, W) values."""
+        """Scaled keys (N, T, P) of the spatially pooled (N, C, T, H, W)
+        support block, and its (N, P, T, H, W) values."""
         keys = ad.channel_linear(
             ad.reduce_mean(block, axis=(-2, -1)), tape.param(self.key_w), tape.param(self.key_b)
         )
-        keys = ad.affine(ad.transpose(keys, (1, 2, 0)), 1.0 / np.sqrt(self.proj_dim))
+        keys = ad.affine(ad.transpose(keys, (0, 2, 1)), 1.0 / np.sqrt(self.proj_dim))
         return keys, self._values(tape, block)
 
     def query_side(self, tape: Tape, block: Var) -> tuple[Var, Var]:
-        """Queries (Q, P, T) of the spatially pooled (C, Q, T, H, W) query
-        block, and its (P, Q, T, H, W) values.
+        """Queries (Q, P, T) of the spatially pooled (Q, C, T, H, W) query
+        block, and its (Q, P, T, H, W) values.
 
         The queries have no bias: it would add ``k_i . b`` to every logit of
         support row ``i``, which the softmax over query columns cancels.
@@ -84,7 +84,7 @@ class TemporalCoordination:
         queries = ad.channel_linear(
             ad.reduce_mean(block, axis=(-2, -1)), tape.param(self.query_w)
         )
-        return ad.transpose(queries, (1, 0, 2)), self._values(tape, block)
+        return queries, self._values(tape, block)
 
     def forward(self, keys: Var, queries: Var) -> Var:
         """One pair's correlation, from a support's (T, P) keys and a query's (P, T) queries.
@@ -219,13 +219,12 @@ class OffsetPredictor:
         )
         x = ad.relu(ad.max_pool_spatial2(x))
         g = ad.global_max_pool_spatial(x)  # (B, C, T)
-        g = ad.transpose(g, (1, 0, 2))  # (C, B, T)
         h = ad.relu(ad.channel_linear(g, tape.param(self.fc1_w), tape.param(self.fc1_b)))
         raw = ad.tanh(ad.channel_linear(h, tape.param(self.fc2_w), tape.param(self.fc2_b)))
         sx = (self.width - 1) / 2.0
         sy = (self.height - 1) / 2.0
-        scaled = ad.mul(raw, raw.tape.const(np.array([sx, sy]).reshape(2, 1, 1)))
-        return ad.transpose(scaled, (1, 2, 0))  # (B, T, 2)
+        scaled = ad.mul(raw, raw.tape.const(np.array([[sx], [sy]])))  # (B, 2, T)
+        return ad.transpose(scaled, (0, 2, 1))  # (B, T, 2)
 
 
 # ---------------------------------------------------------------------------

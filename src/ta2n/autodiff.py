@@ -16,6 +16,8 @@ Conventions:
 - non-differentiable points use subgradients: ReLU passes zero at 0, max
   pooling routes gradient to the first maximal element, a vector norm
   passes zero at the origin,
+- blocks are batch-first with channels on axis 1, ``(B, C, ...)``; ops
+  documented with ``...`` batch axes broadcast them,
 - broadcasting follows numpy; backward passes sum gradients back over
   broadcast axes.
 """
@@ -456,30 +458,35 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def channel_linear(x: Var, weight: Var, bias: Var | None = None) -> Var:
-    """Affine map over the leading (channel) axis of ``x``.
+    """Affine map over the channel axis of a (B, C, ...) block.
 
-    ``out[j, ...] = sum_i W[i, j] * x[i, ...] (+ b[j])``, applied
+    ``out[b, j, ...] = sum_i W[i, j] * x[b, i, ...] (+ b[j])``, applied
     independently at every trailing index, so on a feature map this is a 1x1
-    convolution and on a 1-D vector a plain ``W.T @ x (+ b)``.
+    convolution and on a (B, C) block a plain ``x @ W (+ b)``. One batched
+    ``W.T @ x.reshape(B, C, -1)``.
     """
     xv, wv = x.value, weight.value
-    if xv.shape[0] != wv.shape[0]:
+    if xv.ndim < 2 or xv.shape[1] != wv.shape[0]:
         raise ValueError(
-            f"channel_linear: leading dim {xv.shape[0]} != weight rows {wv.shape[0]}"
+            f"channel_linear: (B, C, ...) block {xv.shape} vs weight rows {wv.shape[0]}"
         )
-    out = np.tensordot(wv, xv, axes=([0], [0]))  # (C_out, ...)
+    x3 = xv.reshape(xv.shape[0], xv.shape[1], -1)
+    out = wv.T @ x3  # (B, C_out, P)
     if bias is not None:
         if bias.value.shape != (wv.shape[1],):
             raise ValueError("channel_linear: bias shape mismatch")
-        out = out + bias.value.reshape((-1,) + (1,) * (xv.ndim - 1))
+        out += bias.value[:, None]
+    out = out.reshape(xv.shape[:1] + wv.shape[1:] + xv.shape[2:])
 
     def bwd(g):
-        gx = np.tensordot(wv, g, axes=([1], [0]))
-        gw = np.tensordot(xv.reshape(xv.shape[0], -1), g.reshape(g.shape[0], -1).T, axes=1)
+        g3 = g.reshape(x3.shape[0], -1, x3.shape[2])
+        gx = (wv @ g3).reshape(xv.shape)
+        # one GEMM over every (b, p) position, on channel-major copies with contiguous rows
+        xc, gc = (a.transpose(1, 0, 2).reshape(a.shape[1], -1) for a in (x3, g3))
+        gw = xc @ gc.T
         if bias is None:
             return gx, gw
-        gb = g.reshape(g.shape[0], -1).sum(axis=1)
-        return gx, gw, gb
+        return gx, gw, g3.sum(axis=(0, 2))
 
     ins = (x, weight) if bias is None else (x, weight, bias)
     return x.tape.record("channel_linear", out, ins, bwd)
@@ -513,28 +520,67 @@ def mix_time(m: Var, f: Var) -> Var:
     return m.tape.record("mix_time", out, (m, f), bwd)
 
 
-def conv1d_temporal(x: Var, weight: Var, bias: Var) -> Var:
-    """Temporal convolution of each sequence of a (C, ..., T) block, kernel 3, zero padding 1."""
-    xv, wv = x.value, weight.value
-    c_out, c_in, k = wv.shape
-    if k != 3 or xv.ndim < 2 or xv.shape[0] != c_in:
-        raise ValueError(f"conv1d_temporal: bad shapes {xv.shape} vs {wv.shape}")
-    t = xv.shape[-1]
-    xp = np.pad(xv.reshape(c_in, -1, t), ((0, 0), (0, 0), (1, 1)))  # (C_in, B, T+2)
-    out = np.zeros((c_out, xp.shape[1], t))
-    for j in range(3):
-        out += np.tensordot(wv[:, :, j], xp[:, :, j : j + t], axes=1)
-    out += bias.value[:, None, None]
-    out = out.reshape((c_out,) + xv.shape[1:])
+def warp_matrix(scale: Var, shift: Var, frames: int) -> Var:
+    """(..., T, T) linear-interpolation matrices of temporal affine warps.
+
+    ``scale`` and ``shift`` share one batch shape ``...`` (``()`` for one
+    video). Row ``i`` of a matrix reads normalized time ``shift + scale *
+    i/(T-1)``, as weights ``1 - frac`` and ``frac`` on the two neighbouring
+    frames, so every row sums to 1 and ``mix_time(warp_matrix(scale, shift,
+    T), f)`` resamples each video of ``f`` through its warp, as a spatial
+    transformer's sampler does (Jaderberg et al. 2015). Differentiable in
+    both parameters, with the integer frame index locally constant. Raises
+    if a window leaves the clip: scale in (0, 1], shift >= 0 and
+    shift + scale <= 1.
+    """
+    t = frames
+    if scale.shape != shift.shape or t < 2:
+        raise ValueError(f"warp_matrix expects batch-shaped scale and shift of one shape and "
+                         f"T >= 2, got {scale.shape}, {shift.shape} and T={t}")
+    a, b = scale.value.reshape(-1, 1), shift.value.reshape(-1, 1)
+    if not np.all((0.0 < a) & (a <= 1.0 + 1e-12) & (-1e-12 <= b) & (b + a <= 1.0 + 1e-9)):
+        raise ValueError(f"warp parameters out of range: scale={scale.value}, shift={shift.value}")
+    i = np.arange(t)
+    s = (b + a * i / (t - 1)) * (t - 1)  # (videos, T) source frame positions
+    lo = np.clip(np.floor(s).astype(int), 0, t - 1)
+    hi = np.clip(lo + 1, 0, t - 1)
+    frac = s - lo
+    v = np.arange(len(s))[:, None]
+    out = np.zeros((len(s), t, t))
+    out[v, i, lo] = 1.0 - frac
+    out[v, i, hi] += frac
 
     def bwd(g):
-        g3 = g.reshape(c_out, -1, t)
+        g3 = g.reshape(out.shape)
+        gfrac = g3[v, i, hi] - g3[v, i, lo]  # d out / d frac
+        # d s_i / d scale = i, d s_i / d shift = T-1; d frac/d s = 1 a.e.
+        ga = (gfrac @ i).reshape(scale.shape)
+        gb = (gfrac.sum(axis=1) * (t - 1)).reshape(shift.shape)
+        return ga, gb
+
+    return scale.tape.record("warp_matrix", out.reshape(scale.shape + (t, t)), (scale, shift), bwd)
+
+
+def conv1d_temporal(x: Var, weight: Var, bias: Var) -> Var:
+    """Temporal convolution of a (B, C, T) block of sequences, kernel 3, zero padding 1."""
+    xv, wv = x.value, weight.value
+    c_out, c_in, k = wv.shape
+    if k != 3 or xv.ndim != 3 or xv.shape[1] != c_in:
+        raise ValueError(f"conv1d_temporal: bad shapes {xv.shape} vs {wv.shape}")
+    t = xv.shape[-1]
+    xp = np.pad(xv, ((0, 0), (0, 0), (1, 1)))  # (B, C_in, T+2)
+    out = np.zeros((xv.shape[0], c_out, t))
+    for j in range(3):
+        out += wv[:, :, j] @ xp[:, :, j : j + t]
+    out += bias.value[:, None]
+
+    def bwd(g):
         gxp = np.zeros_like(xp)
         gw = np.empty_like(wv)
         for j in range(3):
-            gxp[:, :, j : j + t] += np.tensordot(wv[:, :, j].T, g3, axes=1)
-            gw[:, :, j] = np.tensordot(g3, xp[:, :, j : j + t], axes=([1, 2], [1, 2]))
-        return gxp[:, :, 1 : 1 + t].reshape(xv.shape), gw, g3.sum(axis=(1, 2))
+            gxp[:, :, j : j + t] += wv[:, :, j].T @ g
+            gw[:, :, j] = np.tensordot(g, xp[:, :, j : j + t], axes=([0, 2], [0, 2]))
+        return gxp[:, :, 1 : 1 + t], gw, g.sum(axis=(0, 2))
 
     return x.tape.record("conv1d_temporal", out, (x, weight, bias), bwd)
 
@@ -888,54 +934,6 @@ def batchnorm_channels(
         return gx, gg, gb
 
     return x.tape.record("batchnorm_eval", out, (x, gamma, beta), bwd_eval)
-
-
-def time_linear_sample(f: Var, scale: Var, shift: Var) -> Var:
-    """Resample each video of a (C, ..., T, H, W) block through its temporal affine map.
-
-    ``scale`` and ``shift`` are shaped like the middle batch axes (``()`` for
-    one video). Output frame ``i`` of a video reads its input at normalized
-    time ``shift + scale * i/(T-1)``, linearly interpolating between the two
-    neighbouring frames. Differentiable in the frames and in both warp
-    parameters (the integer frame index is treated as locally constant).
-    Raises if a window leaves the clip: scale in (0, 1], shift >= 0 and
-    shift + scale <= 1.
-    """
-    fv = f.value
-    batch = fv.shape[1:-3]
-    if fv.ndim < 4 or scale.shape != batch or shift.shape != batch:
-        raise ValueError(f"time_linear_sample expects (C, ..., T, H, W) and batch-shaped warps, "
-                         f"got {fv.shape}, {scale.shape}, {shift.shape}")
-    c, t = fv.shape[0], fv.shape[-3]
-    if t < 2:
-        raise ValueError("time_linear_sample needs T >= 2")
-    a, b = scale.value.reshape(-1, 1), shift.value.reshape(-1, 1)
-    if not np.all((0.0 < a) & (a <= 1.0 + 1e-12) & (-1e-12 <= b) & (b + a <= 1.0 + 1e-9)):
-        raise ValueError(f"warp parameters out of range: scale={scale.value}, shift={shift.value}")
-    i = np.arange(t)
-    s = (b + a * i / (t - 1)) * (t - 1)  # (B, T) source frame positions
-    lo = np.clip(np.floor(s).astype(int), 0, t - 1)
-    hi = np.clip(lo + 1, 0, t - 1)
-    frac = s - lo
-    # out[:, v, i] = (1 - frac_vi) f[:, v, lo_vi] + frac_vi f[:, v, hi_vi], one T x T map per video
-    v = np.arange(len(s))[:, None]
-    sampler = np.zeros((len(s), t, t))
-    sampler[v, i, lo] = 1.0 - frac
-    sampler[v, i, hi] += frac
-    f4 = fv.reshape(c, -1, t, fv.shape[-2] * fv.shape[-1])
-    out = (sampler @ f4).reshape(fv.shape)
-
-    def bwd(g):
-        g4 = g.reshape(f4.shape)
-        gf = (sampler.transpose(0, 2, 1) @ g4).reshape(fv.shape)
-        diff = f4[:, v, hi] - f4[:, v, lo]  # d out / d frac
-        gfrac = np.einsum("cvtp,cvtp->vt", g4, diff)
-        # d s_i / d scale = i, d s_i / d shift = T-1; d frac/d s = 1 a.e.
-        ga = (gfrac @ i).reshape(batch)
-        gb = (gfrac.sum(axis=1) * (t - 1)).reshape(batch)
-        return gf, ga, gb
-
-    return f.tape.record("time_linear_sample", out, (f, scale, shift), bwd)
 
 
 def offset_masks(offsets: Var, height: int, width: int, gamma: float) -> Var:

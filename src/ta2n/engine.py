@@ -41,8 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        if not 0.0 <= self.momentum < 1.0:  # also rejects NaN
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must lie in (0, 1]")
         if self.decay_interval < 1 or self.epochs < 0 or self.episodes_per_epoch < 1:

@@ -6,10 +6,11 @@ pooled pair representations. Both stages run on blocks of videos.
 
 Stage one, the embedder and the temporal transform, runs once per block:
 all support videos of an episode go through one embed -> TTM -> warp chain,
-all its queries through another, and the (C, N, T, H, W) prototype block
-holds the mean of each class's warped shots.
+all its queries through another, and the (N, C, T, H, W) prototype block
+holds the mean of each class's warped shots. Every block is batch-first,
+(videos, channels, ...), as ``autodiff`` documents.
 
-Stage two takes the prototype block and the (C, Q, T, H, W) query block
+Stage two takes the prototype block and the (Q, C, T, H, W) query block
 whole. Once per block run TC's pooled projections and value maps, and,
 without SC, the spatial mean. Once per episode run the rearrangement of
 every query onto every class (one ``ad.mix_time`` over (Q, N) leading
@@ -141,7 +142,7 @@ class AlignmentModel:
     # -- forward ----------------------------------------------------------
 
     def _stage_one(self, tape: Tape, videos: list[VideoFeature]) -> Var:
-        """Embed V videos as one (C, V, T, H, W) block; with the TTM, warp each onto its action span."""
+        """Embed V videos as one (V, C, T, H, W) block; with the TTM, warp each onto its action span."""
         cfg = self.config
         want = (cfg.channels, cfg.frames, cfg.height, cfg.width)
         for v in videos:
@@ -150,7 +151,7 @@ class AlignmentModel:
                     f"video features of shape {v.feature.shape} do not match the model's "
                     f"(C, T, H, W) {want}"
                 )
-        block = tape.const(np.stack([v.feature for v in videos], axis=1))
+        block = tape.const(np.stack([v.feature for v in videos]))
         f = ad.channel_linear(block, tape.param(self.embed_w), tape.param(self.embed_b))
         if self.ttm is not None:
             scale, shift = ttm_mod.localize(self.ttm, tape, f)
@@ -181,8 +182,8 @@ class AlignmentModel:
         # stage one: one embed (+ temporal transform) chain per block, supports then queries
         n_way, k_shot = len(shots), shots[0]
         support = self._stage_one(tape, [v for s in episode.support for v in s])
-        by_class = ad.reshape(support, (support.shape[0], n_way, k_shot, *support.shape[2:]))
-        prototypes = ad.reduce_mean(by_class, axis=2)
+        by_class = ad.reshape(support, (n_way, k_shot, *support.shape[1:]))
+        prototypes = ad.reduce_mean(by_class, axis=1)
         query = self._stage_one(tape, episode.query)
         pairs = self._stage_two(tape, prototypes, query, training, epoch)
         probs = [
@@ -195,19 +196,17 @@ class AlignmentModel:
         self, tape: Tape, prototypes: Var, query: Var, training: bool, epoch: int
     ) -> list[tuple[Var, Var]]:
         """Pooled (d, T) maps of every (query, class) pair, ``pairs[q*N + n]``, from the
-        (C, N, T, H, W) prototype block and the (C, Q, T, H, W) query block."""
-        n_way, n_query, t = prototypes.shape[1], query.shape[1], prototypes.shape[2]
+        (N, C, T, H, W) prototype block and the (Q, C, T, H, W) query block."""
+        n_way, n_query, t = prototypes.shape[0], query.shape[0], prototypes.shape[2]
         if self.tc is not None:
-            keys, support_values = self.tc.support_side(tape, prototypes)
-            queries, query_values = self.tc.query_side(tape, query)
+            keys, supports = self.tc.support_side(tape, prototypes)  # (N, d, T, H, W) values
+            projected, queries = self.tc.query_side(tape, query)  # (Q, d, T, H, W) values
             key_rows = _rows(keys)
-            corrs = [self.tc.forward(k, q) for q in _rows(queries) for k in key_rows]
+            corrs = [self.tc.forward(k, q) for q in _rows(projected) for k in key_rows]
             mix = ad.reshape(ad.stack(corrs), (n_query, n_way, t, t))
         else:
-            support_values, query_values = prototypes, query
+            supports, queries = prototypes, query
             mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
-        supports = ad.transpose(support_values, (1, 0, 2, 3, 4))  # (N, d, T, H, W)
-        queries = ad.transpose(query_values, (1, 0, 2, 3, 4))  # (Q, d, T, H, W)
         d = supports.shape[1]
         if self.sc is None:
             f_s = ad.reduce_mean(supports, axis=(-2, -1))  # (N, d, T)

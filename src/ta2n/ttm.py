@@ -4,10 +4,10 @@ A small localization network predicts, per video, a duration scale and a
 start offset in normalized time; the feature sequence is then resampled
 through that affine map with linear interpolation, so the whole stage is
 trainable end to end together with everything downstream. Each video is
-independent, so the stage runs once per block of videos: a (C, ..., T, H, W)
-feature gives warp parameters shaped like its middle batch axes, as a
-spatial transformer samples a batch with per-sample transforms (Jaderberg et
-al. 2015).
+independent, so the stage runs once per block of videos: a (B, C, T, H, W)
+block gives one (scale, shift) pair per video, as a spatial transformer
+samples a batch with per-sample transforms (Jaderberg et al. 2015). The
+resampling is ``ad.mix_time`` by each video's ``ad.warp_matrix``.
 """
 
 from __future__ import annotations
@@ -47,36 +47,36 @@ class LocalizationNet:
         return [self.conv_w, self.conv_b, self.head_w, self.head_b]
 
     def raw_outputs(self, tape: Tape, feature: Var) -> Var:
-        """Unconstrained (scale residual, shift logit) pairs: (2, ...) for a (C, ..., T, H, W) feature."""
-        if len(feature.shape) < 4:
-            raise ValueError(f"localize expects (C, ..., T, H, W), got {feature.shape}")
-        pooled = ad.reduce_mean(feature, axis=(-2, -1))  # (C, ..., T)
+        """Unconstrained (scale residual, shift logit) pairs: (B, 2) for a (B, C, T, H, W) block."""
+        if len(feature.shape) != 5:
+            raise ValueError(f"localize expects (B, C, T, H, W), got {feature.shape}")
+        pooled = ad.reduce_mean(feature, axis=(-2, -1))  # (B, C, T)
         h = ad.relu(ad.conv1d_temporal(pooled, tape.param(self.conv_w), tape.param(self.conv_b)))
-        h = ad.reduce_mean(h, axis=-1)  # (hidden, ...)
+        h = ad.reduce_mean(h, axis=-1)  # (B, hidden)
         return ad.channel_linear(h, tape.param(self.head_w), tape.param(self.head_b))
 
 
 def warp_from_raw(raw: Var) -> tuple[Var, Var]:
-    """Map raw head outputs, (2, ...), to valid (scale, shift) vars shaped ``...``.
+    """Map raw head outputs, (..., 2), to valid (scale, shift) vars shaped ``...``.
 
-    scale = MIN_DURATION_SCALE + (1 - MIN_DURATION_SCALE) * sigmoid(raw[0])
-    keeps the window from collapsing; shift = sigmoid(raw[1]) * (1 - scale)
+    scale = MIN_DURATION_SCALE + (1 - MIN_DURATION_SCALE) * sigmoid(raw[..., 0])
+    keeps the window from collapsing; shift = sigmoid(raw[..., 1]) * (1 - scale)
     keeps it inside the clip. Both maps are smooth with non-zero slope, so
     no raw value cuts the gradient off.
     """
-    scale = ad.affine(ad.sigmoid(ad.take(raw, 0)), 1.0 - MIN_DURATION_SCALE, MIN_DURATION_SCALE)
+    scale = ad.affine(ad.sigmoid(ad.take(raw, 0, -1)), 1.0 - MIN_DURATION_SCALE, MIN_DURATION_SCALE)
     room = ad.affine(scale, -1.0, 1.0)  # 1 - scale
-    shift = ad.mul(ad.sigmoid(ad.take(raw, 1)), room)
+    shift = ad.mul(ad.sigmoid(ad.take(raw, 1, -1)), room)
     return scale, shift
 
 
 def localize(net: LocalizationNet, tape: Tape, feature: Var) -> tuple[Var, Var]:
-    """Predict (scale, shift) warp parameter vars for every video of a (C, ..., T, H, W) feature."""
+    """Predict (B,) scale and shift warp parameter vars for a (B, C, T, H, W) block of videos."""
     return warp_from_raw(net.raw_outputs(tape, feature))
 
 
 def temporal_affine_warp(feature: Var, scale: Var, shift: Var) -> Var:
-    """Resample each video's sequence onto its predicted action window.
+    """Resample each video of a (..., C, T, H, W) feature, warps shaped ``...``, onto its window.
 
     Output time tau reads input time shift + scale*tau: ``scale`` is the
     predicted action duration (fraction of the clip) and ``shift`` the action
@@ -85,12 +85,12 @@ def temporal_affine_warp(feature: Var, scale: Var, shift: Var) -> Var:
     the two neighbouring input frames, so the output is always a convex
     combination of input frames. Raises ``FloatingPointError`` for a
     non-finite warp, as after a diverged step, and ``ValueError`` if a scale
-    falls below MIN_DURATION_SCALE or (in ``ad.time_linear_sample``) a window
-    leaves the clip; the localization head guarantees neither happens for
-    finite weights, and nothing is silently clamped here.
+    falls below MIN_DURATION_SCALE or (in ``ad.warp_matrix``) a window leaves
+    the clip; the localization head guarantees neither happens for finite
+    weights, and nothing is silently clamped here.
     """
     if not (np.isfinite(scale.value).all() and np.isfinite(shift.value).all()):
         raise FloatingPointError(f"temporal warp: non-finite scale {scale.value} or shift {shift.value}")
     if not np.all(scale.value >= MIN_DURATION_SCALE - 1e-9):
         raise ValueError(f"duration scale {scale.value} below {MIN_DURATION_SCALE}")
-    return ad.time_linear_sample(feature, scale, shift)
+    return ad.mix_time(ad.warp_matrix(scale, shift, feature.shape[-3]), feature)

@@ -53,11 +53,11 @@ def full_grid_offsets(
         pred.bn2_mean, pred.bn2_var, False,
     )
     x = ad.relu(ad.max_pool_spatial2(x))
-    g = ad.transpose(ad.global_max_pool_spatial(x), (1, 0, 2))  # (C, B, T)
+    g = ad.global_max_pool_spatial(x)  # (B, C, T)
     h = ad.relu(ad.channel_linear(g, tape.param(pred.fc1_w), tape.param(pred.fc1_b)))
     raw = ad.tanh(ad.channel_linear(h, tape.param(pred.fc2_w), tape.param(pred.fc2_b)))
-    scale = np.array([(pred.width - 1) / 2.0, (pred.height - 1) / 2.0]).reshape(2, 1, 1)
-    return ad.transpose(ad.mul(raw, tape.const(scale)), (1, 2, 0))  # (B, T, 2)
+    scale = np.array([[(pred.width - 1) / 2.0], [(pred.height - 1) / 2.0]])
+    return ad.transpose(ad.mul(raw, tape.const(scale)), (0, 2, 1))  # (B, T, 2)
 
 
 def generate_offset_mask(offset, height: int, width: int) -> Array:

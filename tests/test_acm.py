@@ -34,17 +34,12 @@ def predict(pred, support, query, training=False):
     ).value[0]
 
 
-def block(*videos):
-    """(C, T, H, W) maps as one (C, V, T, H, W) block of videos."""
-    return ad.transpose(ad.stack(videos), (1, 0, 2, 3, 4))
-
-
 def coordinate(tc, tape, support, query):
     """(rearranged query values, correlation) of one pair of (C, T, H, W) maps."""
-    keys, _ = tc.support_side(tape, block(support))
-    queries, values = tc.query_side(tape, block(query))
+    keys, _ = tc.support_side(tape, ad.stack([support]))
+    queries, values = tc.query_side(tape, ad.stack([query]))
     corr = tc.forward(ad.take(keys, 0), ad.take(queries, 0))
-    return ad.mix_time(corr, ad.take(values, 0, axis=1)), corr
+    return ad.mix_time(corr, ad.take(values, 0)), corr
 
 
 def weighted_sum(tape, v, seed):
@@ -89,7 +84,7 @@ class TestTemporalCoordination:
         tc = identity_tc(4)
         tape = Tape(grad=False)
         q = tape.const(rng.standard_normal((4, 6, 5, 5)))
-        values = ad.take(tc.query_side(tape, block(q))[1], 0, axis=1)
+        values = ad.take(tc.query_side(tape, ad.stack([q]))[1], 0)
         out = ad.mix_time(tape.const(np.eye(6)), values)
         npt.assert_allclose(out.value, values.value, atol=1e-12)
 
@@ -125,13 +120,11 @@ class TestTemporalCoordination:
         tape = Tape(grad=False)
         videos = [tape.const(rng.standard_normal((5, 6, 4, 3))) for _ in range(3)]
         for side in (tc.support_side, tc.query_side):
-            proj, values = side(tape, block(*videos))
+            proj, values = side(tape, ad.stack(videos))
             for i, v in enumerate(videos):
-                one_proj, one_values = side(tape, block(v))
+                one_proj, one_values = side(tape, ad.stack([v]))
                 npt.assert_allclose(proj.value[i], one_proj.value[0], rtol=0, atol=1e-12)
-                npt.assert_allclose(
-                    values.value[:, i], one_values.value[:, 0], rtol=0, atol=1e-12
-                )
+                npt.assert_allclose(values.value[i], one_values.value[0], rtol=0, atol=1e-12)
 
     def test_gradients(self):
         # two supports x two queries, as the pipeline runs them: block sides,
@@ -139,8 +132,8 @@ class TestTemporalCoordination:
         # values, rearranged query values and correlations together
         rng = np.random.default_rng(12)
         tc = TemporalCoordination(5, proj_dim=4, rng=rng)
-        support = Parameter(rng.standard_normal((5, 2, 6, 5, 5)), "support")
-        query = Parameter(rng.standard_normal((5, 2, 6, 5, 5)), "query")
+        support = Parameter(rng.standard_normal((2, 5, 6, 5, 5)), "support")
+        query = Parameter(rng.standard_normal((2, 5, 6, 5, 5)), "query")
 
         def build(tape):
             keys, s_values = tc.support_side(tape, tape.param(support))
@@ -150,9 +143,7 @@ class TestTemporalCoordination:
                 for q in range(2) for n in range(2)
             ])
             corr = ad.reshape(corr, (2, 2, 6, 6))
-            rearranged = ad.mix_time(
-                corr, ad.reshape(ad.transpose(q_values, (1, 0, 2, 3, 4)), (2, 1, 4, 6, 5, 5))
-            )
+            rearranged = ad.mix_time(corr, ad.reshape(q_values, (2, 1, 4, 6, 5, 5)))
             z = ad.add(weighted_sum(tape, s_values, 17), weighted_sum(tape, rearranged, 18))
             return ad.add(z, weighted_sum(tape, corr, 19))
 
@@ -298,10 +289,10 @@ class TestOffsetPredictor:
             tape = Tape()
             videos = [tape.param(f) for f in feats]
             if use_tc:
-                keys, s_values = tc.support_side(tape, block(*videos[:n]))
-                q_proj, q_values = tc.query_side(tape, block(*videos[n:]))
-                supports = [ad.take(s_values, i, axis=1) for i in range(n)]
-                queries = [ad.take(q_values, i, axis=1) for i in range(n)]
+                keys, s_values = tc.support_side(tape, ad.stack(videos[:n]))
+                q_proj, q_values = tc.query_side(tape, ad.stack(videos[n:]))
+                supports = [ad.take(s_values, i) for i in range(n)]
+                queries = [ad.take(q_values, i) for i in range(n)]
                 mixes = [
                     tc.forward(ad.take(keys, ci), ad.take(q_proj, qi))
                     for qi in range(n) for ci in range(n)

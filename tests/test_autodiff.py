@@ -119,7 +119,7 @@ class TestPooling:
 class TestLinear:
     def test_identity(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 3))
+        x = rng.standard_normal((3, 4))
         t = Tape(grad=False)
         w = t.const(np.eye(4))
         b = t.const(np.zeros(4))
@@ -127,37 +127,39 @@ class TestLinear:
 
     def test_zero_weights_bias_only(self):
         t = Tape(grad=False)
-        x = t.const(np.ones((3, 2)))
+        x = t.const(np.ones((2, 3)))
         w = t.const(np.zeros((3, 2)))
         b = t.const(np.array([5.0, -1.0]))
-        npt.assert_allclose(ad.channel_linear(x, w, b).value, [[5.0] * 2, [-1.0] * 2])
+        npt.assert_allclose(ad.channel_linear(x, w, b).value, [[5.0, -1.0]] * 2)
 
     def test_hand_product(self):
         t = Tape(grad=False)
-        x = t.const(np.array([1.0, 2.0]))
+        x = t.const(np.array([[1.0, 2.0]]))
         w = t.const(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        npt.assert_allclose(ad.channel_linear(x, w).value, [3.0, 2.0])
+        npt.assert_allclose(ad.channel_linear(x, w).value, [[3.0, 2.0]])
 
     def test_dimension_mismatch(self):
         t = Tape(grad=False)
         with pytest.raises(ValueError):
             ad.channel_linear(t.const(np.zeros((2, 3))), t.const(np.zeros((4, 2))))
+        with pytest.raises(ValueError):  # a vector has no batch axis
+            ad.channel_linear(t.const(np.zeros(4)), t.const(np.zeros((4, 2))))
 
     def test_channel_linear_matches_linear_project(self):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((5, 3, 2, 2))
+        x = rng.standard_normal((3, 5, 2, 2))
         w = rng.standard_normal((5, 4))
         b = rng.standard_normal(4)
         t = Tape(grad=False)
         got = ad.channel_linear(t.const(x), t.const(w), t.const(b)).value
         # reference: the same map as a product over the trailing axis
-        want = np.moveaxis(np.moveaxis(x, 0, -1) @ w + b, -1, 0)
+        want = np.moveaxis(np.moveaxis(x, 1, -1) @ w + b, -1, 1)
         npt.assert_allclose(got, want, atol=1e-12)
 
     def test_pool_project_commute(self):
         # projecting per location then pooling equals pooling then projecting
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((6, 4, 7, 7))
+        x = rng.standard_normal((4, 6, 7, 7))
         w = rng.standard_normal((6, 3))
         t = Tape(grad=False)
         pooled_first = ad.channel_linear(
@@ -199,7 +201,7 @@ class TestConcat:
 class TestPurity:
     def test_inputs_never_mutated(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((3, 4))
+        x = rng.standard_normal((4, 3))
         x_before = x.copy()
         t = Tape()
         v = t.const(x)
@@ -302,24 +304,24 @@ class TestGradientsMatchFiniteDifferences:
 
     def test_linear_ops(self):
         rng = np.random.default_rng(5)
-        v = Parameter(rng.standard_normal(6), "v")
+        v = Parameter(rng.standard_normal((2, 6)), "v")
         w = Parameter(rng.standard_normal((6, 3)), "w")
         b = Parameter(rng.standard_normal(3), "b")
-        x = Parameter(rng.standard_normal((4, 6)), "x")
+        x = Parameter(rng.standard_normal((3, 4, 6)), "x")
         wc = Parameter(rng.standard_normal((4, 5)), "wc")
         bc = Parameter(rng.standard_normal(5), "bc")
 
         def build(tape):
-            y = ad.channel_linear(tape.param(v), tape.param(w), tape.param(b))  # 1-D, as in the TTM head
-            z = ad.channel_linear(tape.param(x), tape.param(wc), tape.param(bc))
-            out = concat((y, ad.reshape(z, (30,))), axis=0)
+            y = ad.channel_linear(tape.param(v), tape.param(w), tape.param(b))  # (B, C), as in the TTM head
+            z = ad.channel_linear(tape.param(x), tape.param(wc), tape.param(bc))  # (B, C, T)
+            out = concat((ad.reshape(y, (6,)), ad.reshape(z, (90,))), axis=0)
             return scalarize(tape, out, np.random.default_rng(46))
 
         check_op(build, [v, w, b, x, wc, bc])
 
     def test_conv1d_temporal(self):
         rng = np.random.default_rng(6)
-        x = Parameter(rng.standard_normal((3, 8)), "x")
+        x = Parameter(rng.standard_normal((1, 3, 8)), "x")
         w = Parameter(rng.standard_normal((5, 3, 3)), "w")
         b = Parameter(rng.standard_normal(5), "b")
 
@@ -330,15 +332,15 @@ class TestGradientsMatchFiniteDifferences:
         check_op(build, [x, w, b])
 
     def test_conv1d_temporal_batched(self):
-        # every (C, T) sequence of a (C, 2, 3, T) block through one kernel
+        # every (C, T) sequence of a (6, C, T) block through one kernel
         rng = np.random.default_rng(16)
-        x = Parameter(rng.standard_normal((3, 2, 3, 8)), "x")
+        x = Parameter(rng.standard_normal((6, 3, 8)), "x")
         w = Parameter(rng.standard_normal((5, 3, 3)), "w")
         b = Parameter(rng.standard_normal(5), "b")
 
         def build(tape):
             y = ad.conv1d_temporal(tape.param(x), tape.param(w), tape.param(b))
-            assert y.shape == (5, 2, 3, 8)
+            assert y.shape == (6, 5, 8)
             return scalarize(tape, y, np.random.default_rng(55))
 
         check_op(build, [x, w, b])
@@ -598,7 +600,8 @@ class TestGradientsMatchFiniteDifferences:
 
         check_op(build, [o])
 
-    def test_time_linear_sample(self):
+    def test_warp_matrix(self):
+        # one video: scalar warps and a (C, T, H, W) map
         rng = np.random.default_rng(12)
         f = Parameter(rng.standard_normal((3, 6, 2, 2)), "f")
         # chosen so no source position 0.855 + 0.63*i lands on an integer
@@ -606,33 +609,52 @@ class TestGradientsMatchFiniteDifferences:
         b = Parameter(np.array(0.171), "b")
 
         def build(tape):
-            y = ad.time_linear_sample(tape.param(f), tape.param(a), tape.param(b))
+            m = ad.warp_matrix(tape.param(a), tape.param(b), 6)
+            y = ad.mix_time(m, tape.param(f))
             return scalarize(tape, y, np.random.default_rng(54))
 
         check_op(build, [f, a, b])
 
-    def test_time_linear_sample_batched(self):
+    def test_warp_matrix_batched(self):
         # a (2, 3) block of videos, each with its own window; no source
         # position 5*shift + scale*i lies within 0.06 of an integer
         rng = np.random.default_rng(13)
-        f = Parameter(rng.standard_normal((3, 2, 3, 6, 2, 2)), "f")
+        f = Parameter(rng.standard_normal((2, 3, 3, 6, 2, 2)), "f")
         a = Parameter(np.array([[0.47, 0.51, 0.32], [0.46, 0.65, 0.61]]), "a")
         b = Parameter(np.array([[0.065, 0.169, 0.375], [0.284, 0.048, 0.324]]), "b")
 
         def build(tape):
-            y = ad.time_linear_sample(tape.param(f), tape.param(a), tape.param(b))
+            m = ad.warp_matrix(tape.param(a), tape.param(b), 6)
+            assert m.shape == (2, 3, 6, 6)
+            y = ad.mix_time(m, tape.param(f))
             return scalarize(tape, y, np.random.default_rng(56))
 
         check_op(build, [f, a, b])
 
-    def test_time_linear_sample_warps_match_the_batch(self):
+    def test_warp_matrix_scale_and_shift_share_the_batch(self):
         tape = Tape(grad=False)
-        f = tape.const(np.zeros((3, 2, 6, 2, 2)))
         with pytest.raises(ValueError, match="batch-shaped"):
-            ad.time_linear_sample(f, tape.const(0.5), tape.const(0.1))
+            ad.warp_matrix(tape.const(0.5), tape.const([0.1, 0.2]), 6)
+        # two warps do not broadcast against a block of three videos
+        m = ad.warp_matrix(tape.const([0.5, 0.5]), tape.const([0.1, 0.2]), 6)
+        with pytest.raises(ValueError):
+            ad.mix_time(m, tape.const(np.zeros((3, 2, 6, 2, 2))))
 
 
 class TestMixTime:
+    def test_warp_rows_sum_to_one_and_the_identity_is_exact(self):
+        rng = np.random.default_rng(14)
+        tape = Tape(grad=False)
+        scale = rng.uniform(0.25, 1.0, (2, 3))
+        shift = rng.uniform(0.0, 1.0 - scale)
+        m = ad.warp_matrix(tape.const(scale), tape.const(shift), 7).value
+        assert m.min() >= 0.0
+        npt.assert_allclose(m.sum(axis=-1), np.ones((2, 3, 7)), rtol=0, atol=1e-15)
+        identity = ad.warp_matrix(tape.const(1.0), tape.const(0.0), 7)
+        npt.assert_array_equal(identity.value, np.eye(7))
+        f = tape.const(rng.standard_normal((4, 7, 3, 3)))
+        npt.assert_array_equal(ad.mix_time(identity, f).value, f.value)
+
     @pytest.mark.parametrize("map_classes", [1, 3])
     def test_block_equals_single_pairs(self, map_classes):
         # (Q, N) = (2, 3) mixes over (Q, 1) or (Q, N) maps in one call, against

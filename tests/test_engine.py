@@ -153,6 +153,11 @@ def test_ablation_run_smoke(dataset):
 
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", -1e-3),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("momentum", 1.0),
+    ("momentum", -0.5),
+    ("momentum", float("nan")),
     ("decay_factor", 0.0),
     ("decay_factor", 1.5),
     ("decay_interval", 0),

@@ -28,13 +28,13 @@ def prototype_model(**kw):
 def prototypes(model, monkeypatch, shots_per_class):
     """The class prototypes ``episode_forward`` builds from per-class lists of shot features.
 
-    They are read where stage two receives them, as one (C, N, T, H, W) block.
+    They are read where stage two receives them, as one (N, C, T, H, W) block.
     """
     seen = []
     stage_two = AlignmentModel._stage_two
 
     def spy(self, tape, prototype_block, *rest):
-        seen.extend(np.moveaxis(prototype_block.value, 1, 0))
+        seen.extend(prototype_block.value)
         return stage_two(self, tape, prototype_block, *rest)
 
     def video(feature):

@@ -204,26 +204,32 @@ class TestEpisodeForward:
         assert (25, 32, 8, 7, 7) not in shapes
         # training convolves the full grid: batch-norm statistics read every position
         assert conv_shapes(ops, shapes) == [(25, 128, 8, 7, 7), (25, 128, 8, 3, 3)]
-        # stage one: one embed -> TTM -> warp chain for the supports, one for the queries
-        assert ops.count("time_linear_sample") == ops.count("conv1d_temporal") == 2
+        # stage one: one embed -> TTM -> warp chain for the supports, one for
+        # the queries; a warp is one mix_time by the videos' warp matrices
+        assert ops.count("warp_matrix") == ops.count("conv1d_temporal") == 2
+        assert "time_linear_sample" not in ops
         # stage two: one correlation per pair, one rearrangement of every pair
         assert ops.count("matmul") == 25
-        assert ops.count("mix_time") == 1
+        assert ops.count("mix_time") == 2 + 1
         assert_fused_metric_head(ops)
         # offsets, masks and masked means broadcast: no reshape inside SC pooling
         assert ops.count("reshape") == 6
-        assert len(ops) == 233 < 581
+        # batch-first blocks: only TC's keys and the offset head's (B, T, 2) output
+        assert ops.count("transpose") == 2
+        assert len(ops) == 231 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC the queries are averaged over space before TC mixes
         # them, so no (Q, N, d, T, H, W) block of rearranged maps is built
         ops, shapes = step_census(ModelConfig(use_sc=False), monkeypatch)
         assert ops.count("matmul") == 25
-        assert ops.count("mix_time") == 1
+        assert ops.count("warp_matrix") == 2 and "time_linear_sample" not in ops
+        assert ops.count("mix_time") == 2 + 1
         assert (5, 5, 16, 8, 7, 7) not in shapes
         assert (5, 5, 16, 8, 1, 1) in shapes
         assert_fused_metric_head(ops)
-        assert len(ops) == 180 < 522
+        assert ops.count("transpose") == 1  # TC's keys
+        assert len(ops) == 179 < 522
 
     def test_eval_forward_convolves_only_what_the_pools_read(self, monkeypatch):
         # ModelConfig(): eval batch norm is per position and each 2x2 pool
