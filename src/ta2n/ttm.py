@@ -4,10 +4,9 @@ A small localization network predicts, per video, a duration scale and a
 start offset in normalized time; the feature sequence is then resampled
 through that affine map with linear interpolation, so the whole stage is
 trainable end to end together with everything downstream. Each video is
-independent, so the stage runs once per block of videos: a (B, C, T, H, W)
-block gives one (scale, shift) pair per video, as a spatial transformer
-samples a batch with per-sample transforms (Jaderberg et al. 2015). The
-resampling is ``ad.mix_time`` by each video's ``ad.warp_matrix``.
+independent: a (B, C, T, H, W) block gives one (scale, shift) pair per video,
+as a spatial transformer samples a batch with per-sample transforms (Jaderberg
+et al. 2015), and is resampled by ``ad.mix_time`` with each ``ad.warp_matrix``.
 """
 
 from __future__ import annotations
@@ -78,17 +77,19 @@ def localize(net: LocalizationNet, tape: Tape, feature: Var) -> tuple[Var, Var]:
 def temporal_affine_warp(feature: Var, scale: Var, shift: Var) -> Var:
     """Resample each video of a (..., C, T, H, W) feature, warps shaped ``...``, onto its window.
 
-    Output time tau reads input time shift + scale*tau: ``scale`` is the
-    predicted action duration (fraction of the clip) and ``shift`` the action
-    start, so (1, 0) is the identity warp. Output frame i reads normalized
-    time shift + scale * i/(T-1); values are linearly interpolated between
-    the two neighbouring input frames, so the output is always a convex
-    combination of input frames. Raises ``FloatingPointError`` for a
-    non-finite warp, as after a diverged step, and ``ValueError`` if a scale
-    falls below MIN_DURATION_SCALE or (in ``ad.warp_matrix``) a window leaves
-    the clip; the localization head guarantees neither happens for finite
-    weights, and nothing is silently clamped here.
+    ``scale`` is the predicted action duration (fraction of the clip) and
+    ``shift`` the action start, so (1, 0) is the identity warp: output frame
+    i reads normalized time shift + scale * i/(T-1), linearly interpolated
+    between the two neighbouring input frames, so the output is always a
+    convex combination of input frames. Raises ``ValueError`` unless both
+    warps are shaped ``...`` (one warp is never broadcast over videos), if a
+    scale falls below MIN_DURATION_SCALE or (in ``ad.warp_matrix``) a window
+    leaves the clip, and ``FloatingPointError`` for a non-finite warp, as
+    after a diverged step; the localization head rules all of these out for
+    finite weights, and nothing is silently clamped here.
     """
+    if not scale.shape == shift.shape == feature.shape[:-4]:
+        raise ValueError(f"warps {scale.shape}, {shift.shape} are not batch-shaped for {feature.shape}")
     if not (np.isfinite(scale.value).all() and np.isfinite(shift.value).all()):
         raise FloatingPointError(f"temporal warp: non-finite scale {scale.value} or shift {shift.value}")
     if not np.all(scale.value >= MIN_DURATION_SCALE - 1e-9):

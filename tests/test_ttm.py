@@ -100,6 +100,19 @@ class TestWarp:
             with pytest.raises(ValueError):
                 warp(f, scale, shift)
 
+    def test_warps_match_the_batch(self):
+        # one warp per video: a scalar or (1,) warp is not broadcast over a block
+        tape = Tape(grad=False)
+        f = tape.const(np.zeros((2, 3, 6, 2, 2)))
+        for shape in ((), (1,), (3,)):
+            scale, shift = tape.const(np.full(shape, 0.5)), tape.const(np.full(shape, 0.1))
+            with pytest.raises(ValueError, match="batch-shaped"):
+                ttm.temporal_affine_warp(f, scale, shift)
+        with pytest.raises(ValueError, match="batch-shaped"):
+            ttm.temporal_affine_warp(f, tape.const([0.5, 0.5]), tape.const(0.1))
+        out = ttm.temporal_affine_warp(f, tape.const([0.5, 0.5]), tape.const([0.1, 0.2]))
+        assert out.shape == f.shape
+
     def test_composition(self):
         # time-affine features make linear interpolation exact, so two warps
         # in a row equal one warp whose window is the second inside the first
