@@ -12,10 +12,10 @@ around the offset (support) and its negation (query) instead of whole
 frames. The offset predictor takes every pair of an episode in one call,
 and the masks and masked means follow numpy's broadcasting rules, with no
 reshape from the offsets to the means, so the pairs are pooled in one call
-as well. In eval mode the predictor's convolutions compute only the conv
-outputs its 2x2 pools read: eval batch norm is per position and each pool
-drops its grid's trailing odd row and column. Training convolves the full
-grid, because batch-norm statistics read every position.
+as well. The predictor's convolutions compute only the conv outputs its
+2x2 pools read, since each pool drops its grid's trailing odd row and
+column; training batch norm takes its statistics over those outputs, so
+training and eval convolve the same positions.
 """
 
 from __future__ import annotations
@@ -131,11 +131,10 @@ class OffsetPredictor:
     per class and the query's tap responses computed once per query, mixed
     per pair by the T x T matrix ``M_qn`` (see its docstring for the identity).
 
-    In eval mode both convolutions compute only the outputs the 2x2 pools
-    read, the even top-left part of each grid (6x6 of 7x7, then 2x2 of 3x3 at
-    ``ModelConfig()``): eval batch norm is a per-position affine map, and a
-    pool drops its grid's trailing odd row and column. Training convolves the
-    full grid, because batch-norm statistics read every position.
+    Both convolutions compute only the outputs the 2x2 pools read, the even
+    top-left part of each grid (6x6 of 7x7, then 2x2 of 3x3 at
+    ``ModelConfig()``), since a pool drops its grid's trailing odd row and
+    column. Batch norm sees only those outputs, in training and eval alike.
     """
 
     def __init__(
@@ -194,15 +193,16 @@ class OffsetPredictor:
         ``support`` is (N, C, T, H, W), ``query`` is (Q, C', T, H, W) and
         ``mix`` is (Q, N, T, T); row ``q*N + n`` is the pair of query ``q``,
         rearranged by ``mix[q, n]``, with class ``n``. Without temporal
-        coordination every mix is the identity. Batch norm uses the
-        statistics of the current block of pairs while training and the
-        frozen running statistics in eval mode, where each conv computes
-        only its top-left ``2*(h//2) x 2*(w//2)`` outputs (see the class
-        docstring); the offsets equal those of the full-grid convolutions.
+        coordination every mix is the identity. Each conv computes only its
+        top-left ``2*(h//2) x 2*(w//2)`` outputs (see the class docstring).
+        ``training`` selects only the batch-norm mode: statistics of those
+        outputs over the current block of pairs, which also update the
+        running statistics, or the frozen running statistics in eval mode,
+        where the offsets equal those of the full-grid convolutions.
         """
         def extent(x: Var) -> tuple[int, int]:
             h, w = x.shape[-2:]
-            return (h, w) if training else (2 * (h // 2), 2 * (w // 2))
+            return 2 * (h // 2), 2 * (w // 2)
 
         x = ad.pair_conv3d(
             support, query, mix, tape.param(self.conv1_w), tape.param(self.conv1_b), extent(support)

@@ -719,10 +719,9 @@ def conv3d(x: Var, weight: Var, bias: Var, extent: tuple[int, int] | None = None
     ``extent = (rows, cols)`` computes only the top-left rows x cols of the
     H x W output grid, (B, C_out, T, rows, cols), equal to that crop of the
     full output; the default is the full grid. The patch matrix and the GEMM
-    shrink to those positions. The offset predictor uses it in eval mode,
-    where batch norm is a per-position affine map and the 2x2 pool that
-    follows never reads a trailing odd row or column; training keeps the
-    full grid, because batch-norm statistics read every position.
+    shrink to those positions. The offset predictor uses it to skip the
+    trailing odd row and column that the 2x2 pool after its batch norm never
+    reads, in training and eval alike.
     """
     xv, wv = x.value, weight.value
     if xv.ndim != 5 or wv.ndim != 5 or wv.shape[1] != xv.shape[1] or wv.shape[2:] != (3, 3, 3):

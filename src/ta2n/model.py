@@ -28,11 +28,10 @@ single ``ad.cosine_distance`` tape entry, and the episode loss a single
 
 The offset predictor takes all pairs of an episode in one call, so
 batch-norm statistics are per-episode during training, and its first layer
-never builds the pair stacks (``autodiff.pair_conv3d``). An eval-mode
-forward, as ``engine.evaluate`` runs, convolves only the positions the
-predictor's 2x2 pools read, because eval batch norm is per position and
-each pool drops the trailing odd row and column; a training forward
-convolves every position, which the batch-norm statistics read.
+never builds the pair stacks (``autodiff.pair_conv3d``). Training and eval
+forwards convolve only the positions the predictor's 2x2 pools read, since
+each pool drops the trailing odd row and column; the training batch-norm
+statistics cover exactly those positions.
 """
 
 from __future__ import annotations

@@ -39,11 +39,11 @@ class MisalignmentConfig:
     background_noise_scale: float = 0.1
 
     def validate(self) -> None:
-        if not 0.0 <= self.duration_jitter <= 1.0:
+        for name, value in asdict(self).items():
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.duration_jitter > 1.0:
             raise ValueError("duration_jitter must lie in [0, 1]")
-        for name in ("evolution_severity", "spatial_jitter", "background_noise_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 None of these runs on the pipeline path: ``concat`` builds the pair stacks
 that ``ad.pair_conv3d`` never materializes, ``full_grid_offsets`` runs the
-offset predictor's convolutions over every grid position in eval mode too,
-``generate_offset_mask`` is one mask as a plain array, and
+offset predictor's convolutions over every grid position and, in training
+mode, ``crop_to_pooled`` cuts their outputs down to the positions the pools
+read, ``generate_offset_mask`` is one mask as a plain array, and
 ``noise_free_signals`` renders a video's actor without its noise from the
 ground truth it carries.
 """
@@ -32,26 +33,41 @@ def concat(parts: Sequence[Var], axis: int = 0) -> Var:
     return tape.record("concat", out, tuple(parts), bwd)
 
 
-def full_grid_offsets(
-    pred: acm.OffsetPredictor, tape: Tape, support: Var, query: Var, mix: Var
-) -> Var:
-    """Eval-mode ``pred.forward`` with both convolutions over the full grid.
+def crop_to_pooled(x: Var) -> Var:
+    """The top-left ``2*(h//2) x 2*(w//2)`` positions of a (..., H, W) block,
+    the ones a 2x2 pool reads, recorded as one ``crop`` tape entry."""
+    h, w = x.shape[-2:]
+    rows, cols = 2 * (h // 2), 2 * (w // 2)
 
-    The same layer sequence, in which only the 2x2 pools drop a trailing
-    odd row or column; the pipeline's eval mode never computes the conv
-    outputs those pools drop.
+    def bwd(g):
+        gx = np.zeros(x.shape)
+        gx[..., :rows, :cols] = g
+        return (gx,)
+
+    return x.tape.record("crop", x.value[..., :rows, :cols].copy(), (x,), bwd)
+
+
+def full_grid_offsets(
+    pred: acm.OffsetPredictor, tape: Tape, support: Var, query: Var, mix: Var,
+    training: bool = False,
+) -> Var:
+    """``pred.forward`` with both convolutions over the full grid.
+
+    The same layer sequence. In eval mode only the 2x2 pools drop a
+    trailing odd row or column, which the pipeline never convolves. In
+    training mode each conv output is cropped to the positions the pool
+    reads before batch norm, so its statistics and running buffers cover
+    exactly those positions.
     """
+    def normalized(x, gamma, beta, mean, var):
+        x = crop_to_pooled(x) if training else x
+        return ad.batchnorm_channels(x, tape.param(gamma), tape.param(beta), mean, var, training)
+
     x = ad.pair_conv3d(support, query, mix, tape.param(pred.conv1_w), tape.param(pred.conv1_b))
-    x = ad.batchnorm_channels(
-        x, tape.param(pred.bn1_gamma), tape.param(pred.bn1_beta),
-        pred.bn1_mean, pred.bn1_var, False,
-    )
+    x = normalized(x, pred.bn1_gamma, pred.bn1_beta, pred.bn1_mean, pred.bn1_var)
     x = ad.relu(ad.max_pool_spatial2(x))
     x = ad.conv3d(x, tape.param(pred.conv2_w), tape.param(pred.conv2_b))
-    x = ad.batchnorm_channels(
-        x, tape.param(pred.bn2_gamma), tape.param(pred.bn2_beta),
-        pred.bn2_mean, pred.bn2_var, False,
-    )
+    x = normalized(x, pred.bn2_gamma, pred.bn2_beta, pred.bn2_mean, pred.bn2_var)
     x = ad.relu(ad.max_pool_spatial2(x))
     g = ad.global_max_pool_spatial(x)  # (B, C, T)
     h = ad.relu(ad.channel_linear(g, tape.param(pred.fc1_w), tape.param(pred.fc1_b)))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -264,6 +266,46 @@ class TestOffsetPredictor:
         assert np.ptp(got) > 0.3
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("grid", [(7, 7), (7, 5), (5, 4), (4, 4), (8, 8)])
+    def test_training_forward_matches_the_cropped_full_grid_reference(self, grid):
+        # training batch norm takes its statistics over the positions the
+        # pools read: the reference convolves the full grids and crops before
+        # each batch norm. One step of each compares the offsets, the
+        # gradients of every parameter and input, and the running buffers
+        h, w = grid
+        rng = np.random.default_rng(25)
+        pred = OffsetPredictor(12, h, w, conv_channels=(10, 12), hidden=8, rng=rng)
+        pred.fc2_w.value[:] = rng.standard_normal((8, 2)) * 0.05
+        inputs = [
+            Parameter(rng.standard_normal((3, 6, 5, h, w)), "support"),
+            Parameter(rng.standard_normal((2, 6, 5, h, w)), "query"),
+            Parameter(rng.standard_normal((2, 3, 5, 5)), "mix logits"),
+        ]
+        upstream = rng.standard_normal((6, 5, 2))
+
+        def step(p, forward):
+            tape = Tape()
+            support, query, logits = (tape.param(x) for x in inputs)
+            offsets = forward(p, tape, support, query, ad.softmax(logits, axis=-1), training=True)
+            tape.backward(ad.reduce_sum(ad.mul(offsets, tape.const(upstream))))
+            grads = [x.grad.copy() for x in p.parameters() + inputs]
+            for x in p.parameters() + inputs:
+                x.zero_grad()
+            return offsets.value, grads, p.bn_state()
+
+        ref = copy.deepcopy(pred)
+        before = {name: buf.copy() for name, buf in pred.bn_state().items()}
+        got, got_grads, got_bn = step(pred, OffsetPredictor.forward)
+        want, want_grads, want_bn = step(ref, full_grid_offsets)
+        assert got.shape == (6, 5, 2)
+        assert np.ptp(got) > 0.3
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for x, g, r in zip(pred.parameters() + inputs, got_grads, want_grads):
+            assert np.any(g != 0), x.name
+            npt.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=x.name)
+        for name, buf in got_bn.items():
+            assert not np.array_equal(buf, before[name]), name
+            npt.assert_allclose(buf, want_bn[name], rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("use_tc", [True, False])
     def test_first_layer_matches_explicit_pair_stack(self, use_tc):

@@ -202,8 +202,9 @@ class TestEpisodeForward:
         # the masks of all 25 pairs: one entry for the supports, one for the queries
         assert ops.count("offset_masks") == 2
         assert (25, 32, 8, 7, 7) not in shapes
-        # training convolves the full grid: batch-norm statistics read every position
-        assert conv_shapes(ops, shapes) == [(25, 128, 8, 7, 7), (25, 128, 8, 3, 3)]
+        # each 2x2 pool drops the trailing odd row and column, so the 7x7 and
+        # 3x3 convs compute their top-left 6x6 and 2x2 outputs
+        assert conv_shapes(ops, shapes) == [(25, 128, 8, 6, 6), (25, 128, 8, 2, 2)]
         # stage one: one embed -> TTM -> warp chain for the supports, one for
         # the queries; a warp is one mix_time by the videos' warp matrices
         assert ops.count("warp_matrix") == ops.count("conv1d_temporal") == 2
@@ -231,13 +232,15 @@ class TestEpisodeForward:
         assert ops.count("transpose") == 1  # TC's keys
         assert len(ops) == 179 < 522
 
-    def test_eval_forward_convolves_only_what_the_pools_read(self, monkeypatch):
-        # ModelConfig(): eval batch norm is per position and each 2x2 pool
-        # drops the trailing odd row and column, so the 7x7 and 3x3 convs
-        # compute their top-left 6x6 and 2x2 outputs, even on a recording tape
-        ops, shapes = step_census(ModelConfig(), monkeypatch, training=False)
-        assert conv_shapes(ops, shapes) == [(25, 128, 8, 6, 6), (25, 128, 8, 2, 2)]
-        assert "batchnorm_eval" in ops and "batchnorm_train" not in ops
+    def test_training_and_eval_convolve_the_same_positions(self, monkeypatch):
+        # ModelConfig(): training batch norm takes its statistics over the
+        # positions the pools read, so ``training`` selects only the
+        # batch-norm mode and both modes make the same conv calls
+        train_ops, train_shapes = step_census(ModelConfig(), monkeypatch, training=True)
+        eval_ops, eval_shapes = step_census(ModelConfig(), monkeypatch, training=False)
+        assert conv_shapes(train_ops, train_shapes) == conv_shapes(eval_ops, eval_shapes)
+        assert "batchnorm_train" in train_ops and "batchnorm_train" not in eval_ops
+        assert "batchnorm_eval" in eval_ops and "batchnorm_eval" not in train_ops
 
     @FULL_MODEL_CASES
     def test_full_model_gradients(self, seed, k_shot, proj_dim):

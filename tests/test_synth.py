@@ -112,6 +112,20 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_dataset(8, 2, DIMS, MisalignmentConfig(duration_jitter=1.5), 0)
 
+    @pytest.mark.parametrize(
+        "field", ["duration_jitter", "evolution_severity", "spatial_jitter", "background_noise_scale"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_or_negative_config_rejected(self, field, value):
+        # NaN and inf used to pass: evolution_severity=nan and spatial_jitter=inf
+        # overflowed deep inside generation, and background_noise_scale=nan
+        # generated a non-finite dataset that load_dataset rejects
+        config = MisalignmentConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            config.validate()
+        with pytest.raises(ValueError, match=field):
+            generate_dataset(8, 2, DIMS, config, 0)
+
     def test_evolution_warps_identity_at_zero_severity(self):
         ds = small_dataset(MisalignmentConfig(evolution_severity=0.0))
         for v in ds.videos:
