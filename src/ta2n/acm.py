@@ -15,7 +15,10 @@ reshape from the offsets to the means, so the pairs are pooled in one call
 as well. The predictor's convolutions compute only the conv outputs its
 2x2 pools read, since each pool drops its grid's trailing odd row and
 column; training batch norm takes its statistics over those outputs, so
-training and eval convolve the same positions.
+training and eval convolve the same positions. Each layer's batch norm,
+2x2 max pool and ReLU run as one ``ad.batchnorm_maxpool_relu`` op that
+normalizes only the inputs its pool selects, so backward keeps each conv
+output once and no normalized copy of it.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ class OffsetPredictor:
     top-left part of each grid (6x6 of 7x7, then 2x2 of 3x3 at
     ``ModelConfig()``), since a pool drops its grid's trailing odd row and
     column. Batch norm sees only those outputs, in training and eval alike.
+
+    Each {batch norm, pool, ReLU} triple is one ``ad.batchnorm_maxpool_relu``
+    entry. Batch norm is monotone per channel, so the op pools the conv
+    outputs first, taking each window's minimum where the scale is
+    negative, and normalizes only the quarter it keeps; its output equals
+    the three separate ops bit for bit. Its gradient goes to the first
+    input of a window equal to the one it selected.
     """
 
     def __init__(
@@ -207,17 +217,15 @@ class OffsetPredictor:
         x = ad.pair_conv3d(
             support, query, mix, tape.param(self.conv1_w), tape.param(self.conv1_b), extent(support)
         )
-        x = ad.batchnorm_channels(
+        x = ad.batchnorm_maxpool_relu(
             x, tape.param(self.bn1_gamma), tape.param(self.bn1_beta),
             self.bn1_mean, self.bn1_var, training,
         )
-        x = ad.relu(ad.max_pool_spatial2(x))
         x = ad.conv3d(x, tape.param(self.conv2_w), tape.param(self.conv2_b), extent(x))
-        x = ad.batchnorm_channels(
+        x = ad.batchnorm_maxpool_relu(
             x, tape.param(self.bn2_gamma), tape.param(self.bn2_beta),
             self.bn2_mean, self.bn2_var, training,
         )
-        x = ad.relu(ad.max_pool_spatial2(x))
         g = ad.global_max_pool_spatial(x)  # (B, C, T)
         h = ad.relu(ad.channel_linear(g, tape.param(self.fc1_w), tape.param(self.fc1_b)))
         raw = ad.tanh(ad.channel_linear(h, tape.param(self.fc2_w), tape.param(self.fc2_b)))

@@ -13,9 +13,11 @@ Conventions:
 
 - all values are float64 ``numpy`` arrays; outputs are marked read-only so
   accidental in-place mutation of a recorded value fails loudly,
-- non-differentiable points use subgradients: ReLU passes zero at 0, max
-  pooling routes gradient to the first maximal element, a vector norm
-  passes zero at the origin,
+- non-differentiable points use subgradients: ReLU passes zero at 0, a
+  global max pool routes gradient to the first maximal element, the 2x2 max
+  pool after batch norm to the first input of its window equal to the one
+  it selected (the maximum, or the minimum where batch norm's scale is
+  negative), and a vector norm passes zero at the origin,
 - blocks are batch-first with channels on axis 1, ``(B, C, ...)``; ops
   documented with ``...`` batch axes broadcast them,
 - broadcasting follows numpy; backward passes sum gradients back over
@@ -617,40 +619,48 @@ def _spatial_patches(xv: Array, extent: tuple[int, int]) -> Array:
     return patches.reshape(9 * c, b * t * rows * cols)
 
 
-def _tap_responses(xv: Array, wv: Array, extent: tuple[int, int]) -> tuple[Array, Array, Array]:
+def _tap_responses(xv: Array, wv: Array, extent: tuple[int, int]) -> tuple[Array, Array]:
     """Every frame's response to every temporal slice of a 3x3x3 kernel.
 
-    Returns (patches, tap matrix, responses). ``responses[o, k, b, s]`` is
-    frame ``s`` of video ``b`` through the 3x3 spatial taps of ``wv[o, :, k]``,
-    over the rows*cols positions of ``extent``: one (3*C_out, 9*C_in) GEMM
-    against the patches.
+    Returns (tap matrix, responses). ``responses[o, k, b, s]`` is frame ``s``
+    of video ``b`` through the 3x3 spatial taps of ``wv[o, :, k]``, over the
+    rows*cols positions of ``extent``: one (3*C_out, 9*C_in) GEMM against the
+    patches, which are dropped once it ran.
     """
     b, c_in, t = xv.shape[:3]
     c_out = wv.shape[0]
-    patches = _spatial_patches(xv, extent)
     taps = np.ascontiguousarray(wv.transpose(0, 2, 3, 4, 1).reshape(3 * c_out, 9 * c_in))
-    return patches, taps, (taps @ patches).reshape(c_out, 3, b, t, -1)
+    return taps, (taps @ _spatial_patches(xv, extent)).reshape(c_out, 3, b, t, -1)
 
 
 def _tap_responses_grad(
-    g: Array, patches: Array, taps: Array, shape, extent: tuple[int, int]
+    g: Array, xv: Array, taps: Array, extent: tuple[int, int]
 ) -> tuple[Array, Array]:
-    """(input gradient, weight gradient) from the gradient of the tap responses."""
-    b, c_in, t, h, w = shape
+    """(input gradient, weight gradient) from the gradient of the tap responses of ``xv``.
+
+    The weight gradient is one GEMM against the patches, rebuilt from ``xv``.
+    Each spatial tap's ``taps[:, k]^T @ g`` is added straight into the input
+    gradient window it reads, so no (9*C_in, M) patch gradient is built.
+    """
+    b, c_in, t, h, w = xv.shape
     rows, cols = extent
     c_out = taps.shape[0] // 3
     g = g.reshape(3 * c_out, b * t * rows * cols)
-    gw = (g @ patches.T).reshape(c_out, 3, 3, 3, c_in).transpose(0, 4, 1, 2, 3)
-    gcol = (taps.T @ g).reshape(9, c_in, b, t, rows, cols)
+    gw = (g @ _spatial_patches(xv, extent).T).reshape(c_out, 3, 3, 3, c_in)
+    tap_t = taps.T.reshape(9, c_in, 3 * c_out)
+
+    def tap_grad(k: int) -> Array:
+        return (tap_t[k] @ g).reshape(c_in, b, t, rows, cols)
+
     # the centre tap covers every input of a full grid; a smaller extent leaves some unread
-    gx = np.empty(shape) if extent == (h, w) else np.zeros(shape)
+    gx = np.empty(xv.shape) if extent == (h, w) else np.zeros(xv.shape)
     gxt = gx.transpose(1, 0, 2, 3, 4)
-    gxt[:, :, :, :rows, :cols] = gcol[4]
+    gxt[:, :, :, :rows, :cols] = tap_grad(4)
     for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
         if k != 4:
             (oh, ih), (ow, iw) = _tap_window(kh - 1, h, rows), _tap_window(kw - 1, w, cols)
-            gxt[:, :, :, ih, iw] += gcol[k, :, :, :, oh, ow]
-    return gx, np.ascontiguousarray(gw)
+            gxt[:, :, :, ih, iw] += tap_grad(k)[:, :, :, oh, ow]
+    return gx, np.ascontiguousarray(gw.transpose(0, 4, 1, 2, 3))
 
 
 def _sum_taps(resp: Array) -> Array:
@@ -714,7 +724,9 @@ def conv3d(x: Var, weight: Var, bias: Var, extent: tuple[int, int] | None = None
     One GEMM of the kernel's (3*C_out, 9*C_in) tap matrix against a 9-tap
     spatial patch matrix gives each frame's response to each temporal slice
     of the kernel; output frame ``t`` sums slice ``k`` of frame ``t+k-1``.
-    Backward is two GEMMs against the same patches plus a 9-tap scatter.
+    Backward keeps ``x``, not the patch matrix, which is up to 9 times its
+    size: it rebuilds the patches for the weight gradient's GEMM, and adds
+    each spatial tap's GEMM straight into the input gradient window it reads.
 
     ``extent = (rows, cols)`` computes only the top-left rows x cols of the
     H x W output grid, (B, C_out, T, rows, cols), equal to that crop of the
@@ -730,14 +742,14 @@ def conv3d(x: Var, weight: Var, bias: Var, extent: tuple[int, int] | None = None
     extent = _output_extent("conv3d", extent, h, w)
     p = extent[0] * extent[1]
     c_out = wv.shape[0]
-    patches, taps, resp = _tap_responses(xv, wv, extent)
+    taps, resp = _tap_responses(xv, wv, extent)
     out = _sum_taps(resp)
     out += bias.value[:, None, None]
     out = out.reshape(b, c_out, t, *extent)
 
     def bwd(g):
         g4 = g.reshape(b, c_out, t, p)
-        gx, gw = _tap_responses_grad(_sum_taps_grad(g4), patches, taps, xv.shape, extent)
+        gx, gw = _tap_responses_grad(_sum_taps_grad(g4), xv, taps, extent)
         return gx, gw, g4.sum(axis=(0, 2, 3))
 
     return x.tape.record("conv3d", out, (x, weight, bias), bwd)
@@ -762,7 +774,8 @@ def pair_conv3d(
     slice ``k`` of ``W_q`` and ``shift_k`` moves the mix's rows by ``k - 1``.
     The tap responses run once per support and once per query video; only
     the T x 3T mix is per pair, over the rows*cols positions of the extent.
-    Recorded as a ``conv3d`` entry.
+    Backward keeps the two input blocks and rebuilds their patches, as
+    :func:`conv3d` does. Recorded as a ``conv3d`` entry.
     """
     sv, qv, mv, wv = support.value, query.value, mix.value, weight.value
     shapes_ok = (
@@ -780,8 +793,8 @@ def pair_conv3d(
     p = extent[0] * extent[1]
     nq = qv.shape[0]
     c_out = wv.shape[0]
-    s_patches, s_taps, s_resp = _tap_responses(sv, wv[:, :c_s], extent)
-    q_patches, q_taps, q_resp = _tap_responses(qv, wv[:, c_s:], extent)
+    s_taps, s_resp = _tap_responses(sv, wv[:, :c_s], extent)
+    q_taps, q_resp = _tap_responses(qv, wv[:, c_s:], extent)
     # (Q, 3T, C_out*P): a query's tap responses, rows ordered like the shifted mix's columns
     z = np.ascontiguousarray(q_resp.transpose(2, 1, 3, 0, 4)).reshape(nq, 3 * t, c_out * p)
     shifted = _shift_taps(mv).reshape(nq, n * t, 3 * t)
@@ -794,54 +807,15 @@ def pair_conv3d(
 
     def bwd(g):
         g5 = g.reshape(nq, n, c_out, t, p)
-        gs, gws = _tap_responses_grad(
-            _sum_taps_grad(g5.sum(axis=0)), s_patches, s_taps, sv.shape, extent
-        )
+        gs, gws = _tap_responses_grad(_sum_taps_grad(g5.sum(axis=0)), sv, s_taps, extent)
         gt = np.ascontiguousarray(g5.transpose(0, 1, 3, 2, 4)).reshape(nq, n * t, c_out * p)
         gm = _shift_taps_grad((gt @ z.transpose(0, 2, 1)).reshape(nq, n, t, 3 * t))
         g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, c_out, p)
-        gq, gwq = _tap_responses_grad(
-            g_resp.transpose(3, 1, 0, 2, 4), q_patches, q_taps, qv.shape, extent
-        )
+        gq, gwq = _tap_responses_grad(g_resp.transpose(3, 1, 0, 2, 4), qv, q_taps, extent)
         gw = np.concatenate([gws, gwq], axis=1)
         return gs, gw, gq, gm, g5.sum(axis=(0, 1, 3, 4))
 
     return support.tape.record("conv3d", out, (support, weight, query, mix, bias), bwd)
-
-
-def max_pool_spatial2(x: Var) -> Var:
-    """2x2 spatial max pool, stride 2, trailing odd row/column dropped.
-
-    The output is the element-wise maximum of the four strided views of the
-    windows' corners. Gradient is routed to the first maximal element of
-    each window in row-major window order: backward scans the views in order
-    (0,0), (0,1), (1,0), (1,1) and gives each position's gradient to the
-    first view whose value equals the output.
-    """
-    xv = x.value
-    if xv.ndim != 5:
-        raise ValueError("max_pool_spatial2 expects (B,C,T,H,W)")
-    b, c, t, h, w = xv.shape
-    ho, wo = h // 2, w // 2
-    if ho < 1 or wo < 1:
-        raise ValueError(f"max_pool_spatial2: spatial dims too small {h}x{w}")
-    windows = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
-    views = [xv[:, :, :, rows, cols] for rows, cols in windows]
-    out = np.maximum(views[0], views[1])
-    np.maximum(out, np.maximum(views[2], views[3]), out=out)
-
-    def bwd(g):
-        gx = np.zeros_like(xv)
-        rest = g.copy()  # the gradient of the windows not yet routed
-        for view, (rows, cols) in zip(views[:-1], windows[:-1]):
-            routed = rest * (view == out)
-            gx[:, :, :, rows, cols] = routed
-            rest -= routed
-        rows, cols = windows[-1]
-        gx[:, :, :, rows, cols] = rest
-        return (gx,)
-
-    return x.tape.record("max_pool_spatial2", out, (x,), bwd)
 
 
 def global_max_pool_spatial(x: Var) -> Var:
@@ -866,7 +840,7 @@ BN_MOMENTUM = 0.1  # weight of the current block's statistics in the running buf
 BN_EPS = 1e-5
 
 
-def batchnorm_channels(
+def batchnorm_maxpool_relu(
     x: Var,
     gamma: Var,
     beta: Var,
@@ -874,65 +848,97 @@ def batchnorm_channels(
     running_var: Array,
     training: bool,
 ) -> Var:
-    """Per-channel normalization of a (B,C,T,H,W) block.
+    """Batch norm, 2x2 spatial max pool and ReLU of a (B,C,T,H,W) block, as one op.
 
-    In training mode the statistics come from the current block (and the
-    running buffers are updated in place); in eval mode the frozen running
-    statistics are used and the op is a plain per-channel affine map.
+    Batch norm is per channel. In training mode its statistics come from
+    every position of the current block, and the running buffers are
+    updated in place; in eval mode the frozen running statistics are used.
+    The 2x2 spatial max pool has stride 2 and drops a trailing odd row or
+    column, so the output is (B, C, T, H//2, W//2).
 
-    Training mode works on the (B, C, T*H*W) view: the input is centred once,
-    the centred block gives the (biased) variance as its own inner product,
-    and scaling it in place gives ``xhat``. Backward is the closed form
-    ``gx = gamma * inv * (g - sum(g)/n - xhat * sum(g * xhat)/n)`` with the
-    sums per channel (Ioffe & Szegedy 2015), which reuses the two sums that
-    are also the gradients of ``beta`` and ``gamma``.
+    Per channel, each rounded step of batch norm's map ``((v - mean) * inv)
+    * gamma + beta`` is monotone in ``v``: non-decreasing for gamma >= 0 and
+    non-increasing for gamma < 0. So the maximum of a window's normalized
+    values is the normalized maximum of its inputs, or of their minimum
+    where gamma < 0, bit for bit. The op selects that input per window and
+    normalizes, scales, shifts and rectifies only the selected quarter of
+    the block, in batch norm's order of operations.
+
+    Backward keeps ``x`` and the selected inputs, no full-size normalized
+    block. With ``s = gamma * inv`` and ``gp`` the output gradient where the
+    ReLU passed, ``gbeta = sum(gp)`` and ``ggamma = sum(gp * xhat)`` over
+    the selected inputs' ``xhat``. Each window's ``s * gp`` goes to the
+    first of its inputs (0,0), (0,1), (1,0), (1,1) that equals the selected
+    one. In training mode the statistics add ``x * a + c`` at every
+    position, with ``a = -s * inv * ggamma / n`` and ``c = -s * gbeta / n -
+    a * mean`` per channel over the ``n`` positions of a channel (Ioffe &
+    Szegedy 2015). Recorded as a ``batchnorm_train`` or ``batchnorm_eval``
+    entry.
     """
     xv = x.value
     if xv.ndim != 5:
-        raise ValueError("batchnorm_channels expects (B,C,T,H,W)")
-    axes = (0, 2, 3, 4)
+        raise ValueError("batchnorm_maxpool_relu expects (B,C,T,H,W)")
+    b, c, t, h, w = xv.shape
+    ho, wo = h // 2, w // 2
+    if ho < 1 or wo < 1:
+        raise ValueError(f"batchnorm_maxpool_relu: spatial dims too small {h}x{w}")
     gv, bv = gamma.value, beta.value
-    gshape = (1, -1, 1, 1, 1)
+    cshape = (1, -1, 1, 1, 1)
+    windows = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
+    views = [xv[:, :, :, rows, cols] for rows, cols in windows]
+    sel = np.maximum(views[0], views[1])
+    np.maximum(sel, np.maximum(views[2], views[3]), out=sel)
+    flipped = gv < 0.0
+    if flipped.any():
+        low = [view[:, flipped] for view in views]
+        sel[:, flipped] = np.minimum(np.minimum(low[0], low[1]), np.minimum(low[2], low[3]))
     if training:
-        b, c = xv.shape[:2]
         x3 = xv.reshape(b, c, -1)
         n = x3.shape[0] * x3.shape[2]
         mean = x3.mean(axis=(0, 2))
-        xhat = x3 - mean[:, None]
-        var = np.einsum("bcp,bcp->c", xhat, xhat) / n
+        centred = x3 - mean[:, None]
+        var = np.einsum("bcp,bcp->c", centred, centred) / n
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv[:, None]
-        out = xhat * gv[:, None]
-        out += bv[:, None]
+        pre = sel - mean.reshape(cshape)
+        pre *= inv.reshape(cshape)
+        pre *= gv.reshape(cshape)
+        pre += bv.reshape(cshape)
+    else:
+        mean = running_mean.copy()  # the buffers may change before backward runs
+        inv = 1.0 / np.sqrt(running_var + BN_EPS)
+        scale = gv * inv
+        pre = sel * scale.reshape(cshape) + (bv - mean * scale).reshape(cshape)
+    live = pre > 0.0
+    out = np.maximum(pre, 0.0, out=pre)
 
-        def bwd(g):
-            g3 = g.reshape(b, c, -1)
-            gb = g3.sum(axis=(0, 2))
-            gg = np.einsum("bcp,bcp->c", g3, xhat)
-            scale = gv * inv
-            gx = xhat * (-scale * gg / n)[:, None]
-            gx += g3 * scale[:, None]
-            gx -= (scale * gb / n)[:, None]
-            return gx.reshape(xv.shape), gg, gb
-
-        return x.tape.record("batchnorm_train", out.reshape(xv.shape), (x, gamma, beta), bwd)
-
-    inv = 1.0 / np.sqrt(running_var + BN_EPS)
-    scale = gv * inv
-    out = xv * scale.reshape(gshape) + (bv - running_mean * scale).reshape(gshape)
-
-    def bwd_eval(g):
-        gx = g * scale.reshape(gshape)
-        xhat = (xv - running_mean.reshape(gshape)) * inv.reshape(gshape)
-        gg = (g * xhat).sum(axes)
-        gb = g.sum(axes)
+    def bwd(g):
+        gp = g * live
+        xhat = sel - mean.reshape(cshape)
+        xhat *= inv.reshape(cshape)
+        gb = gp.sum(axis=(0, 2, 3, 4))
+        gg = np.einsum("bcthw,bcthw->c", gp, xhat)
+        s = gv * inv
+        if training:
+            a = -s * inv * gg / n
+            gx = xv * a.reshape(cshape)
+            gx += (-s * gb / n - a * mean).reshape(cshape)
+        else:
+            gx = np.zeros(xv.shape)
+        rest = gp * s.reshape(cshape)  # the gradient of the windows not yet routed
+        for view, (rows, cols) in zip(views[:-1], windows[:-1]):
+            routed = rest * (view == sel)
+            gx[:, :, :, rows, cols] += routed
+            rest -= routed
+        rows, cols = windows[-1]
+        gx[:, :, :, rows, cols] += rest
         return gx, gg, gb
 
-    return x.tape.record("batchnorm_eval", out, (x, gamma, beta), bwd_eval)
+    op = "batchnorm_train" if training else "batchnorm_eval"
+    return x.tape.record(op, out, (x, gamma, beta), bwd)
 
 
 def offset_masks(offsets: Var, height: int, width: int, gamma: float) -> Var:

@@ -83,10 +83,17 @@ class SgdMomentum:
         self.velocity = [np.zeros_like(p.value) for p in params]
 
     def step(self, lr: float) -> None:
+        """Update every parameter; ``FloatingPointError`` naming the first one
+        the update left non-finite."""
         for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v -= lr * p.grad
-            p.value += v
+            with np.errstate(over="ignore", invalid="ignore"):
+                v *= self.momentum
+                v -= lr * p.grad
+                p.value += v
+            # a NaN propagates through min and max, and an infinity is one of
+            # them, so no temporary the size of the weights is made
+            if not np.isfinite((p.value.min(initial=0.0), p.value.max(initial=0.0))).all():
+                raise FloatingPointError(f"update left {p.name} non-finite")
 
 
 def episode_seed(base_seed: int, epoch: int, index: int) -> int:
@@ -113,17 +120,18 @@ def train(
                 dataset, "train", config.n_way, config.k_shot, config.n_query, seed
             )
             tape = Tape(grad=True)
-            # FloatingPointError: a non-finite warp, division, distance or loss in the forward pass
+            # FloatingPointError: a non-finite warp, division, distance or loss
+            # in the forward pass, or a parameter the update left non-finite
             try:
                 out = model.episode_forward(tape, episode, training=True, epoch=epoch)
                 loss = metric.cross_entropy_loss(out.probs, out.labels)
+                model.zero_grads()
+                tape.backward(loss)
+                opt.step(lr)
             except FloatingPointError as e:
                 raise TrainingDiverged(
                     f"non-finite values at epoch {epoch}, episode {index} (lr={lr}): {e}"
                 ) from e
-            model.zero_grads()
-            tape.backward(loss)
-            opt.step(lr)
             seen += 1
             losses.append(float(loss.value) / len(out.labels))
             accs.append(out.accuracy())

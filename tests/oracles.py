@@ -1,10 +1,12 @@
 """Plain reference implementations the tests compare the pipeline against.
 
 None of these runs on the pipeline path: ``concat`` builds the pair stacks
-that ``ad.pair_conv3d`` never materializes, ``full_grid_offsets`` runs the
-offset predictor's convolutions over every grid position and, in training
-mode, ``crop_to_pooled`` cuts their outputs down to the positions the pools
-read, ``generate_offset_mask`` is one mask as a plain array, and
+that ``ad.pair_conv3d`` never materializes, ``max_pool_spatial2`` and
+``batchnorm_channels`` are the separate ops that ``ad.batchnorm_maxpool_relu``
+fuses, ``full_grid_offsets`` runs the offset predictor's convolutions over
+every grid position through that reference chain and, in training mode,
+``crop_to_pooled`` cuts their outputs down to the positions the pools read,
+``generate_offset_mask`` is one mask as a plain array, and
 ``noise_free_signals`` renders a video's actor without its noise from the
 ground truth it carries.
 """
@@ -33,6 +35,112 @@ def concat(parts: Sequence[Var], axis: int = 0) -> Var:
     return tape.record("concat", out, tuple(parts), bwd)
 
 
+def max_pool_spatial2(x: Var) -> Var:
+    """2x2 spatial max pool, stride 2, trailing odd row/column dropped.
+
+    The output is the element-wise maximum of the four strided views of the
+    windows' corners. Gradient is routed to the first maximal element of
+    each window in row-major window order: backward scans the views in order
+    (0,0), (0,1), (1,0), (1,1) and gives each position's gradient to the
+    first view whose value equals the output.
+    """
+    xv = x.value
+    if xv.ndim != 5:
+        raise ValueError("max_pool_spatial2 expects (B,C,T,H,W)")
+    b, c, t, h, w = xv.shape
+    ho, wo = h // 2, w // 2
+    if ho < 1 or wo < 1:
+        raise ValueError(f"max_pool_spatial2: spatial dims too small {h}x{w}")
+    windows = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
+    views = [xv[:, :, :, rows, cols] for rows, cols in windows]
+    out = np.maximum(views[0], views[1])
+    np.maximum(out, np.maximum(views[2], views[3]), out=out)
+
+    def bwd(g):
+        gx = np.zeros_like(xv)
+        rest = g.copy()  # the gradient of the windows not yet routed
+        for view, (rows, cols) in zip(views[:-1], windows[:-1]):
+            routed = rest * (view == out)
+            gx[:, :, :, rows, cols] = routed
+            rest -= routed
+        rows, cols = windows[-1]
+        gx[:, :, :, rows, cols] = rest
+        return (gx,)
+
+    return x.tape.record("max_pool_spatial2", out, (x,), bwd)
+
+
+
+
+def batchnorm_channels(
+    x: Var,
+    gamma: Var,
+    beta: Var,
+    running_mean: Array,
+    running_var: Array,
+    training: bool,
+) -> Var:
+    """Per-channel normalization of a (B,C,T,H,W) block.
+
+    In training mode the statistics come from the current block (and the
+    running buffers are updated in place); in eval mode the frozen running
+    statistics are used and the op is a plain per-channel affine map.
+
+    Training mode works on the (B, C, T*H*W) view: the input is centred once,
+    the centred block gives the (biased) variance as its own inner product,
+    and scaling it in place gives ``xhat``. Backward is the closed form
+    ``gx = gamma * inv * (g - sum(g)/n - xhat * sum(g * xhat)/n)`` with the
+    sums per channel (Ioffe & Szegedy 2015), which reuses the two sums that
+    are also the gradients of ``beta`` and ``gamma``.
+    """
+    xv = x.value
+    if xv.ndim != 5:
+        raise ValueError("batchnorm_channels expects (B,C,T,H,W)")
+    axes = (0, 2, 3, 4)
+    gv, bv = gamma.value, beta.value
+    gshape = (1, -1, 1, 1, 1)
+    if training:
+        b, c = xv.shape[:2]
+        x3 = xv.reshape(b, c, -1)
+        n = x3.shape[0] * x3.shape[2]
+        mean = x3.mean(axis=(0, 2))
+        xhat = x3 - mean[:, None]
+        var = np.einsum("bcp,bcp->c", xhat, xhat) / n
+        running_mean *= 1.0 - ad.BN_MOMENTUM
+        running_mean += ad.BN_MOMENTUM * mean
+        running_var *= 1.0 - ad.BN_MOMENTUM
+        running_var += ad.BN_MOMENTUM * var
+        inv = 1.0 / np.sqrt(var + ad.BN_EPS)
+        xhat *= inv[:, None]
+        out = xhat * gv[:, None]
+        out += bv[:, None]
+
+        def bwd(g):
+            g3 = g.reshape(b, c, -1)
+            gb = g3.sum(axis=(0, 2))
+            gg = np.einsum("bcp,bcp->c", g3, xhat)
+            scale = gv * inv
+            gx = xhat * (-scale * gg / n)[:, None]
+            gx += g3 * scale[:, None]
+            gx -= (scale * gb / n)[:, None]
+            return gx.reshape(xv.shape), gg, gb
+
+        return x.tape.record("batchnorm_train", out.reshape(xv.shape), (x, gamma, beta), bwd)
+
+    inv = 1.0 / np.sqrt(running_var + ad.BN_EPS)
+    scale = gv * inv
+    out = xv * scale.reshape(gshape) + (bv - running_mean * scale).reshape(gshape)
+
+    def bwd_eval(g):
+        gx = g * scale.reshape(gshape)
+        xhat = (xv - running_mean.reshape(gshape)) * inv.reshape(gshape)
+        gg = (g * xhat).sum(axes)
+        gb = g.sum(axes)
+        return gx, gg, gb
+
+    return x.tape.record("batchnorm_eval", out, (x, gamma, beta), bwd_eval)
+
+
 def crop_to_pooled(x: Var) -> Var:
     """The top-left ``2*(h//2) x 2*(w//2)`` positions of a (..., H, W) block,
     the ones a 2x2 pool reads, recorded as one ``crop`` tape entry."""
@@ -53,7 +161,8 @@ def full_grid_offsets(
 ) -> Var:
     """``pred.forward`` with both convolutions over the full grid.
 
-    The same layer sequence. In eval mode only the 2x2 pools drop a
+    The same layer sequence, with batch norm, 2x2 max pool and ReLU as
+    three separate ops. In eval mode only the 2x2 pools drop a
     trailing odd row or column, which the pipeline never convolves. In
     training mode each conv output is cropped to the positions the pool
     reads before batch norm, so its statistics and running buffers cover
@@ -61,14 +170,14 @@ def full_grid_offsets(
     """
     def normalized(x, gamma, beta, mean, var):
         x = crop_to_pooled(x) if training else x
-        return ad.batchnorm_channels(x, tape.param(gamma), tape.param(beta), mean, var, training)
+        return batchnorm_channels(x, tape.param(gamma), tape.param(beta), mean, var, training)
 
     x = ad.pair_conv3d(support, query, mix, tape.param(pred.conv1_w), tape.param(pred.conv1_b))
     x = normalized(x, pred.bn1_gamma, pred.bn1_beta, pred.bn1_mean, pred.bn1_var)
-    x = ad.relu(ad.max_pool_spatial2(x))
+    x = ad.relu(max_pool_spatial2(x))
     x = ad.conv3d(x, tape.param(pred.conv2_w), tape.param(pred.conv2_b))
     x = normalized(x, pred.bn2_gamma, pred.bn2_beta, pred.bn2_mean, pred.bn2_var)
-    x = ad.relu(ad.max_pool_spatial2(x))
+    x = ad.relu(max_pool_spatial2(x))
     g = ad.global_max_pool_spatial(x)  # (B, C, T)
     h = ad.relu(ad.channel_linear(g, tape.param(pred.fc1_w), tape.param(pred.fc1_b)))
     raw = ad.tanh(ad.channel_linear(h, tape.param(pred.fc2_w), tape.param(pred.fc2_b)))

@@ -8,7 +8,7 @@ from ta2n import autodiff as ad
 from ta2n.autodiff import Parameter, Tape
 
 from gradcheck import finite_diff_gradcheck
-from oracles import concat
+from oracles import batchnorm_channels, concat, max_pool_spatial2
 
 
 def scalarize(tape, v, rng):
@@ -109,7 +109,7 @@ class TestPooling:
                 want_grad[0, 0, t, 2 * i + di, 2 * j + dj] = g[0, 0, t, i, j]
         p = Parameter(x, "x")
         tape = Tape()
-        out = ad.max_pool_spatial2(tape.param(p))
+        out = max_pool_spatial2(tape.param(p))
         npt.assert_array_equal(out.value, want_out)
         tape.backward(ad.reduce_sum(ad.mul(out, tape.const(g))))
         npt.assert_array_equal(p.grad, want_grad)
@@ -501,7 +501,7 @@ class TestGradientsMatchFiniteDifferences:
         x = Parameter(rng.standard_normal((2, 3, 2, 7, 7)), "x")
 
         def build(tape):
-            y = ad.max_pool_spatial2(tape.param(x))
+            y = max_pool_spatial2(tape.param(x))
             z = ad.global_max_pool_spatial(y)
             return scalarize(tape, z, np.random.default_rng(49))
 
@@ -510,7 +510,7 @@ class TestGradientsMatchFiniteDifferences:
     def test_max_pool_shapes_and_values(self):
         x = np.arange(16.0).reshape(1, 1, 1, 4, 4)
         t = Tape(grad=False)
-        out = ad.max_pool_spatial2(t.const(x)).value
+        out = max_pool_spatial2(t.const(x)).value
         npt.assert_array_equal(out[0, 0, 0], [[5.0, 7.0], [13.0, 15.0]])
         gm = ad.global_max_pool_spatial(t.const(x)).value
         npt.assert_array_equal(gm, [[[15.0]]])
@@ -523,7 +523,7 @@ class TestGradientsMatchFiniteDifferences:
         rm, rv = np.zeros(4), np.ones(4)
 
         def build_train(tape):
-            y = ad.batchnorm_channels(
+            y = batchnorm_channels(
                 tape.param(x), tape.param(g), tape.param(b), rm.copy(), rv.copy(), True
             )
             return scalarize(tape, y, np.random.default_rng(50))
@@ -534,7 +534,7 @@ class TestGradientsMatchFiniteDifferences:
         rv2 = rng.uniform(0.5, 2.0, 4)
 
         def build_eval(tape):
-            y = ad.batchnorm_channels(
+            y = batchnorm_channels(
                 tape.param(x), tape.param(g), tape.param(b), rm2, rv2, False
             )
             return scalarize(tape, y, np.random.default_rng(51))
@@ -745,13 +745,135 @@ class TestBatchNorm:
         px, pg, pb = Parameter(x, "x"), Parameter(gamma, "gamma"), Parameter(beta, "beta")
         rm, rv = running_mean.copy(), running_var.copy()
         tape = Tape()
-        out = ad.batchnorm_channels(tape.param(px), tape.param(pg), tape.param(pb), rm, rv, True)
+        out = batchnorm_channels(tape.param(px), tape.param(pg), tape.param(pb), rm, rv, True)
         tape.backward(ad.reduce_sum(ad.mul(out, tape.const(g))))
         got = (out.value, rm, rv, px.grad, pg.grad, pb.grad)
         names = ("out", "running mean", "running var", "gx", "ggamma", "gbeta")
         for name, a, b in zip(names, got, want):
             err = np.abs(a - b).max()
             assert err <= 1e-12 * np.abs(b).max(), f"{name}: {err:.3e}"
+
+
+# grids the fused op meets: the offset predictor's two pooled extents, odd
+# grids whose trailing row or column the pool drops, and a single window
+FUSED_GRIDS = [(6, 6), (7, 7), (5, 4), (4, 4), (2, 2)]
+
+
+def fused_case(grid, seed):
+    """(x, gamma, beta, running mean, running var) with gammas of both signs
+    and a constant channel."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, 5, 2, *grid))
+    x[:, 2] = 0.3  # variance 0
+    gamma = rng.uniform(0.5, 1.5, 5) * np.array([1.0, -1.0, 1.0, -1.0, -1.0])
+    beta = rng.uniform(-0.5, 0.5, 5)
+    return x, gamma, beta, rng.standard_normal(5) * 0.1, rng.uniform(0.5, 2.0, 5)
+
+
+def fused_run(op, x, gamma, beta, running_mean, running_var, training, g):
+    """(output, running mean, running var, gx, ggamma, gbeta) of ``op`` under the
+    output gradient ``g``."""
+    px, pg, pb = Parameter(x, "x"), Parameter(gamma, "gamma"), Parameter(beta, "beta")
+    rm, rv = running_mean.copy(), running_var.copy()
+    tape = Tape()
+    out = op(tape.param(px), tape.param(pg), tape.param(pb), rm, rv, training)
+    tape.backward(ad.reduce_sum(ad.mul(out, tape.const(g))))
+    return out.value, rm, rv, px.grad, pg.grad, pb.grad
+
+
+def reference_chain(x, gamma, beta, running_mean, running_var, training):
+    return ad.relu(max_pool_spatial2(
+        batchnorm_channels(x, gamma, beta, running_mean, running_var, training)
+    ))
+
+
+class TestBatchnormMaxpoolRelu:
+    """The fused op against the separate batch norm, 2x2 max pool and ReLU."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("grid", FUSED_GRIDS)
+    def test_matches_the_reference_chain(self, grid, training):
+        x, gamma, beta, rm, rv = fused_case(grid, 60)
+        g = np.random.default_rng(61).standard_normal((3, 5, 2, grid[0] // 2, grid[1] // 2))
+        got = fused_run(ad.batchnorm_maxpool_relu, x, gamma, beta, rm, rv, training, g)
+        want = fused_run(reference_chain, x, gamma, beta, rm, rv, training, g)
+        # the forward and the running buffers are the same arithmetic
+        for name, a, b in zip(("out", "running mean", "running var"), got[:3], want[:3]):
+            npt.assert_array_equal(a, b, err_msg=name)
+        assert (got[0] > 0).any() and (got[0] == 0).any()
+        for name, a, b in zip(("gx", "ggamma", "gbeta"), got[3:], want[3:]):
+            err = np.abs(a - b).max()
+            assert err <= 1e-12 * np.abs(b).max(), f"{name}: {err:.3e}"
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("grid", [(6, 6), (5, 4)])
+    def test_gradients(self, grid, training):
+        x, gamma, beta, rm, rv = fused_case(grid, 62)
+        x[:, 2] += np.random.default_rng(63).standard_normal(x[:, 2].shape)
+        params = [Parameter(x, "x"), Parameter(gamma, "gamma"), Parameter(beta, "beta")]
+
+        def build(tape):
+            y = ad.batchnorm_maxpool_relu(
+                *(tape.param(p) for p in params), rm.copy(), rv.copy(), training
+            )
+            return scalarize(tape, y, np.random.default_rng(64))
+
+        check_op(build, params, tol=1e-6, step=1e-5)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
+    def test_ties_route_to_the_first_equal_input(self, sign):
+        # per 2x2 window of a 4x4 frame: its inputs in row-major order; the
+        # first maximum for gamma > 0, the first minimum for gamma < 0
+        windows = [[3.0, 3.0, 1.0, 2.0], [1.0, -1.0, 3.0, -1.0],
+                   [0.0, 2.0, 2.0, 2.0], [-2.0, 1.0, -2.0, 1.0]]
+        x = np.zeros((1, 1, 1, 4, 4))
+        for k, values in enumerate(windows):
+            i, j = divmod(k, 2)
+            x[0, 0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = np.reshape(values, (2, 2))
+        pick = np.argmax if sign > 0 else np.argmin
+        g = np.arange(1.0, 5.0).reshape(1, 1, 1, 2, 2)
+        gamma, beta = np.array([sign]), np.array([5.0])  # every window passes the ReLU
+        mean, var = np.array([0.5]), np.array([4.0])
+        out, _, _, gx, _, _ = fused_run(ad.batchnorm_maxpool_relu, x, gamma, beta, mean, var, False, g)
+        want_out, want_grad = np.zeros(g.shape), np.zeros(x.shape)
+        scale = sign / np.sqrt(4.0 + ad.BN_EPS)
+        for k, values in enumerate(windows):
+            i, j = divmod(k, 2)
+            di, dj = divmod(int(pick(values)), 2)
+            want_out[0, 0, 0, i, j] = max(v * scale + (5.0 - 0.5 * scale) for v in values)
+            want_grad[0, 0, 0, 2 * i + di, 2 * j + dj] = scale * g[0, 0, 0, i, j]
+        npt.assert_array_equal(out, want_out)
+        npt.assert_array_equal(gx, want_grad)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_zero_gamma_routes_to_the_first_maximal_input(self, training):
+        # at gamma = 0 every window's normalized values are equal; the op
+        # still selects the first maximal input, so ggamma sums xhat there,
+        # and x gets no gradient
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal((2, 1, 2, 4, 4))
+        gamma, beta = np.zeros(1), np.array([0.25])
+        mean, var = np.array([0.1]), np.array([1.5])
+        g = rng.standard_normal((2, 1, 2, 2, 2))
+        out, rm, rv, gx, gg, gb = fused_run(
+            ad.batchnorm_maxpool_relu, x, gamma, beta, mean, var, training, g
+        )
+        npt.assert_array_equal(out, np.full(g.shape, 0.25))
+        if training:
+            mean, var = x.mean(), x.var()
+        top = max_pool_spatial2(Tape(grad=False).const(x)).value
+        npt.assert_array_equal(gx, np.zeros(x.shape))
+        npt.assert_allclose(gg, [np.sum(g * (top - mean) / np.sqrt(var + ad.BN_EPS))], rtol=1e-12)
+        npt.assert_allclose(gb, [g.sum()], rtol=1e-12)
+
+    def test_rejects_blocks_it_cannot_pool(self):
+        t = Tape(grad=False)
+        gamma, beta = t.const(np.ones(2)), t.const(np.zeros(2))
+        for shape in [(1, 2, 3, 4), (1, 2, 3, 1, 4), (1, 2, 3, 4, 1)]:
+            with pytest.raises(ValueError):
+                ad.batchnorm_maxpool_relu(
+                    t.const(np.zeros(shape)), gamma, beta, np.zeros(2), np.ones(2), False
+                )
 
 
 class TestGradcheckHarness:

@@ -139,6 +139,17 @@ def test_nan_weight_raises_training_diverged(dataset, name):
     assert isinstance(err.value.__cause__, FloatingPointError)
 
 
+def test_overflowing_update_raises_training_diverged(dataset):
+    # at lr 1e308 the update overflows some parameters to infinity; training
+    # must stop there, not return a model that save_checkpoint would write
+    model = AlignmentModel(TINY_MODEL)
+    config = TrainConfig(learning_rate=1e308, epochs=1, episodes_per_epoch=1, n_way=3)
+    with pytest.raises(engine.TrainingDiverged, match=r"epoch 0, episode 0 \(lr=1e\+308\)") as err:
+        engine.train(model, dataset, config)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert "embed.w non-finite" in str(err.value)
+
+
 def test_ablation_run_smoke(dataset):
     variants = engine.ABLATION_VARIANTS[:1] + engine.ABLATION_VARIANTS[-1:]
     config = replace(TINY_TRAIN, epochs=1, n_way=2)  # the test split has 2 classes

@@ -12,6 +12,7 @@ from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkp
 from ta2n.synth import MisalignmentConfig, generate_dataset, sample_episode
 
 from gradcheck import directional_gradcheck, finite_diff_gradcheck
+from saved_arrays import saved_arrays
 
 DIMS = (6, 8, 5, 5)
 
@@ -59,12 +60,17 @@ def episode_loss(seed, cfg, k_shot):
     return build, model.parameters()
 
 
-def step_census(cfg, monkeypatch, training=True):
-    """(tape ops, recorded value shapes) of one 5-way 1-shot 1-query step on a
-    recording tape, a training step or an eval-mode forward and loss."""
+def census_episode(cfg):
+    """A 5-way 1-shot 1-query training episode of ``cfg``'s video shape."""
     dims = (cfg.channels, cfg.frames, cfg.height, cfg.width)
     data = generate_dataset(20, 2, dims, MisalignmentConfig(0.5, 0.8, 1.0, 0.1), seed=0)
-    episode = sample_episode(data, "train", 5, 1, 1, seed=0)
+    return sample_episode(data, "train", 5, 1, 1, seed=0)
+
+
+def step_census(cfg, monkeypatch, training=True):
+    """(tape ops, recorded value shapes) of one ``census_episode`` step on a
+    recording tape, a training step or an eval-mode forward and loss."""
+    episode = census_episode(cfg)
     shapes = []
     record = Tape.record
 
@@ -217,7 +223,9 @@ class TestEpisodeForward:
         assert ops.count("reshape") == 6
         # batch-first blocks: only TC's keys and the offset head's (B, T, 2) output
         assert ops.count("transpose") == 2
-        assert len(ops) == 231 < 581
+        # each layer's batch norm, 2x2 max pool and ReLU are one entry
+        assert ops.count("batchnorm_train") == 2 and "max_pool_spatial2" not in ops
+        assert len(ops) == 227 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC the queries are averaged over space before TC mixes
@@ -241,6 +249,18 @@ class TestEpisodeForward:
         assert conv_shapes(train_ops, train_shapes) == conv_shapes(eval_ops, eval_shapes)
         assert "batchnorm_train" in train_ops and "batchnorm_train" not in eval_ops
         assert "batchnorm_eval" in eval_ops and "batchnorm_eval" not in train_ops
+
+    def test_training_step_saves_one_copy_of_the_pair_block(self):
+        # ModelConfig(), 5-way 1-shot 1-query: the offset predictor's first
+        # conv output is the only array of the (25, 128, 8, 6, 6) pair block's
+        # size that backward keeps; batch norm, the 2x2 pool and the second
+        # conv keep quarter-size arrays or their inputs
+        cfg, tape = ModelConfig(), Tape()
+        AlignmentModel(cfg).episode_forward(tape, census_episode(cfg), training=True)
+        saved = saved_arrays(tape)
+        block = 25 * 128 * 8 * 6 * 6 * 8
+        assert [a.nbytes for a in saved].count(block) == 1
+        assert sum(a.nbytes for a in saved) < 40e6
 
     @FULL_MODEL_CASES
     def test_full_model_gradients(self, seed, k_shot, proj_dim):
