@@ -18,7 +18,7 @@ import numpy as np
 from . import metric
 from .autodiff import Parameter, Tape
 from .model import AlignmentModel, ModelConfig
-from .synth import Dataset, sample_episode
+from .synth import Dataset, check_count, sample_episode
 
 log = logging.getLogger(__name__)
 
@@ -47,12 +47,10 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must lie in (0, 1]")
-        if self.decay_interval < 1 or self.epochs < 0 or self.episodes_per_epoch < 1:
-            raise ValueError("schedule fields must be positive")
-        if self.n_way < 2:
-            raise ValueError("n_way must be at least 2: classification needs two classes")
-        if min(self.k_shot, self.n_query) < 1:
-            raise ValueError("k_shot and n_query must be positive")
+        # the least value of each count; classification needs two classes
+        counts = dict(decay_interval=1, epochs=0, episodes_per_epoch=1, n_way=2, k_shot=1, n_query=1)
+        for name, least in counts.items():
+            check_count(name, getattr(self, name), least)
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.decay_factor ** (epoch // self.decay_interval)
@@ -188,8 +186,7 @@ def evaluate(
     receives the model and dataset once per worker, through its initializer.
     A single episode has no spread, so its interval is 0.
     """
-    if episodes < 1:
-        raise ValueError("need at least one episode")
+    check_count("episodes", episodes, 1)
     jobs = [(split, n_way, k_shot, n_query, episode_seed(seed, 0, i)) for i in range(episodes)]
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (model, dataset)) as pool:

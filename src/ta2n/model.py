@@ -4,6 +4,11 @@ The episode forward pass aligns every query against every class
 independently and classifies with frame-wise cosine distances between the
 pooled pair representations. Both stages run on blocks of videos.
 
+Only spatial coordination (SC) reads space. The TTM and TC see pooled
+features, and every other stage applies one affine map to each cell alike,
+which commutes with the mean over cells. So without SC, stage one averages
+each video over H, W before the tape, and every stage runs on 1 x 1 maps.
+
 Stage one, the embedder and the temporal transform, runs once per block:
 all support videos of an episode go through one embed -> TTM -> warp chain,
 all its queries through another, and the (N, C, T, H, W) prototype block
@@ -11,17 +16,15 @@ holds the mean of each class's warped shots. Every block is batch-first,
 (videos, channels, ...), as ``autodiff`` documents.
 
 Stage two takes the prototype block and the (Q, C, T, H, W) query block
-whole. Once per block run TC's pooled projections and value maps, and,
-without SC, the spatial mean. Once per episode run the rearrangement of
-every query onto every class (one ``ad.mix_time`` over (Q, N) leading
-axes, whose mix is the identity without TC), the offset predictor and the
-masks and masked means of all pairs (one broadcast
-``acm.spatial_coordinate`` call). Without SC the mix rearranges the
-spatially averaged queries, since the mean over H, W commutes with the time
-mix, so no (Q, N, d, T, H, W) block is built. Once per pair run only TC's
-T x T correlation and the metric, on rows taken from the pooled blocks:
-the benchmark counts one ``TemporalCoordination.forward`` and one
-``metric.frame_cosine_distance`` call per pair, and reads
+whole. Once per block run TC's pooled projections and value maps. Once per
+episode run the rearrangement of every query onto every class (one
+``ad.mix_time`` over (Q, N) leading axes, whose mix is the identity
+without TC), and, with SC, the offset predictor and the masks and masked
+means of all pairs (one broadcast ``acm.spatial_coordinate`` call); without
+SC the rearranged 1 x 1 maps are the pooled pair maps as they stand. Once
+per pair run only TC's T x T correlation and the metric, on rows taken from
+the pooled blocks: the benchmark counts one ``TemporalCoordination.forward``
+and one ``metric.frame_cosine_distance`` call per pair, and reads
 ``EpisodeOutput.probs`` as one entry per query. Each pair's distance is a
 single ``ad.cosine_distance`` tape entry, and the episode loss a single
 ``ad.nll`` entry over the stacked probabilities.
@@ -49,7 +52,7 @@ from . import metric
 from . import ttm as ttm_mod
 from .acm import OffsetPredictor, TemporalCoordination
 from .autodiff import Array, Parameter, Tape, Var
-from .synth import Episode, VideoFeature
+from .synth import Episode, VideoFeature, check_count
 
 @dataclass
 class ModelConfig:
@@ -75,8 +78,7 @@ class ModelConfig:
         sizes = [(name, getattr(self, name)) for name in names]
         sizes += [(f"offset_channels[{i}]", c) for i, c in enumerate(self.offset_channels)]
         for name, value in sizes:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
+            check_count(name, value, 1)
         for name in ("use_ttm", "use_tc", "use_sc"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -141,7 +143,8 @@ class AlignmentModel:
     # -- forward ----------------------------------------------------------
 
     def _stage_one(self, tape: Tape, videos: list[VideoFeature]) -> Var:
-        """Embed V videos as one (V, C, T, H, W) block; with the TTM, warp each onto its action span."""
+        """Embed V videos as one (V, C, T, H, W) block, H = W = 1 without SC; with
+        the TTM, warp each onto its action span."""
         cfg = self.config
         want = (cfg.channels, cfg.frames, cfg.height, cfg.width)
         for v in videos:
@@ -150,7 +153,10 @@ class AlignmentModel:
                     f"video features of shape {v.feature.shape} do not match the model's "
                     f"(C, T, H, W) {want}"
                 )
-        block = tape.const(np.stack([v.feature for v in videos]))
+        block = np.stack([v.feature for v in videos])
+        if self.sc is None:
+            block = block.mean(axis=(-2, -1), keepdims=True)
+        block = tape.const(block)
         f = ad.channel_linear(block, tape.param(self.embed_w), tape.param(self.embed_b))
         if self.ttm is not None:
             scale, shift = ttm_mod.localize(self.ttm, tape, f)
@@ -169,15 +175,18 @@ class AlignmentModel:
         """Class probabilities of every query of ``episode``.
 
         Every class needs the same number of shots, at least one, and a
-        class's prototype is the mean of its shots. Nothing in the forward
-        pass is random, so ``rng`` is ignored; the keyword is kept only for
-        ``bench/workloads.py``, which still passes it.
+        class's prototype is the mean of its shots; the episode needs at least
+        one query. Nothing in the forward pass is random, so ``rng`` is
+        ignored; the keyword is kept only for ``bench/workloads.py``, which
+        still passes it.
         """
         shots = [len(s) for s in episode.support]
         if not shots or min(shots) < 1 or min(shots) != max(shots):
             raise ValueError(
                 f"every class needs the same number of shots, at least one; got {shots}"
             )
+        if not episode.query:
+            raise ValueError("the episode needs at least one query, got an empty query list")
         # stage one: one embed (+ temporal transform) chain per block, supports then queries
         n_way, k_shot = len(shots), shots[0]
         support = self._stage_one(tape, [v for s in episode.support for v in s])
@@ -195,7 +204,8 @@ class AlignmentModel:
         self, tape: Tape, prototypes: Var, query: Var, training: bool, epoch: int
     ) -> list[tuple[Var, Var]]:
         """Pooled (d, T) maps of every (query, class) pair, ``pairs[q*N + n]``, from the
-        (N, C, T, H, W) prototype block and the (Q, C, T, H, W) query block."""
+        (N, C, T, H, W) prototype block and the (Q, C, T, H, W) query block; SC,
+        if any, pools the one rearrangement of every query onto every class."""
         n_way, n_query, t = prototypes.shape[0], query.shape[0], prototypes.shape[2]
         if self.tc is not None:
             keys, supports = self.tc.support_side(tape, prototypes)  # (N, d, T, H, W) values
@@ -207,13 +217,12 @@ class AlignmentModel:
             supports, queries = prototypes, query
             mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))
         d = supports.shape[1]
-        if self.sc is None:
-            f_s = ad.reduce_mean(supports, axis=(-2, -1))  # (N, d, T)
-            f_q = ad.reduce_mean(queries, axis=(-2, -1))  # (Q, d, T)
-            f_q = ad.mix_time(mix, ad.reshape(f_q, (n_query, 1, d, t, 1, 1)))
-            return list(zip(_rows(f_s) * n_query, _rows(ad.reshape(f_q, (n_query * n_way, d, t)))))
         by_query = ad.reshape(queries, (n_query, 1, d, *queries.shape[2:]))
         rearranged = ad.mix_time(mix, by_query)  # (Q, N, d, T, H, W)
+        if self.sc is None:  # H = W = 1: the maps are their own means
+            f_s = ad.reshape(supports, (n_way, d, t))
+            f_q = ad.reshape(rearranged, (n_query * n_way, d, t))
+            return list(zip(_rows(f_s) * n_query, _rows(f_q)))
         offsets = self.sc.forward(tape, supports, queries, mix, training)  # (Q*N, T, 2)
         if training:
             displacements = acm.perturb_displacements(epoch)

@@ -29,6 +29,12 @@ TEMPLATE_SIZE = 3
 SIGNATURE_COSINE_CEILING = 0.3
 
 
+def check_count(name: str, value, least: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an int, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MisalignmentConfig:
     """Strengths of the three injected misalignment axes plus noise floor."""
@@ -282,6 +288,7 @@ def generate_dataset(
 ) -> Dataset:
     """Deterministic dataset of misaligned videos with disjoint class splits."""
     _check_layout(num_classes, dims, config)
+    check_count("videos_per_class", videos_per_class, 0)
     channels, frames, height, width = dims
     signatures = make_class_signatures(num_classes, channels, seed)
     videos = []
@@ -317,12 +324,11 @@ def sample_episode(
     """Draw one episode: N classes, K support + Q query videos per class.
 
     Support and query sets are disjoint and labels are re-indexed to the
-    episode's 0..N-1 range. Raises ``ValueError`` when K or Q is below 1, or
-    when the split or a class has too few classes or videos.
+    episode's 0..N-1 range. Raises ``ValueError`` unless N, K and Q are ints
+    of at least 1, or when the split or a class has too few classes or videos.
     """
-    for name, value in (("k_shot", k_shot), ("n_query", n_query)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, value in (("n_way", n_way), ("k_shot", k_shot), ("n_query", n_query)):
+        check_count(name, value, 1)
     class_ids = dataset.split_classes(split)
     if len(class_ids) < n_way:
         raise ValueError(f"split {split!r} has {len(class_ids)} classes, need {n_way}")

@@ -183,6 +183,40 @@ def test_validate_rejects_bad_config(field, value):
         replace(TINY_TRAIN, **{field: value}).validate()
 
 
+def queryless(dataset):
+    return replace(sample_episode(dataset, "test", 2, 1, 1, seed=0), query=[], query_labels=[])
+
+
+@pytest.mark.parametrize("field, call", [
+    *[
+        pytest.param(f, lambda ds, f=f: replace(TINY_TRAIN, **{f: 2.5}).validate(), id=f"{f}-fractional")
+        for f in ("decay_interval", "epochs", "episodes_per_epoch", "n_way", "k_shot", "n_query")
+    ],
+    pytest.param("k_shot", lambda ds: replace(TINY_TRAIN, k_shot=True).validate(), id="k_shot-bool"),
+    pytest.param(
+        "videos_per_class",
+        lambda ds: generate_dataset(8, -2, (4, 4, 5, 5), MisalignmentConfig(), seed=3),
+        id="negative-videos_per_class",
+    ),
+    pytest.param("n_way", lambda ds: sample_episode(ds, "test", 0, 1, 1, 0), id="zero-way-episode"),
+    pytest.param(
+        "episodes",
+        lambda ds: engine.evaluate(AlignmentModel(TINY_MODEL), ds, "test", 2.5, 2, 1, 1, seed=9),
+        id="fractional-eval-episodes",
+    ),
+    pytest.param(
+        "query",
+        lambda ds: AlignmentModel(TINY_MODEL).episode_forward(Tape(grad=False), queryless(ds), training=False),
+        id="episode-without-queries",
+    ),
+])
+def test_bad_counts_raise_value_error_naming_the_field(dataset, field, call):
+    # a fractional or bool count used to pass validation and fail later
+    # with a TypeError, and a negative or zero one to give an empty result
+    with pytest.raises(ValueError, match=field):
+        call(dataset)
+
+
 def test_train_validates_before_training(dataset):
     model = AlignmentModel(TINY_MODEL)
     before = [p.value.copy() for p in model.parameters()]

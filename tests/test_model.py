@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -38,8 +39,8 @@ def episode_loss(seed, cfg, k_shot):
     step, and the SC head starts on some: zero offsets put grid cells on the
     mask rings. The zero-initialized TTM head weights would also give the
     TTM's conv a zero gradient, which a check passes trivially. So every
-    parameter of the fresh model is nudged once, the TTM head is moved to a
-    shorter window, and the SC head off zero offsets.
+    parameter of the fresh model is nudged once, the TTM head, if any, is
+    moved to a shorter window, and the SC head, if any, off zero offsets.
     """
     dims = (cfg.channels, cfg.frames, cfg.height, cfg.width)
     dataset = generate_dataset(
@@ -50,8 +51,10 @@ def episode_loss(seed, cfg, k_shot):
     nudge = np.random.default_rng((seed, 2))
     for p in model.parameters():
         p.value += nudge.normal(0.0, 0.02, p.value.shape)
-    model.ttm.head_b.value[0] = nudge.uniform(-0.5, -0.25)
-    model.sc.fc2_b.value[:] = nudge.uniform(-0.4, 0.4, 2)
+    if model.ttm is not None:
+        model.ttm.head_b.value[0] = nudge.uniform(-0.5, -0.25)
+    if model.sc is not None:
+        model.sc.fc2_b.value[:] = nudge.uniform(-0.4, 0.4, 2)
 
     def build(tape):
         out = model.episode_forward(tape, episode, training=True, epoch=0)
@@ -85,6 +88,27 @@ def step_census(cfg, monkeypatch, training=True):
     return [e.op for e in tape.entries], shapes
 
 
+def episode_probs(model, episode):
+    """The (Q, N) eval-mode probabilities of ``episode``'s queries."""
+    out = model.episode_forward(Tape(grad=False), episode, training=False)
+    return np.stack([p.value for p in out.probs])
+
+
+def spatially_shuffled(episode, seed):
+    """``episode`` with each frame's H x W cells permuted, a new permutation
+    for every frame of every video."""
+    rng = np.random.default_rng(seed)
+
+    def shuffle(video):
+        c, t, h, w = video.feature.shape
+        perms = rng.permuted(np.tile(np.arange(h * w), (t, 1)), axis=1)
+        cells = np.take_along_axis(video.feature.reshape(c, t, h * w), perms[None], axis=2)
+        return replace(video, feature=cells.reshape(c, t, h, w))
+
+    support = [[shuffle(v) for v in shots] for shots in episode.support]
+    return replace(episode, support=support, query=[shuffle(v) for v in episode.query])
+
+
 def conv_shapes(ops, shapes):
     """The recorded output shapes of the ``conv3d`` entries, in tape order."""
     return [shape for op, shape in zip(ops, shapes) if op == "conv3d"]
@@ -97,12 +121,20 @@ def assert_fused_metric_head(ops):
     assert "sqrt" not in ops and "log" not in ops
 
 
-# the full-model gradient-check cases: six 1-shot seeds, and a 3-shot case
-# whose TC projects to fewer dimensions than it reads
+# the full-model gradient-check cases: six 1-shot seeds, a 3-shot case whose
+# TC projects to fewer dimensions than it reads, and the variants without SC,
+# whose stage one averages the videos over space, at 1 and 3 shots
+NO_SC_VARIANTS = {
+    "noSC": dict(use_sc=False),
+    "noSC-noTC": dict(use_sc=False, use_tc=False),
+    "noSC-noTTM": dict(use_sc=False, use_ttm=False),
+}
 FULL_MODEL_CASES = pytest.mark.parametrize(
-    "seed, k_shot, proj_dim",
-    [pytest.param(s, 1, 6, id=str(s)) for s in (2, 3, 5, 12, 15, 18)]
-    + [pytest.param(12, 3, 4, id="12-3shot-proj4")],
+    "seed, k_shot, proj_dim, toggles",
+    [pytest.param(s, 1, 6, {}, id=str(s)) for s in (2, 3, 5, 12, 15, 18)]
+    + [pytest.param(12, 3, 4, {}, id="12-3shot-proj4")]
+    + [pytest.param(12, 1, 6, t, id=f"12-{name}") for name, t in NO_SC_VARIANTS.items()]
+    + [pytest.param(12, 3, 4, t, id=f"12-3shot-proj4-{name}") for name, t in NO_SC_VARIANTS.items()],
 )
 
 
@@ -199,6 +231,17 @@ class TestEpisodeForward:
             outs.append(np.stack([p.value for p in o.probs]))
         npt.assert_array_equal(outs[0], outs[1])
 
+    @pytest.mark.parametrize(
+        "toggles", [{}, *NO_SC_VARIANTS.values()], ids=["SC", *NO_SC_VARIANTS]
+    )
+    def test_only_sc_reads_space(self, dataset, toggles):
+        # permuting each frame's cells moves an SC model's probabilities, so
+        # the check can fail, and leaves a model without SC alone
+        model = AlignmentModel(tiny_config(**toggles))
+        ep = sample_episode(dataset, "train", 3, 2, 2, seed=4)
+        change = np.abs(episode_probs(model, spatially_shuffled(ep, 0)) - episode_probs(model, ep)).max()
+        assert change > 1e-3 if model.sc is not None else change < 1e-12
+
     def test_training_step_op_census(self, monkeypatch):
         # ModelConfig(), 5-way 1-shot 1-query: the offset predictor's first
         # layer is one conv3d entry over per-video inputs, so the
@@ -228,17 +271,19 @@ class TestEpisodeForward:
         assert len(ops) == 227 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
-        # without SC the queries are averaged over space before TC mixes
-        # them, so no (Q, N, d, T, H, W) block of rearranged maps is built
+        # without SC stage one averages every video over space before the
+        # embed, so every block on the tape, (..., C, T, H, W), is 1x1 in
+        # space and stage two's one rearrangement mixes 1x1 maps
         ops, shapes = step_census(ModelConfig(use_sc=False), monkeypatch)
         assert ops.count("matmul") == 25
         assert ops.count("warp_matrix") == 2 and "time_linear_sample" not in ops
         assert ops.count("mix_time") == 2 + 1
-        assert (5, 5, 16, 8, 7, 7) not in shapes
-        assert (5, 5, 16, 8, 1, 1) in shapes
+        blocks = [shape for shape in shapes if len(shape) >= 5]
+        assert (5, 5, 16, 8, 1, 1) in blocks
+        assert all(shape[-2:] == (1, 1) for shape in blocks)
         assert_fused_metric_head(ops)
         assert ops.count("transpose") == 1  # TC's keys
-        assert len(ops) == 179 < 522
+        assert len(ops) == 178 < 522
 
     def test_training_and_eval_convolve_the_same_positions(self, monkeypatch):
         # ModelConfig(): training batch norm takes its statistics over the
@@ -263,8 +308,8 @@ class TestEpisodeForward:
         assert sum(a.nbytes for a in saved) < 40e6
 
     @FULL_MODEL_CASES
-    def test_full_model_gradients(self, seed, k_shot, proj_dim):
-        cfg = tiny_config(height=7, width=7, proj_dim=proj_dim)
+    def test_full_model_gradients(self, seed, k_shot, proj_dim, toggles):
+        cfg = tiny_config(height=7, width=7, proj_dim=proj_dim, **toggles)
         build, params = episode_loss(seed, cfg, k_shot)
         report = finite_diff_gradcheck(
             build, params, step=1e-3, tolerance=1e-4,
@@ -273,10 +318,10 @@ class TestEpisodeForward:
         assert report.passed, report.summary()
 
     @FULL_MODEL_CASES
-    def test_full_model_directional_gradients(self, seed, k_shot, proj_dim):
+    def test_full_model_directional_gradients(self, seed, k_shot, proj_dim, toggles):
         # J·v of the whole episode loss along random unit directions through
         # every parameter at once
-        cfg = tiny_config(height=7, width=7, proj_dim=proj_dim)
+        cfg = tiny_config(height=7, width=7, proj_dim=proj_dim, **toggles)
         build, params = episode_loss(seed, cfg, k_shot)
         report = directional_gradcheck(build, params, rng=np.random.default_rng(11))
         assert report.passed and report.checked == 2, report.summary()
