@@ -18,6 +18,11 @@ that is not an array (dimensions, seeds, configs); each ``arrays`` entry is
 ``{"name": ..., "shape": [...]}``, and its ``shape`` is the only statement
 of that array's size.
 
+:func:`load` enforces two rules for both kinds, so their loaders check only
+their own. The header fixes the file's length: any other length raises
+:class:`TruncatedFileError` before a payload is allocated. Every payload
+value is finite, or a :class:`ContainerError` names the arrays that are not.
+
 What is wrong with a file's contents raises :class:`ContainerError` or one
 of its subclasses; OS errors such as a missing file pass through unwrapped.
 """
@@ -53,35 +58,7 @@ class UnsupportedVersionError(ContainerError):
 
 
 class TruncatedFileError(ContainerError):
-    """The file ends inside a section, or goes on after its last array."""
-
-
-class _ExactReader:
-    """File reads that raise :class:`TruncatedFileError` instead of coming up short.
-
-    The check runs before the read, so a corrupt length never sizes a buffer
-    beyond what the file holds.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._left = os.fstat(fh.fileno()).st_size - fh.tell()
-
-    def _take(self, size: int) -> None:
-        if size > self._left:
-            raise TruncatedFileError(f"file ends {size - self._left} bytes early")
-        self._left -= size
-
-    def read(self, size: int) -> bytes:
-        self._take(size)
-        return self._fh.read(size)
-
-    def read_float64(self, shape: tuple[int, ...]) -> Array:
-        """A fresh, writable C-ordered array of ``shape`` filled from the next bytes."""
-        self._take(8 * math.prod(shape))
-        a = np.empty(shape, dtype="<f8")
-        self._fh.readinto(a.reshape(-1).view(np.uint8))
-        return a
+    """The file is shorter or longer than its prefix and header say."""
 
 
 def save(path: str | os.PathLike, magic: bytes, meta: dict, arrays: dict[str, Array]) -> None:
@@ -108,8 +85,8 @@ def save(path: str | os.PathLike, magic: bytes, meta: dict, arrays: dict[str, Ar
 def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]:
     """``(meta, arrays)`` of a file of the kind ``magic`` names."""
     kind = KINDS[magic]
-    with open(path, "rb") as raw:
-        head = raw.read(_PREFIX.size)
+    with open(path, "rb") as fh:
+        head = fh.read(_PREFIX.size)
         if head[:4] != magic[: len(head)]:
             other = KINDS.get(head[:4], "unknown")
             raise BadMagicError(f"expected a {kind} file, found magic {head[:4]!r} ({other})")
@@ -118,7 +95,9 @@ def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]
         _, version, size = _PREFIX.unpack(head)
         if version != FORMAT_VERSION:
             raise UnsupportedVersionError(f"{kind} format version {version}, expected {FORMAT_VERSION}")
-        fh = _ExactReader(raw)
+        length = os.fstat(fh.fileno()).st_size
+        if _PREFIX.size + size > length:  # checked first, so a corrupt size never sizes a read
+            raise TruncatedFileError(f"file ends inside its {size}-byte header")
         try:
             doc = json.loads(fh.read(size).decode("utf-8"))
             meta = doc["meta"]
@@ -127,9 +106,17 @@ def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]
             raise ContainerError(f"malformed {kind} header: {e}") from e
         if not isinstance(meta, dict) or len(shapes) != len(doc["arrays"]):
             raise ContainerError(f"malformed {kind} header: meta is not an object, or array names repeat")
-        arrays = {name: fh.read_float64(shape) for name, shape in shapes.items()}
-        if raw.read(1):
-            raise TruncatedFileError(f"trailing bytes after the last array of the {kind} file")
+        expected = _PREFIX.size + size + 8 * sum(math.prod(shape) for shape in shapes.values())
+        if length != expected:
+            raise TruncatedFileError(f"the {kind} header fixes {expected} bytes, the file has {length}")
+        arrays = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
+        for a in arrays.values():
+            fh.readinto(a.reshape(-1).view(np.uint8))
+    # a NaN propagates through min and max, and an infinity is one of them, so no
+    # temporary the size of an array raises the loader's peak memory
+    bad = [n for n, a in arrays.items() if not np.isfinite((a.min(initial=0.0), a.max(initial=0.0))).all()]
+    if bad:
+        raise ContainerError(f"{kind} arrays must be finite: {bad}")
     return meta, arrays
 
 

@@ -47,8 +47,8 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must lie in (0, 1]")
-        # the least value of each count; classification needs two classes
-        counts = dict(decay_interval=1, epochs=0, episodes_per_epoch=1, n_way=2, k_shot=1, n_query=1)
+        # the least value of each count and of the seed; classification needs two classes
+        counts = dict(decay_interval=1, epochs=0, episodes_per_epoch=1, n_way=2, k_shot=1, n_query=1, seed=0)
         for name, least in counts.items():
             check_count(name, getattr(self, name), least)
 
@@ -184,9 +184,12 @@ def evaluate(
     Episodes are seeded up front and a pool returns its results in job
     order, so any worker count (including 1) yields the same report. A pool
     receives the model and dataset once per worker, through its initializer.
-    A single episode has no spread, so its interval is 0.
+    A single episode has no spread, so its interval is 0. A non-int, or
+    ``episodes`` or ``workers`` below 1, or ``seed`` below 0, raises ``ValueError``.
     """
     check_count("episodes", episodes, 1)
+    check_count("seed", seed, 0)
+    check_count("workers", workers, 1)
     jobs = [(split, n_way, k_shot, n_query, episode_seed(seed, 0, i)) for i in range(episodes)]
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (model, dataset)) as pool:

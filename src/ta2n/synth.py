@@ -265,10 +265,13 @@ def default_split_counts(num_classes: int) -> tuple[int, int, int]:
     return num_classes - n_test - n_val, n_val, n_test
 
 
-def _check_layout(num_classes: int, dims: tuple[int, int, int, int], config: MisalignmentConfig) -> None:
+def _check_layout(
+    num_classes: int, dims: tuple[int, int, int, int], config: MisalignmentConfig, seed: int
+) -> None:
     """``ValueError`` unless :func:`generate_dataset` can build ``num_classes``
-    classes of (C, T, H, W) ``dims`` videos under ``config``."""
+    classes of (C, T, H, W) ``dims`` videos under ``config`` from ``seed``."""
     config.validate()
+    check_count("seed", seed, 0)
     default_split_counts(num_classes)
     if min(dims) <= 0:
         raise ValueError(f"dims must be positive, got {list(dims)}")
@@ -287,7 +290,7 @@ def generate_dataset(
     seed: int,
 ) -> Dataset:
     """Deterministic dataset of misaligned videos with disjoint class splits."""
-    _check_layout(num_classes, dims, config)
+    _check_layout(num_classes, dims, config, seed)
     check_count("videos_per_class", videos_per_class, 0)
     channels, frames, height, width = dims
     signatures = make_class_signatures(num_classes, channels, seed)
@@ -391,8 +394,9 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    """Inverse of :func:`save_dataset`; a malformed file, or ground truth that
-    :func:`generate_dataset` could not have written, raises a ``ContainerError``."""
+    """Inverse of :func:`save_dataset`. Past the container's own rules, meta or
+    ground truth that :func:`generate_dataset` could not have written raises a
+    ``ContainerError``."""
     meta, arrays = container.load(path, container.DATASET)
     try:
         n = int(meta["videos"])
@@ -406,16 +410,12 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             config=MisalignmentConfig(**meta["config"]),
             seed=int(meta["seed"]),
         )
-        _check_layout(dataset.num_classes, dataset.dims(), dataset.config)
+        _check_layout(dataset.num_classes, dataset.dims(), dataset.config, dataset.seed)
     except (KeyError, TypeError, ValueError) as e:
         raise container.ContainerError(f"malformed dataset meta: {e}") from e
     container.expect_shapes(arrays, _array_shapes(n, dataset.dims()))
     features, centers, knots = arrays["features"], arrays["centers"], arrays["warp_knots"]
     labels, spans = arrays["labels"], arrays["spans"]
-    # a NaN propagates through min and max, and an infinity is one of them, so no
-    # temporary the size of the features raises the loader's peak memory
-    if not all(np.isfinite([a.min(initial=0.0), a.max(initial=0.0)]).all() for a in arrays.values()):
-        raise container.ContainerError("dataset arrays must be finite")
     if not np.all((labels >= 0) & (labels < dataset.num_classes) & (labels == np.floor(labels))):
         raise container.ContainerError(
             f"dataset labels must be class ids in [0, {dataset.num_classes})"

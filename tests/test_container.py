@@ -129,6 +129,22 @@ def test_malformed_file_raises_container_error(files, tmp_path, kind, fault):
     assert count > 0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_non_finite_payload_is_rejected_by_the_container(files, tmp_path, kind, value):
+    # the rule is the container's, so the bare load enforces it for both kinds
+    magic, _, doc, arrays = split(files[kind])
+    names = [e["name"] for e in doc["arrays"]]
+    path = tmp_path / "bad"
+    for i, name in enumerate(names):
+        values = [a.copy() for a in arrays]
+        values[i].reshape(-1)[values[i].size // 2] = value
+        container.save(path, magic, doc["meta"], dict(zip(names, values)))
+        with pytest.raises(ContainerError) as info:
+            container.load(path, magic)
+        assert str(info.value).endswith(f"['{name}']"), info.value
+
+
 @pytest.mark.parametrize("kind", list(LOADERS))
 def test_split_join_round_trip(files, kind):
     # the helpers above rebuild a file byte for byte, so each fault changes only what it names

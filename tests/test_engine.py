@@ -209,10 +209,35 @@ def queryless(dataset):
         lambda ds: AlignmentModel(TINY_MODEL).episode_forward(Tape(grad=False), queryless(ds), training=False),
         id="episode-without-queries",
     ),
+    *[
+        pytest.param(
+            "workers",
+            lambda ds, w=w: engine.evaluate(AlignmentModel(TINY_MODEL), ds, "test", 2, 2, 1, 1, 9, workers=w),
+            id=f"eval-workers-{w}",
+        )
+        for w in (2.5, 0, -1)
+    ],
+    pytest.param(
+        "seed",
+        lambda ds: engine.evaluate(AlignmentModel(TINY_MODEL), ds, "test", 2, 2, 1, 1, seed=-1),
+        id="negative-eval-seed",
+    ),
+    pytest.param("seed", lambda ds: replace(TINY_TRAIN, seed=-1).validate(), id="negative-train-seed"),
+    *[
+        pytest.param("init_seed", lambda ds, s=s: AlignmentModel(replace(TINY_MODEL, init_seed=s)), id=f"init_seed-{i}")
+        for i, s in enumerate((True, "3", -1))
+    ],
+    pytest.param(
+        "seed",
+        lambda ds: generate_dataset(8, 2, (4, 4, 5, 5), MisalignmentConfig(), seed=True),
+        id="bool-dataset-seed",
+    ),
 ])
 def test_bad_counts_raise_value_error_naming_the_field(dataset, field, call):
-    # a fractional or bool count used to pass validation and fail later
-    # with a TypeError, and a negative or zero one to give an empty result
+    # a fractional or bool count or seed used to pass validation and fail
+    # later with a TypeError, a negative seed to fail inside SeedSequence
+    # without naming the field, and a negative or zero count to give an
+    # empty or silently serial result
     with pytest.raises(ValueError, match=field):
         call(dataset)
 

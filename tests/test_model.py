@@ -491,6 +491,7 @@ class TestCheckpoints:
         pytest.param({"offset_channels": [8, 8, 8]}, "offset_channels", id="three_offset_layers"),
         pytest.param({"use_tc": "yes"}, "use_tc", id="string_toggle"),
         pytest.param({"frames": 1}, "frames", id="one_frame_with_ttm"),
+        pytest.param({"init_seed": "3"}, "init_seed", id="string_seed"),
     ])
     def test_checkpoint_with_invalid_config_is_rejected(self, tmp_path, update, match):
         path = tmp_path / "model.ckpt"
