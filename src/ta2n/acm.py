@@ -145,6 +145,9 @@ class OffsetPredictor:
     negative, and normalizes only the quarter it keeps; its output equals
     the three separate ops bit for bit. Its gradient goes to the first
     input of a window equal to the one it selected.
+
+    The conv and batch-norm ops store their (B, C, T, H, W) blocks
+    channels-last (see ``ad.conv3d``); this class sees only the shapes.
     """
 
     def __init__(

@@ -18,7 +18,12 @@ Conventions:
   pool after batch norm to the first input of its window equal to the one
   it selected (the maximum, or the minimum where batch norm's scale is
   negative), and a vector norm passes zero at the origin,
-- blocks are batch-first with channels on axis 1, ``(B, C, ...)``; ops
+- blocks have batch-first shapes with channels on axis 1, ``(B, C, ...)``,
+  whatever their memory layout: every op accepts any strides. The offset
+  predictor's ops (:func:`conv3d`, :func:`pair_conv3d`,
+  :func:`batchnorm_maxpool_relu`) store their outputs channels-last, as the
+  ``(B, C, ...)`` view of a C-contiguous ``(B, ..., C)`` array, so each one
+  reads the last one's output and gradient without a transposed copy. Ops
   documented with ``...`` batch axes broadcast them,
 - broadcasting follows numpy; backward passes sum gradients back over
   broadcast axes.
@@ -588,6 +593,13 @@ def conv1d_temporal(x: Var, weight: Var, bias: Var) -> Var:
 
 
 _SPATIAL_TAPS = [(kh, kw) for kh in range(3) for kw in range(3)]
+_TO_LAST, _TO_FIRST = (0, 2, 3, 4, 1), (0, 4, 1, 2, 3)  # (B, C, T, H, W) <-> (B, T, H, W, C)
+
+
+def _channels_last(a: Array) -> Array:
+    """A (B, C, T, H, W) block as a C-contiguous (B, T, H, W, C) array, without
+    a copy when it is stored so, as the offset predictor's ops store theirs."""
+    return np.ascontiguousarray(a.transpose(_TO_LAST))
 
 
 def _tap_window(d: int, n: int, m: int) -> tuple[slice, slice]:
@@ -600,88 +612,80 @@ def _tap_window(d: int, n: int, m: int) -> tuple[slice, slice]:
     return slice(max(0, -d), min(m, n - d)), slice(max(0, d), min(m + d, n))
 
 
-def _spatial_patches(xv: Array, extent: tuple[int, int]) -> Array:
-    """The 3x3 spatial windows of a (B,C,T,H,W) block as a (9*C, B*T*rows*cols) matrix.
+def _kernel_matrix(wv: Array) -> Array:
+    """A (C_out, C_in, 3, 3, 3) kernel as a (3*C_out, 9*C_in) matrix.
 
-    Only the windows of the top-left ``extent = (rows, cols)`` output
-    positions are taken. Row ``k*C + c`` is channel ``c`` seen through
-    spatial tap ``k``, zero-padded at the border. Time is not windowed: the
-    three temporal taps are combined after the GEMM, so a channel takes 9
-    rows, not 27.
+    Row ``j*C_out + o`` is output channel ``o`` at temporal slice ``j``;
+    column ``k*C_in + c`` is input channel ``c`` at spatial tap ``k``.
     """
-    b, c, t, h, w = xv.shape
+    c_out, c_in = wv.shape[:2]
+    return np.ascontiguousarray(wv.transpose(2, 0, 3, 4, 1)).reshape(3 * c_out, 9 * c_in)
+
+
+def _patches(xl: Array, extent: tuple[int, int]) -> Array:
+    """The 3x3 spatial windows of a (B, T, H, W, C) block as a (B*T*rows*cols, 9*C) matrix.
+
+    One row per output position of the top-left ``extent = (rows, cols)``
+    grid; column ``k*C + c`` is channel ``c`` seen through spatial tap
+    ``k``, zero-padded at the border. Time is not windowed: the three
+    temporal taps are combined after the GEMM, so a row has 9*C columns,
+    not 27*C.
+    """
+    b, t, h, w, c = xl.shape
     rows, cols = extent
-    xt = xv.transpose(1, 0, 2, 3, 4)
-    patches = np.zeros((9, c, b, t, rows, cols))
+    patches = np.zeros((b, t, rows, cols, 9, c))
     for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
         (oh, ih), (ow, iw) = _tap_window(kh - 1, h, rows), _tap_window(kw - 1, w, cols)
-        patches[k, :, :, :, oh, ow] = xt[:, :, :, ih, iw]
-    return patches.reshape(9 * c, b * t * rows * cols)
-
-
-def _tap_responses(xv: Array, wv: Array, extent: tuple[int, int]) -> tuple[Array, Array]:
-    """Every frame's response to every temporal slice of a 3x3x3 kernel.
-
-    Returns (tap matrix, responses). ``responses[o, k, b, s]`` is frame ``s``
-    of video ``b`` through the 3x3 spatial taps of ``wv[o, :, k]``, over the
-    rows*cols positions of ``extent``: one (3*C_out, 9*C_in) GEMM against the
-    patches, which are dropped once it ran.
-    """
-    b, c_in, t = xv.shape[:3]
-    c_out = wv.shape[0]
-    taps = np.ascontiguousarray(wv.transpose(0, 2, 3, 4, 1).reshape(3 * c_out, 9 * c_in))
-    return taps, (taps @ _spatial_patches(xv, extent)).reshape(c_out, 3, b, t, -1)
-
-
-def _tap_responses_grad(
-    g: Array, xv: Array, taps: Array, extent: tuple[int, int]
-) -> tuple[Array, Array]:
-    """(input gradient, weight gradient) from the gradient of the tap responses of ``xv``.
-
-    The weight gradient is one GEMM against the patches, rebuilt from ``xv``.
-    Each spatial tap's ``taps[:, k]^T @ g`` is added straight into the input
-    gradient window it reads, so no (9*C_in, M) patch gradient is built.
-    """
-    b, c_in, t, h, w = xv.shape
-    rows, cols = extent
-    c_out = taps.shape[0] // 3
-    g = g.reshape(3 * c_out, b * t * rows * cols)
-    gw = (g @ _spatial_patches(xv, extent).T).reshape(c_out, 3, 3, 3, c_in)
-    tap_t = taps.T.reshape(9, c_in, 3 * c_out)
-
-    def tap_grad(k: int) -> Array:
-        return (tap_t[k] @ g).reshape(c_in, b, t, rows, cols)
-
-    # the centre tap covers every input of a full grid; a smaller extent leaves some unread
-    gx = np.empty(xv.shape) if extent == (h, w) else np.zeros(xv.shape)
-    gxt = gx.transpose(1, 0, 2, 3, 4)
-    gxt[:, :, :, :rows, :cols] = tap_grad(4)
-    for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
-        if k != 4:
-            (oh, ih), (ow, iw) = _tap_window(kh - 1, h, rows), _tap_window(kw - 1, w, cols)
-            gxt[:, :, :, ih, iw] += tap_grad(k)[:, :, :, oh, ow]
-    return gx, np.ascontiguousarray(gw.transpose(0, 4, 1, 2, 3))
+        patches[:, :, oh, ow, k] = xl[:, :, ih, iw]
+    return patches.reshape(-1, 9 * c)
 
 
 def _sum_taps(resp: Array) -> Array:
-    """Plain temporal combine of (C_out, 3, B, T, P) responses -> (B, C_out, T, P).
+    """Temporal combine of (B, T, P, 3, C_out) responses -> (B, T, P, C_out).
 
-    ``out[:, :, t] = sum_k resp[:, k, :, t+k-1]``, zero outside [0, T).
+    ``out[:, t] = sum_k resp[:, t+k-1, :, k]``, zero outside [0, T).
     """
-    out = resp[:, 1].copy()
-    out[:, :, 1:] += resp[:, 0, :, :-1]
-    out[:, :, :-1] += resp[:, 2, :, 1:]
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    out = resp[:, :, :, 1].copy()
+    out[:, 1:] += resp[:, :-1, :, 0]
+    out[:, :-1] += resp[:, 1:, :, 2]
+    return out
 
 
 def _sum_taps_grad(g: Array) -> Array:
-    """Adjoint of :func:`_sum_taps`: (B, C_out, T, P) -> (C_out, 3, B, T, P)."""
-    g = g.transpose(1, 0, 2, 3)
-    gr = np.zeros((g.shape[0], 3) + g.shape[1:])
-    gr[:, 0, :, :-1] = g[:, :, 1:]
-    gr[:, 1] = g
-    gr[:, 2, :, 1:] = g[:, :, :-1]
+    """Adjoint of :func:`_sum_taps`: (B, T, P, C_out) -> (B, T, P, 3, C_out)."""
+    gr = np.zeros(g.shape[:3] + (3,) + g.shape[3:])
+    gr[:, :-1, :, 0] = g[:, 1:]
+    gr[:, :, :, 1] = g
+    gr[:, 1:, :, 2] = g[:, :-1]
     return gr
+
+
+def _conv_grad(
+    gr: Array, xl: Array, kmat: Array, extent: tuple[int, int]
+) -> tuple[Array, Array]:
+    """(input gradient, weight gradient) from the gradient ``gr`` of the responses
+    ``_patches(xl, extent) @ kmat.T``.
+
+    The input gradient is a (B, C_in, T, H, W) view of a channels-last
+    array. One GEMM against the patches, rebuilt from ``xl``, gives the
+    weight gradient; one GEMM against the kernel matrix gives the patch
+    gradient, written over the patches, so the two never coexist, and each
+    spatial tap's columns are added into the input window they read.
+    """
+    b, t, h, w, c_in = xl.shape
+    rows, cols = extent
+    gr = gr.reshape(-1, kmat.shape[0])
+    patches = _patches(xl, extent)
+    gw = (gr.T @ patches).reshape(3, -1, 3, 3, c_in)
+    gpatch = np.matmul(gr, kmat, out=patches).reshape(b, t, rows, cols, 9, c_in)
+    # the centre tap covers every input of a full grid; a smaller extent leaves some unread
+    gx = np.empty(xl.shape) if extent == (h, w) else np.zeros(xl.shape)
+    gx[:, :, :rows, :cols] = gpatch[:, :, :, :, 4]
+    for k, (kh, kw) in enumerate(_SPATIAL_TAPS):
+        if k != 4:
+            (oh, ih), (ow, iw) = _tap_window(kh - 1, h, rows), _tap_window(kw - 1, w, cols)
+            gx[:, :, ih, iw] += gpatch[:, :, oh, ow, k]
+    return gx.transpose(_TO_FIRST), np.ascontiguousarray(gw.transpose(1, 4, 0, 2, 3))
 
 
 def _shift_taps(m: Array) -> Array:
@@ -721,12 +725,17 @@ def conv3d(x: Var, weight: Var, bias: Var, extent: tuple[int, int] | None = None
     """3-D convolution over (T,H,W), kernel 3, zero padding 1, stride 1.
 
     ``x`` is (B, C_in, T, H, W) and ``weight`` is (C_out, C_in, 3, 3, 3).
-    One GEMM of the kernel's (3*C_out, 9*C_in) tap matrix against a 9-tap
-    spatial patch matrix gives each frame's response to each temporal slice
-    of the kernel; output frame ``t`` sums slice ``k`` of frame ``t+k-1``.
-    Backward keeps ``x``, not the patch matrix, which is up to 9 times its
-    size: it rebuilds the patches for the weight gradient's GEMM, and adds
-    each spatial tap's GEMM straight into the input gradient window it reads.
+    The op works channels-last: the output is the (B, C_out, T, rows, cols)
+    view of a C-contiguous (B, T, rows, cols, C_out) array, and ``x`` and
+    the gradient are read in that layout, which copies nothing when they
+    come from this op, :func:`pair_conv3d` or :func:`batchnorm_maxpool_relu`.
+    One GEMM of the 9-tap spatial patch matrix, one row per output
+    position, against the kernel's (3*C_out, 9*C_in) tap matrix gives each
+    frame's response to each temporal slice of the kernel; output frame
+    ``t`` sums slice ``k`` of frame ``t+k-1``. Backward keeps ``x``, not the
+    patch matrix, which is up to 9 times its size: one GEMM against the
+    rebuilt patches gives the weight gradient, one against the kernel
+    matrix the patch gradient, which 9 window adds scatter onto the input.
 
     ``extent = (rows, cols)`` computes only the top-left rows x cols of the
     H x W output grid, (B, C_out, T, rows, cols), equal to that crop of the
@@ -742,17 +751,17 @@ def conv3d(x: Var, weight: Var, bias: Var, extent: tuple[int, int] | None = None
     extent = _output_extent("conv3d", extent, h, w)
     p = extent[0] * extent[1]
     c_out = wv.shape[0]
-    taps, resp = _tap_responses(xv, wv, extent)
-    out = _sum_taps(resp)
-    out += bias.value[:, None, None]
-    out = out.reshape(b, c_out, t, *extent)
+    xl, kmat = _channels_last(xv), _kernel_matrix(wv)
+    out = _sum_taps((_patches(xl, extent) @ kmat.T).reshape(b, t, p, 3, c_out))
+    out += bias.value
+    out = out.reshape(b, t, *extent, c_out)
 
     def bwd(g):
-        g4 = g.reshape(b, c_out, t, p)
-        gx, gw = _tap_responses_grad(_sum_taps_grad(g4), xv, taps, extent)
-        return gx, gw, g4.sum(axis=(0, 2, 3))
+        gl = _channels_last(g).reshape(b, t, p, c_out)
+        gx, gw = _conv_grad(_sum_taps_grad(gl), xl, kmat, extent)
+        return gx, gw, gl.reshape(-1, c_out).sum(axis=0)
 
-    return x.tape.record("conv3d", out, (x, weight, bias), bwd)
+    return x.tape.record("conv3d", out.transpose(_TO_FIRST), (x, weight, bias), bwd)
 
 
 def pair_conv3d(
@@ -766,7 +775,9 @@ def pair_conv3d(
     ``q*N + n`` of the (Q*N, C_out, T, rows, cols) result is ``conv3d(x,
     weight, bias, extent)`` of the channel concatenation ``x`` of
     ``support[n]`` and ``mix_time(mix[q, n], query[q])``; ``extent`` is as
-    in :func:`conv3d` and defaults to the full H x W grid.
+    in :func:`conv3d` and defaults to the full H x W grid. Like
+    :func:`conv3d`, it stores its result channels-last and reads the two
+    blocks and the gradient in that layout.
 
     The convolution is linear, so with ``weight = [W_s | W_q]`` that row is
     ``conv3d(support[n], W_s) + sum_k shift_k(mix[q, n]) @ Z_k(query[q])``,
@@ -774,8 +785,10 @@ def pair_conv3d(
     slice ``k`` of ``W_q`` and ``shift_k`` moves the mix's rows by ``k - 1``.
     The tap responses run once per support and once per query video; only
     the T x 3T mix is per pair, over the rows*cols positions of the extent.
-    Backward keeps the two input blocks and rebuilds their patches, as
-    :func:`conv3d` does. Recorded as a ``conv3d`` entry.
+    Its product is already the channels-last pair block, and one broadcast
+    add of the support half completes it. Backward keeps the two input
+    blocks and rebuilds their patches, as :func:`conv3d` does. Recorded as a
+    ``conv3d`` entry.
     """
     sv, qv, mv, wv = support.value, query.value, mix.value, weight.value
     shapes_ok = (
@@ -793,29 +806,32 @@ def pair_conv3d(
     p = extent[0] * extent[1]
     nq = qv.shape[0]
     c_out = wv.shape[0]
-    s_taps, s_resp = _tap_responses(sv, wv[:, :c_s], extent)
-    q_taps, q_resp = _tap_responses(qv, wv[:, c_s:], extent)
-    # (Q, 3T, C_out*P): a query's tap responses, rows ordered like the shifted mix's columns
-    z = np.ascontiguousarray(q_resp.transpose(2, 1, 3, 0, 4)).reshape(nq, 3 * t, c_out * p)
+    sl, ql = _channels_last(sv), _channels_last(qv)
+    s_kmat, q_kmat = _kernel_matrix(wv[:, :c_s]), _kernel_matrix(wv[:, c_s:])
+    # (N, T, P, C_out): the support half, once per class
+    per_class = _sum_taps((_patches(sl, extent) @ s_kmat.T).reshape(n, t, p, 3, c_out))
+    per_class += bias.value
+    q_resp = (_patches(ql, extent) @ q_kmat.T).reshape(nq, t, p, 3, c_out)
+    # (Q, 3T, P*C_out): a query's tap responses, rows ordered like the shifted mix's columns
+    z = np.ascontiguousarray(q_resp.transpose(0, 3, 1, 2, 4)).reshape(nq, 3 * t, p * c_out)
     shifted = _shift_taps(mv).reshape(nq, n * t, 3 * t)
-    mixed = (shifted @ z).reshape(nq, n, t, c_out, p).transpose(0, 1, 3, 2, 4)
-    per_class = _sum_taps(s_resp)  # (N, C_out, T, P): the support half, once per class
-    per_class += bias.value[:, None, None]
-    out = np.empty((nq, n, c_out, t, p))
-    np.add(mixed, per_class, out=out)
-    out = out.reshape(nq * n, c_out, t, *extent)
+    out = (shifted @ z).reshape(nq, n, t, p, c_out)
+    out += per_class
+    out = out.reshape(nq * n, t, *extent, c_out)
 
     def bwd(g):
-        g5 = g.reshape(nq, n, c_out, t, p)
-        gs, gws = _tap_responses_grad(_sum_taps_grad(g5.sum(axis=0)), sv, s_taps, extent)
-        gt = np.ascontiguousarray(g5.transpose(0, 1, 3, 2, 4)).reshape(nq, n * t, c_out * p)
+        g5 = _channels_last(g).reshape(nq, n, t, p, c_out)
+        gs, gws = _conv_grad(_sum_taps_grad(g5.sum(axis=0)), sl, s_kmat, extent)
+        gt = g5.reshape(nq, n * t, p * c_out)
         gm = _shift_taps_grad((gt @ z.transpose(0, 2, 1)).reshape(nq, n, t, 3 * t))
-        g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, c_out, p)
-        gq, gwq = _tap_responses_grad(g_resp.transpose(3, 1, 0, 2, 4), qv, q_taps, extent)
+        g_resp = (shifted.transpose(0, 2, 1) @ gt).reshape(nq, 3, t, p, c_out)
+        gq, gwq = _conv_grad(g_resp.transpose(0, 2, 3, 1, 4), ql, q_kmat, extent)
         gw = np.concatenate([gws, gwq], axis=1)
-        return gs, gw, gq, gm, g5.sum(axis=(0, 1, 3, 4))
+        return gs, gw, gq, gm, g5.reshape(-1, c_out).sum(axis=0)
 
-    return support.tape.record("conv3d", out, (support, weight, query, mix, bias), bwd)
+    return support.tape.record(
+        "conv3d", out.transpose(_TO_FIRST), (support, weight, query, mix, bias), bwd
+    )
 
 
 def global_max_pool_spatial(x: Var) -> Var:
@@ -856,6 +872,10 @@ def batchnorm_maxpool_relu(
     The 2x2 spatial max pool has stride 2 and drops a trailing odd row or
     column, so the output is (B, C, T, H//2, W//2).
 
+    Like :func:`conv3d`, the op works channels-last: the statistics are per
+    column of the (n, C) view of ``x``, and each pool window's corner is a
+    view whose rows are C contiguous values.
+
     Per channel, each rounded step of batch norm's map ``((v - mean) * inv)
     * gamma + beta`` is monotone in ``v``: non-decreasing for gamma >= 0 and
     non-increasing for gamma < 0. So the maximum of a window's normalized
@@ -878,67 +898,68 @@ def batchnorm_maxpool_relu(
     xv = x.value
     if xv.ndim != 5:
         raise ValueError("batchnorm_maxpool_relu expects (B,C,T,H,W)")
-    b, c, t, h, w = xv.shape
+    _, c, _, h, w = xv.shape
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise ValueError(f"batchnorm_maxpool_relu: spatial dims too small {h}x{w}")
     gv, bv = gamma.value, beta.value
-    cshape = (1, -1, 1, 1, 1)
+    xl = _channels_last(xv)
     windows = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2)) for i in (0, 1) for j in (0, 1)]
-    views = [xv[:, :, :, rows, cols] for rows, cols in windows]
+    views = [xl[:, :, rows, cols] for rows, cols in windows]
     sel = np.maximum(views[0], views[1])
     np.maximum(sel, np.maximum(views[2], views[3]), out=sel)
     flipped = gv < 0.0
     if flipped.any():
-        low = [view[:, flipped] for view in views]
-        sel[:, flipped] = np.minimum(np.minimum(low[0], low[1]), np.minimum(low[2], low[3]))
+        low = [view[..., flipped] for view in views]
+        sel[..., flipped] = np.minimum(np.minimum(low[0], low[1]), np.minimum(low[2], low[3]))
     if training:
-        x3 = xv.reshape(b, c, -1)
-        n = x3.shape[0] * x3.shape[2]
-        mean = x3.mean(axis=(0, 2))
-        centred = x3 - mean[:, None]
-        var = np.einsum("bcp,bcp->c", centred, centred) / n
+        x2 = xl.reshape(-1, c)
+        n = x2.shape[0]
+        mean = x2.mean(axis=0)
+        centred = x2 - mean
+        var = np.einsum("nc,nc->c", centred, centred) / n
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        pre = sel - mean.reshape(cshape)
-        pre *= inv.reshape(cshape)
-        pre *= gv.reshape(cshape)
-        pre += bv.reshape(cshape)
+        pre = sel - mean
+        pre *= inv
+        pre *= gv
+        pre += bv
     else:
         mean = running_mean.copy()  # the buffers may change before backward runs
         inv = 1.0 / np.sqrt(running_var + BN_EPS)
         scale = gv * inv
-        pre = sel * scale.reshape(cshape) + (bv - mean * scale).reshape(cshape)
+        pre = sel * scale + (bv - mean * scale)
     live = pre > 0.0
     out = np.maximum(pre, 0.0, out=pre)
 
     def bwd(g):
-        gp = g * live
-        xhat = sel - mean.reshape(cshape)
-        xhat *= inv.reshape(cshape)
-        gb = gp.sum(axis=(0, 2, 3, 4))
-        gg = np.einsum("bcthw,bcthw->c", gp, xhat)
+        gp = _channels_last(g) * live
+        xhat = sel - mean
+        xhat *= inv
+        gp2 = gp.reshape(-1, c)
+        gb = gp2.sum(axis=0)
+        gg = np.einsum("nc,nc->c", gp2, xhat.reshape(-1, c))
         s = gv * inv
         if training:
             a = -s * inv * gg / n
-            gx = xv * a.reshape(cshape)
-            gx += (-s * gb / n - a * mean).reshape(cshape)
+            gx = xl * a
+            gx += -s * gb / n - a * mean
         else:
-            gx = np.zeros(xv.shape)
-        rest = gp * s.reshape(cshape)  # the gradient of the windows not yet routed
+            gx = np.zeros(xl.shape)
+        rest = gp * s  # the gradient of the windows not yet routed
         for view, (rows, cols) in zip(views[:-1], windows[:-1]):
             routed = rest * (view == sel)
-            gx[:, :, :, rows, cols] += routed
+            gx[:, :, rows, cols] += routed
             rest -= routed
         rows, cols = windows[-1]
-        gx[:, :, :, rows, cols] += rest
-        return gx, gg, gb
+        gx[:, :, rows, cols] += rest
+        return gx.transpose(_TO_FIRST), gg, gb
 
     op = "batchnorm_train" if training else "batchnorm_eval"
-    return x.tape.record(op, out, (x, gamma, beta), bwd)
+    return x.tape.record(op, out.transpose(_TO_FIRST), (x, gamma, beta), bwd)
 
 
 def offset_masks(offsets: Var, height: int, width: int, gamma: float) -> Var:

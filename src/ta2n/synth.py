@@ -399,16 +399,20 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     ``ContainerError``."""
     meta, arrays = container.load(path, container.DATASET)
     try:
-        n = int(meta["videos"])
-        channels, frames, height, width = (int(d) for d in meta["dims"])
+        n, dims = meta["videos"], meta["dims"]
+        check_count("videos", n, 0)
+        channels, frames, height, width = dims
+        for d in dims:
+            check_count("dims", d, 1)
+        check_count("num_classes", meta["num_classes"], 0)  # _check_layout checks the seed
         dataset = Dataset(
             channels=channels,
             frames=frames,
             height=height,
             width=width,
-            num_classes=int(meta["num_classes"]),
+            num_classes=meta["num_classes"],
             config=MisalignmentConfig(**meta["config"]),
-            seed=int(meta["seed"]),
+            seed=meta["seed"],
         )
         _check_layout(dataset.num_classes, dataset.dims(), dataset.config, dataset.seed)
     except (KeyError, TypeError, ValueError) as e:

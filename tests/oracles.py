@@ -86,9 +86,11 @@ def batchnorm_channels(
     running buffers are updated in place); in eval mode the frozen running
     statistics are used and the op is a plain per-channel affine map.
 
-    Training mode works on the (B, C, T*H*W) view: the input is centred once,
-    the centred block gives the (biased) variance as its own inner product,
-    and scaling it in place gives ``xhat``. Backward is the closed form
+    Training mode takes its statistics over the columns of an (n, C)
+    channels-last copy of the input, in the order ``ad.batchnorm_maxpool_relu``
+    sums them, so the two agree bit for bit: the mean, then the (biased)
+    variance as the inner product of the centred copy with itself. The
+    normalization works on the (B, C, T*H*W) view. Backward is the closed form
     ``gx = gamma * inv * (g - sum(g)/n - xhat * sum(g * xhat)/n)`` with the
     sums per channel (Ioffe & Szegedy 2015), which reuses the two sums that
     are also the gradients of ``beta`` and ``gamma``.
@@ -101,16 +103,18 @@ def batchnorm_channels(
     gshape = (1, -1, 1, 1, 1)
     if training:
         b, c = xv.shape[:2]
-        x3 = xv.reshape(b, c, -1)
-        n = x3.shape[0] * x3.shape[2]
-        mean = x3.mean(axis=(0, 2))
-        xhat = x3 - mean[:, None]
-        var = np.einsum("bcp,bcp->c", xhat, xhat) / n
+        x2 = np.ascontiguousarray(np.moveaxis(xv, 1, -1)).reshape(-1, c)
+        n = x2.shape[0]
+        mean = x2.mean(axis=0)
+        centred = x2 - mean
+        var = np.einsum("nc,nc->c", centred, centred) / n
         running_mean *= 1.0 - ad.BN_MOMENTUM
         running_mean += ad.BN_MOMENTUM * mean
         running_var *= 1.0 - ad.BN_MOMENTUM
         running_var += ad.BN_MOMENTUM * var
         inv = 1.0 / np.sqrt(var + ad.BN_EPS)
+        x3 = xv.reshape(b, c, -1)
+        xhat = x3 - mean[:, None]
         xhat *= inv[:, None]
         out = xhat * gv[:, None]
         out += bv[:, None]

@@ -876,6 +876,99 @@ class TestBatchnormMaxpoolRelu:
                 )
 
 
+TO_LAST, TO_FIRST = (0, 2, 3, 4, 1), (0, 4, 1, 2, 3)
+
+
+def layout_run(op, blocks, rest, g, channels_last):
+    """(output, gradients of ``blocks`` and then of ``rest``) of ``op(*blocks, *rest)``.
+
+    ``blocks`` are (B, C, T, H, W) arrays and ``g`` is the output gradient.
+    With ``channels_last`` the op receives each block, and its output
+    gradient, as the (B, C, ...) view of a C-contiguous (B, T, H, W, C)
+    array holding the same values; otherwise both are C-contiguous.
+    """
+    tape = Tape()
+    if channels_last:
+        params = [Parameter(b.transpose(TO_LAST), "block") for b in blocks]
+        ins = [ad.transpose(tape.param(p), TO_FIRST) for p in params]
+        g = np.ascontiguousarray(g.transpose(TO_LAST)).transpose(TO_FIRST)
+    else:
+        params = [Parameter(b, "block") for b in blocks]
+        ins = [tape.param(p) for p in params]
+    for v in ins:
+        assert v.value.transpose(TO_LAST if channels_last else (0, 1, 2, 3, 4)).flags.c_contiguous
+    leaves = [Parameter(a, "rest") for a in rest]
+    out = op(*ins, *(tape.param(p) for p in leaves))
+    tape.backward(tape.record("inject", np.zeros(()), (out,), lambda _: (g,)))
+    grads = [p.grad.transpose(TO_FIRST) if channels_last else p.grad for p in params]
+    return out.value, grads + [p.grad for p in leaves]
+
+
+def assert_layout_free(op, blocks, rest, seed):
+    """``op`` gives bit-identical outputs and gradients from both block layouts."""
+    probe = Tape(grad=False)
+    shape = op(*(probe.const(a) for a in blocks + rest)).shape
+    g = np.random.default_rng(seed).standard_normal(shape)
+    first, last = (layout_run(op, blocks, rest, g, cl) for cl in (False, True))
+    npt.assert_array_equal(first[0], last[0], err_msg="output")
+    for i, (a, b) in enumerate(zip(first[1], last[1])):
+        npt.assert_array_equal(a, b, err_msg=f"gradient {i}")
+
+
+class TestChannelsLastLayout:
+    """The offset predictor's ops read any strides: a channels-first block and
+    the same values stored channels-last give identical outputs and gradients."""
+
+    @pytest.mark.parametrize("x_shape, extent", [
+        ((25, 128, 8, 3, 3), (2, 2)),  # the second conv at ModelConfig()
+        ((3, 4, 3, 5, 7), None),  # an odd grid, every output
+    ], ids=["model_config", "odd_grid"])
+    def test_conv3d(self, x_shape, extent):
+        rng = np.random.default_rng(70)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal((x_shape[1], x_shape[1], 3, 3, 3)) * 0.05
+        b = rng.standard_normal(x_shape[1])
+
+        def op(x, w, b):
+            return ad.conv3d(x, w, b, extent)
+
+        assert_layout_free(op, [x], [w, b], 71)
+
+    @pytest.mark.parametrize("n, c, grid, extent", [
+        (5, 16, (7, 7), (6, 6)),  # the first conv at ModelConfig()
+        (2, 3, (5, 3), None),  # an odd grid, every output
+    ], ids=["model_config", "odd_grid"])
+    def test_pair_conv3d(self, n, c, grid, extent):
+        rng = np.random.default_rng(72)
+        s, q = (rng.standard_normal((n, c, 8, *grid)) for _ in range(2))
+        m = rng.standard_normal((n, n, 8, 8))
+        w = rng.standard_normal((4 * c, 2 * c, 3, 3, 3)) * 0.05
+        b = rng.standard_normal(4 * c)
+
+        def op(s, q, m, w, b):
+            return ad.pair_conv3d(s, q, m, w, b, extent)
+
+        assert_layout_free(op, [s, q], [m, w, b], 73)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("x_shape", [
+        (25, 128, 8, 6, 6), (25, 128, 8, 2, 2),  # the two layers at ModelConfig()
+        (3, 5, 2, 7, 5),  # an odd grid
+    ], ids=["model_config_1", "model_config_2", "odd_grid"])
+    def test_batchnorm_maxpool_relu(self, x_shape, training):
+        rng = np.random.default_rng(74)
+        c = x_shape[1]
+        x = rng.standard_normal(x_shape)
+        gamma = rng.uniform(0.5, 1.5, c) * np.where(np.arange(c) % 3 == 1, -1.0, 1.0)  # flipped channels
+        beta = rng.uniform(-0.5, 0.5, c)
+        mean, var = rng.standard_normal(c) * 0.1, rng.uniform(0.5, 2.0, c)
+
+        def op(x, gamma, beta):
+            return ad.batchnorm_maxpool_relu(x, gamma, beta, mean.copy(), var.copy(), training)
+
+        assert_layout_free(op, [x], [gamma, beta], 75)
+
+
 class TestGradcheckHarness:
     def test_sum_of_squares(self):
         p = Parameter(np.array([1.0, -2.0, 3.0]), "p")

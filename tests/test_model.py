@@ -307,6 +307,26 @@ class TestEpisodeForward:
         assert [a.nbytes for a in saved].count(block) == 1
         assert sum(a.nbytes for a in saved) < 40e6
 
+    def test_offset_predictor_blocks_are_stored_channels_last(self, monkeypatch):
+        # ModelConfig(), 5-way 1-shot 1-query: each conv and batch-norm output
+        # of the offset predictor is the (B, C, T, H, W) view of a C-contiguous
+        # (B, T, H, W, C) array, so the op after it reads it without a copy
+        blocks = []
+        record = Tape.record
+
+        def recording(tape, op, value, inputs, backward):
+            if op in ("conv3d", "batchnorm_train"):
+                blocks.append((op, value))
+            return record(tape, op, value, inputs, backward)
+
+        monkeypatch.setattr(Tape, "record", recording)
+        cfg = ModelConfig()
+        AlignmentModel(cfg).episode_forward(Tape(), census_episode(cfg), training=True)
+        assert [op for op, _ in blocks] == ["conv3d", "batchnorm_train"] * 2
+        for op, value in blocks:
+            assert value.transpose(0, 2, 3, 4, 1).flags.c_contiguous, (op, value.shape)
+            assert not value.flags.c_contiguous, (op, value.shape)
+
     @FULL_MODEL_CASES
     def test_full_model_gradients(self, seed, k_shot, proj_dim, toggles):
         cfg = tiny_config(height=7, width=7, proj_dim=proj_dim, **toggles)
@@ -343,12 +363,13 @@ class TestEpisodeForward:
         assert all(err > 0.04 for *_, err in report.failures)
 
     def test_every_autodiff_op_runs_in_the_pipeline(self, dataset, monkeypatch):
-        # the public functions of ``ta2n.autodiff`` are the pipeline's ops and
-        # nothing else: one full-model training step and one eval-mode forward
-        # call each of them
+        # the functions of ``ta2n.autodiff``, public ops and private kernel
+        # helpers alike, are the pipeline's and nothing else: one full-model
+        # training step and one eval-mode forward call each of them, so an
+        # orphaned helper fails here
         names = sorted(
             name for name, fn in vars(ad).items()
-            if callable(fn) and not name.startswith("_") and not isinstance(fn, type)
+            if callable(fn) and not name.startswith("__") and not isinstance(fn, type)
             and getattr(fn, "__module__", None) == ad.__name__
         )
         calls = Counter()
@@ -367,7 +388,7 @@ class TestEpisodeForward:
         engine.train(model, dataset, step)
         episode = sample_episode(dataset, "test", 2, 1, 1, seed=0)
         model.episode_forward(Tape(grad=False), episode, training=False)
-        assert {"conv3d", "cosine_distance", "nll"} <= set(names)
+        assert {"conv3d", "cosine_distance", "nll", "_patches", "_conv_grad"} <= set(names)
         assert [name for name in names if not calls[name]] == []
 
 

@@ -334,6 +334,8 @@ class TestPersistence:
         pytest.param({"config": {"duration_jitter": 5.0}}, None, "meta", id="jitter_above_1"),
         pytest.param({"num_classes": 5}, None, "meta.*at least 6 classes", id="too_few_classes"),
         pytest.param({"seed": -1}, None, "meta.*seed", id="negative_seed"),
+        pytest.param({"seed": "3"}, None, "meta.*seed", id="string_seed"),
+        pytest.param({"num_classes": 6.7}, None, "meta.*num_classes", id="fractional_num_classes"),
         pytest.param({}, ("labels", 0, 6.0), "labels", id="label_too_large"),
         pytest.param({}, ("labels", 0, -1.0), "labels", id="label_negative"),
         pytest.param({}, ("labels", 0, 0.5), "labels", id="label_not_integer"),
