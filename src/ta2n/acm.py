@@ -289,49 +289,3 @@ def spatial_coordinate(
     m_s = averaged_masks(tape, offsets, h, w, displacements)
     m_q = averaged_masks(tape, ad.affine(offsets, -1.0), h, w, -displacements)
     return masked_spatial_average(support, m_s), masked_spatial_average(query, m_q)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive integer-offset oracle
-
-
-def _window_metric(a: Array, b: Array) -> float:
-    """Cosine distance between two windows, compared cell by cell."""
-    a = a.ravel()
-    b = b.ravel()
-    return 1.0 - float(a @ b) / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-12)
-
-
-def sc_enumerate_oracle(support: Array, query: Array) -> tuple[Array, Array]:
-    """Brute-force best integer offset per frame.
-
-    For every candidate (x, y) the grids are hard-indexed so that support
-    cell s lines up with query cell s - o, and the cosine distance between
-    the two intersection windows (compared cell by cell) is minimized. Ties
-    resolve to the smallest offset norm, then lexicographically. Returns
-    ((T, 2) offsets as (x, y), (T,) distances).
-    """
-    support = np.asarray(support, dtype=float)
-    query = np.asarray(query, dtype=float)
-    if support.shape != query.shape or support.ndim != 4:
-        raise ValueError(f"oracle expects matching d,T,H,W maps, got {support.shape}")
-    _, t_len, h, w = support.shape
-    best = np.zeros((t_len, 2), dtype=int)
-    best_dist = np.full(t_len, np.inf)
-    for t in range(t_len):
-        chosen = None
-        for oy in range(-(h - 1), h):
-            for ox in range(-(w - 1), w):
-                s_win = support[:, t, max(0, oy) : h + min(0, oy), max(0, ox) : w + min(0, ox)]
-                q_win = query[:, t, max(0, -oy) : h + min(0, -oy), max(0, -ox) : w + min(0, -ox)]
-                dist = _window_metric(s_win, q_win)
-                key = (ox * ox + oy * oy, ox, oy)
-                if (
-                    chosen is None
-                    or dist < chosen[0] - 1e-12
-                    or (abs(dist - chosen[0]) <= 1e-12 and key < chosen[1])
-                ):
-                    chosen = (dist, key, (ox, oy))
-        best_dist[t] = chosen[0]
-        best[t] = chosen[2]
-    return best, best_dist

@@ -21,7 +21,9 @@ of that array's size.
 :func:`load` enforces two rules for both kinds, so their loaders check only
 their own. The header fixes the file's length: any other length raises
 :class:`TruncatedFileError` before a payload is allocated. Every payload
-value is finite, or a :class:`ContainerError` names the arrays that are not.
+value is finite, or a :class:`ContainerError` names the arrays that are not;
+:func:`save` applies the same rule before it opens a file, so it never
+writes one that :func:`load` rejects.
 
 What is wrong with a file's contents raises :class:`ContainerError` or one
 of its subclasses; OS errors such as a missing file pass through unwrapped.
@@ -63,9 +65,11 @@ class TruncatedFileError(ContainerError):
 
 def save(path: str | os.PathLike, magic: bytes, meta: dict, arrays: dict[str, Array]) -> None:
     """Write ``meta`` and the named arrays to ``path`` through a temp file, renamed
-    on success and removed on failure; arrays are converted before it is opened,
-    and a C-ordered float64 array is written without a copy."""
+    on success and removed on failure. Arrays are converted and checked to be
+    finite before it is opened, and a C-ordered float64 array is written
+    without a copy."""
     payloads = {name: np.asarray(a, dtype="<f8", order="C") for name, a in arrays.items()}
+    _check_finite(KINDS[magic], payloads)
     entries = [{"name": name, "shape": list(a.shape)} for name, a in payloads.items()]
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
@@ -112,12 +116,17 @@ def load(path: str | os.PathLike, magic: bytes) -> tuple[dict, dict[str, Array]]
         arrays = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
         for a in arrays.values():
             fh.readinto(a.reshape(-1).view(np.uint8))
+    _check_finite(kind, arrays)
+    return meta, arrays
+
+
+def _check_finite(kind: str, arrays: dict[str, Array]) -> None:
+    """:class:`ContainerError` naming every array that holds a NaN or an infinity."""
     # a NaN propagates through min and max, and an infinity is one of them, so no
-    # temporary the size of an array raises the loader's peak memory
+    # temporary the size of an array raises the peak memory
     bad = [n for n, a in arrays.items() if not np.isfinite((a.min(initial=0.0), a.max(initial=0.0))).all()]
     if bad:
         raise ContainerError(f"{kind} arrays must be finite: {bad}")
-    return meta, arrays
 
 
 def _shape(shape) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import metric
 from .autodiff import Parameter, Tape
 from .model import AlignmentModel, ModelConfig
-from .synth import Dataset, check_count, sample_episode
+from .synth import Dataset, check_count, check_real, sample_episode
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +41,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("learning_rate", "momentum", "decay_factor"):
+            check_real(name, getattr(self, name))
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if not 0.0 <= self.momentum < 1.0:  # also rejects NaN

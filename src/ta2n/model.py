@@ -255,18 +255,14 @@ def _named_arrays(model: AlignmentModel) -> dict[str, Array]:
     return arrays
 
 
-def save_checkpoint(model: AlignmentModel, path: str | os.PathLike, extra: dict | None = None) -> None:
+def save_checkpoint(model: AlignmentModel, path: str | os.PathLike) -> None:
     """Checkpoint container of the model config plus every parameter and buffer."""
-    meta = {
-        "package_version": __version__,
-        "config": asdict(model.config),
-        "extra": extra or {},
-    }
+    meta = {"package_version": __version__, "config": asdict(model.config)}
     container.save(path, container.CHECKPOINT, meta, dict(sorted(_named_arrays(model).items())))
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[AlignmentModel, dict]:
-    """The saved model and the checkpoint's meta (config, package version, extra).
+    """The saved model and the checkpoint's meta (config and package version).
     Past the container's own rules, a config the model rejects, arrays other than
     the model's, or a negative batch-norm variance raise ``ContainerError``."""
     meta, arrays = container.load(path, container.CHECKPOINT)

@@ -35,6 +35,13 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an int or a float, not a bool:
+    the real numbers that numpy and a file's JSON meta both take as they are."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number (int or float), got {value!r}")
+
+
 @dataclass(frozen=True)
 class MisalignmentConfig:
     """Strengths of the three injected misalignment axes plus noise floor."""
@@ -46,6 +53,7 @@ class MisalignmentConfig:
 
     def validate(self) -> None:
         for name, value in asdict(self).items():
+            check_real(name, value)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.duration_jitter > 1.0:
@@ -62,11 +70,6 @@ class VideoFeature:
     end: float
     centers: Array  # (T, 2) actor centre per frame as (x, y)
     warp_knots: Array  # (WARP_KNOTS + 2,) y-values of the evolution warp
-
-    def evolution_curve(self, points: int) -> Array:
-        """The ground-truth warp sampled uniformly on [0, 1]."""
-        xs = np.linspace(0.0, 1.0, len(self.warp_knots))
-        return np.interp(np.linspace(0.0, 1.0, points), xs, self.warp_knots)
 
 
 @dataclass

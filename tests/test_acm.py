@@ -10,7 +10,6 @@ from ta2n.acm import (
     OffsetPredictor,
     TemporalCoordination,
     masked_spatial_average,
-    sc_enumerate_oracle,
     spatial_coordinate,
 )
 from ta2n.autodiff import Parameter, Tape
@@ -539,36 +538,3 @@ class TestMaskedAverage:
         for p, g, w in zip(params, got_grads, want_grads):
             npt.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max(), err_msg=p.name)
 
-
-class TestEnumerateOracle:
-    def test_identical_maps_zero_offset(self):
-        rng = np.random.default_rng(17)
-        f = rng.standard_normal((4, 3, 7, 7))
-        offs, dist = sc_enumerate_oracle(f, f)
-        npt.assert_array_equal(offs, np.zeros((3, 2)))
-        npt.assert_allclose(dist, np.zeros(3), atol=1e-9)
-
-    def test_planted_translation_recovered(self):
-        rng = np.random.default_rng(18)
-        for _ in range(20):
-            patch = rng.uniform(0.5, 1.5, (4, 3, 3))
-            shift_x, shift_y = rng.integers(-2, 3, 2)
-            support = np.zeros((4, 1, 7, 7))
-            query = np.zeros((4, 1, 7, 7))
-            support[:, 0, 2:5, 2:5] = patch
-            query[:, 0, 2 + shift_y : 5 + shift_y, 2 + shift_x : 5 + shift_x] = patch
-            offs, dist = sc_enumerate_oracle(support, query)
-            # query content sits at support position + shift, and the oracle
-            # compares support[s] with query[s - o]
-            npt.assert_array_equal(offs[0], [-shift_x, -shift_y])
-            npt.assert_allclose(dist[0], 0.0, atol=1e-9)
-
-    def test_minimizer_dominates_zero_offset(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            s = rng.standard_normal((3, 2, 6, 6))
-            q = rng.standard_normal((3, 2, 6, 6))
-            _, dist = sc_enumerate_oracle(s, q)
-            for t in range(2):
-                zero_dist = acm._window_metric(s[:, t], q[:, t])
-                assert dist[t] <= zero_dist + 1e-12

@@ -2,7 +2,6 @@
 
 import io
 import json
-import math
 import struct
 
 import numpy as np
@@ -18,9 +17,10 @@ from ta2n.container import (
 from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkpoint
 from ta2n.synth import MisalignmentConfig, generate_dataset, load_dataset, save_dataset
 
+from container_bytes import PREFIX, join, split
+
 LOADERS = {"dataset": load_dataset, "checkpoint": load_checkpoint}
 OTHER = {"dataset": "checkpoint", "checkpoint": "dataset"}
-PREFIX = struct.Struct("<4sHI")
 
 
 @pytest.fixture(scope="module")
@@ -34,24 +34,6 @@ def files(tmp_path_factory):
     )
     save_checkpoint(AlignmentModel(cfg), root / "c")
     return {"dataset": (root / "d").read_bytes(), "checkpoint": (root / "c").read_bytes()}
-
-
-def split(raw: bytes) -> tuple[bytes, int, dict, list[np.ndarray]]:
-    magic, version, size = PREFIX.unpack(raw[: PREFIX.size])
-    doc = json.loads(raw[PREFIX.size : PREFIX.size + size])
-    arrays, offset = [], PREFIX.size + size
-    for entry in doc["arrays"]:
-        count = math.prod(entry["shape"])
-        arrays.append(np.frombuffer(raw, "<f8", count, offset).reshape(entry["shape"]))
-        offset += 8 * count
-    assert offset == len(raw)
-    return magic, version, doc, arrays
-
-
-def join(magic: bytes, version: int, doc: dict, arrays: list[np.ndarray]) -> bytes:
-    header = json.dumps(doc, sort_keys=True).encode("utf-8")
-    payloads = b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)
-    return PREFIX.pack(magic, version, len(header)) + header + payloads
 
 
 def truncations(raw: bytes):
@@ -133,13 +115,13 @@ def test_malformed_file_raises_container_error(files, tmp_path, kind, fault):
 @pytest.mark.parametrize("kind", list(LOADERS))
 def test_non_finite_payload_is_rejected_by_the_container(files, tmp_path, kind, value):
     # the rule is the container's, so the bare load enforces it for both kinds
-    magic, _, doc, arrays = split(files[kind])
+    magic, version, doc, arrays = split(files[kind])
     names = [e["name"] for e in doc["arrays"]]
     path = tmp_path / "bad"
     for i, name in enumerate(names):
         values = [a.copy() for a in arrays]
         values[i].reshape(-1)[values[i].size // 2] = value
-        container.save(path, magic, doc["meta"], dict(zip(names, values)))
+        path.write_bytes(join(magic, version, doc, values))
         with pytest.raises(ContainerError) as info:
             container.load(path, magic)
         assert str(info.value).endswith(f"['{name}']"), info.value
@@ -147,7 +129,7 @@ def test_non_finite_payload_is_rejected_by_the_container(files, tmp_path, kind, 
 
 @pytest.mark.parametrize("kind", list(LOADERS))
 def test_split_join_round_trip(files, kind):
-    # the helpers above rebuild a file byte for byte, so each fault changes only what it names
+    # split and join rebuild a file byte for byte, so each fault changes only what it names
     assert join(*split(files[kind])) == files[kind]
 
 

@@ -171,6 +171,14 @@ def test_ablation_run_smoke(dataset):
     ("momentum", float("nan")),
     ("decay_factor", 0.0),
     ("decay_factor", 1.5),
+    # not real numbers: a string or None used to raise TypeError, and a bool was accepted
+    ("learning_rate", "0.1"),
+    ("learning_rate", None),
+    ("learning_rate", True),
+    ("momentum", "0.9"),
+    ("momentum", False),
+    ("decay_factor", None),
+    ("decay_factor", True),
     ("decay_interval", 0),
     ("epochs", -1),
     ("episodes_per_epoch", 0),
@@ -179,7 +187,7 @@ def test_ablation_run_smoke(dataset):
     ("n_way", 1),
 ])
 def test_validate_rejects_bad_config(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         replace(TINY_TRAIN, **{field: value}).validate()
 
 

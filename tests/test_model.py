@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -6,12 +7,20 @@ import numpy.testing as npt
 import pytest
 
 from ta2n import autodiff as ad
-from ta2n import container, engine, metric
+from ta2n import acm, container, engine, metric, synth, ttm
+from ta2n import model as model_module
 from ta2n.autodiff import Parameter, Tape
 from ta2n.container import BadMagicError, UnsupportedVersionError
 from ta2n.model import AlignmentModel, ModelConfig, load_checkpoint, save_checkpoint
-from ta2n.synth import MisalignmentConfig, generate_dataset, sample_episode
+from ta2n.synth import (
+    MisalignmentConfig,
+    generate_dataset,
+    load_dataset,
+    sample_episode,
+    save_dataset,
+)
 
+from container_bytes import write_unchecked
 from gradcheck import directional_gradcheck, finite_diff_gradcheck
 from saved_arrays import saved_arrays
 
@@ -61,6 +70,28 @@ def episode_loss(seed, cfg, k_shot):
         return metric.cross_entropy_loss(out.probs, out.labels)
 
     return build, model.parameters()
+
+
+def defined_functions(module):
+    """``{qualified name: code object}`` of every function, method and property
+    that ``module``'s own source defines; imported and generated ones are skipped."""
+    found = {}
+
+    def add(name, fn):
+        code = getattr(fn, "__code__", None)
+        if code is not None and code.co_filename == module.__file__:
+            found[f"{module.__name__}.{name}"] = code
+
+    for name, obj in vars(module).items():
+        add(name, obj)
+        if isinstance(obj, type):
+            for attr, member in vars(obj).items():
+                if isinstance(member, property):
+                    for fn in (member.fget, member.fset, member.fdel):
+                        add(f"{name}.{attr}", fn)
+                else:  # a staticmethod or classmethod wraps its function
+                    add(f"{name}.{attr}", getattr(member, "__func__", member))
+    return found
 
 
 def census_episode(cfg):
@@ -391,6 +422,55 @@ class TestEpisodeForward:
         assert {"conv3d", "cosine_distance", "nll", "_patches", "_conv_grad"} <= set(names)
         assert [name for name in names if not calls[name]] == []
 
+    def test_every_module_function_runs_in_the_pipeline(self, tmp_path):
+        # every function, method and property that the modules above autodiff
+        # define runs in training with SC, without SC and without SC or TC, in
+        # evaluation, in both file round trips and in a one-variant ablation,
+        # so code that only tests call fails here; the two pool-worker entry
+        # points run only in child processes, which this profiler cannot see
+        defined = {}
+        for module in (acm, ttm, metric, model_module, synth, engine, container):
+            defined.update(defined_functions(module))
+        exempt = {"ta2n.engine._init_worker", "ta2n.engine._pool_eval_episode"}
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            data = generate_dataset(8, 3, DIMS, MisalignmentConfig(0.4, 0.8, 1.0, 0.2), seed=1)
+            step = engine.TrainConfig(epochs=1, episodes_per_epoch=1, n_way=2, k_shot=1, n_query=1)
+            for toggles in ({"use_sc": False, "use_tc": False}, {"use_sc": False}, {}):
+                model = AlignmentModel(tiny_config(**toggles))
+                engine.train(model, data, step)
+            engine.evaluate(model, data, "test", 2, 2, 1, 1, seed=0)
+            save_dataset(data, tmp_path / "data.ta2n")
+            load_dataset(tmp_path / "data.ta2n")
+            save_checkpoint(model, tmp_path / "model.ckpt")
+            load_checkpoint(tmp_path / "model.ckpt")
+            engine.ablation_run(data, step, tiny_config(), 1, variants=engine.ABLATION_VARIANTS[:1])
+        finally:
+            sys.setprofile(previous)
+        assert exempt <= defined.keys() and "ta2n.acm.OffsetPredictor.forward" in defined
+        assert sorted(n for n, code in defined.items() if code not in called and n not in exempt) == []
+
+    def test_rng_is_ignored(self, dataset):
+        # the docstring's claim: nothing in the forward is random, so a training
+        # step with any generator, or none, records the same tape and values
+        ep = sample_episode(dataset, "train", 3, 1, 2, seed=7)
+        runs = []
+        for rng in (None, np.random.default_rng(0), np.random.default_rng(1)):
+            tape = Tape()
+            out = AlignmentModel(tiny_config()).episode_forward(tape, ep, training=True, rng=rng)
+            metric.cross_entropy_loss(out.probs, out.labels)
+            runs.append((np.stack([p.value for p in out.probs]), len(tape.entries)))
+        for probs, entries in runs[1:]:
+            npt.assert_array_equal(probs, runs[0][0])
+            assert entries == runs[0][1]
+
 
 class TestInit:
     """Each module draws its initial weights from its own stream."""
@@ -418,9 +498,9 @@ class TestCheckpoints:
             p.value += np.random.default_rng(0).normal(0, 0.01, p.value.shape)
         model.sc.bn1_mean[:] = 0.33
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, extra={"note": "test"})
+        save_checkpoint(model, path)
         loaded, header = load_checkpoint(path)
-        assert header["extra"]["note"] == "test"
+        assert sorted(header) == ["config", "package_version"]
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert a.name == b.name
             npt.assert_array_equal(a.value, b.value)
@@ -458,10 +538,21 @@ class TestCheckpoints:
         save_checkpoint(AlignmentModel(tiny_config()), path)
         meta, arrays = container.load(path, container.CHECKPOINT)
         arrays[name][index] = value
-        container.save(path, container.CHECKPOINT, meta, arrays)
+        write_unchecked(path, container.CHECKPOINT, meta, arrays)
         with pytest.raises(container.ContainerError) as err:
             load_checkpoint(path)
         assert str(err.value).endswith(f"['{name}']")
+
+    def test_non_finite_model_is_not_saved(self, tmp_path):
+        # a model left non-finite by a diverged step used to be written to a
+        # file that load_checkpoint then rejected
+        model = AlignmentModel(tiny_config())
+        model.embed_w.value[0, 0] = np.nan
+        model.tc.value_b.value[1] = np.inf
+        with pytest.raises(container.ContainerError) as err:
+            save_checkpoint(model, tmp_path / "model.ckpt")
+        assert str(err.value).endswith("['embed.w', 'tc.value_b']")
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_with_query_bias_is_rejected(self, tmp_path):
         # checkpoints written while TC had a query bias carry tc.query_b,

@@ -20,6 +20,7 @@ from ta2n.synth import (
     save_dataset,
 )
 
+from container_bytes import write_unchecked
 from oracles import noise_free_signals
 
 DIMS = (6, 8, 7, 7)
@@ -115,13 +116,17 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "field", ["duration_jitter", "evolution_severity", "spatial_jitter", "background_noise_scale"]
     )
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
-    def test_non_finite_or_negative_config_rejected(self, field, value):
+    @pytest.mark.parametrize("value, rule", [
+        *[pytest.param(v, "finite and non-negative", id=str(v)) for v in (np.nan, np.inf, -np.inf, -0.5)],
+        *[pytest.param(v, "a real number", id=str(v)) for v in (True, "0.1", None)],
+    ])
+    def test_non_finite_or_negative_config_rejected(self, field, value, rule):
         # NaN and inf used to pass: evolution_severity=nan and spatial_jitter=inf
         # overflowed deep inside generation, and background_noise_scale=nan
-        # generated a non-finite dataset that load_dataset rejects
+        # generated a non-finite dataset that load_dataset rejects; a bool
+        # passed as a number, and a string or None raised TypeError
         config = MisalignmentConfig(**{field: value})
-        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        with pytest.raises(ValueError, match=f"{field} must be {rule}"):
             config.validate()
         with pytest.raises(ValueError, match=field):
             generate_dataset(8, 2, DIMS, config, 0)
@@ -129,7 +134,7 @@ class TestGeneration:
     def test_evolution_warps_identity_at_zero_severity(self):
         ds = small_dataset(MisalignmentConfig(evolution_severity=0.0))
         for v in ds.videos:
-            npt.assert_allclose(v.evolution_curve(8), np.linspace(0, 1, 8), atol=1e-12)
+            npt.assert_array_equal(v.warp_knots, np.linspace(0, 1, synth.WARP_KNOTS + 2))
 
     def test_warp_slopes_bounded(self):
         ds = small_dataset(MisalignmentConfig(evolution_severity=1.0), seed=21)
@@ -332,6 +337,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("meta_update, edit, match", [
         pytest.param({"config": {"duration_jitter": 5.0}}, None, "meta", id="jitter_above_1"),
+        pytest.param({"config": {"spatial_jitter": True}}, None, "meta.*spatial_jitter", id="bool_config_field"),
         pytest.param({"num_classes": 5}, None, "meta.*at least 6 classes", id="too_few_classes"),
         pytest.param({"seed": -1}, None, "meta.*seed", id="negative_seed"),
         pytest.param({"seed": "3"}, None, "meta.*seed", id="string_seed"),
@@ -366,6 +372,6 @@ class TestPersistence:
         if edit is not None:
             name, index, value = edit
             arrays[name][index] = value
-        container.save(path, container.DATASET, {**meta, **meta_update}, arrays)
+        write_unchecked(path, container.DATASET, {**meta, **meta_update}, arrays)
         with pytest.raises(ContainerError, match=match):
             load_dataset(path)
