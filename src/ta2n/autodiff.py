@@ -291,8 +291,9 @@ def transpose(a: Var, axes: tuple[int, ...]) -> Var:
     return a.tape.record("transpose", out, (a,), lambda g: (np.transpose(g, inv),))
 
 
-def take(a: Var, index: int, axis: int = 0) -> Var:
-    """Select one slice along ``axis`` (keeps the remaining axes)."""
+def take(a: Var, index: int | Array, axis: int = 0) -> Var:
+    """Select along ``axis``. An int drops the axis; an index array replaces it with
+    its own shape, and its indices must be distinct, as backward assigns, not adds."""
     out = np.take(a.value, index, axis=axis)
     shape = a.value.shape
 

@@ -186,12 +186,16 @@ def evaluate(
     Episodes are seeded up front and a pool returns its results in job
     order, so any worker count (including 1) yields the same report. A pool
     receives the model and dataset once per worker, through its initializer.
-    A single episode has no spread, so its interval is 0. A non-int, or
-    ``episodes`` or ``workers`` below 1, or ``seed`` below 0, raises ``ValueError``.
+    A single episode has no spread, so its interval is 0. A non-int count,
+    ``n_way`` below 2, another count below 1, ``seed`` below 0, or an unknown
+    ``split`` raises ``ValueError`` before any episode runs or a pool starts.
     """
-    check_count("episodes", episodes, 1)
-    check_count("seed", seed, 0)
-    check_count("workers", workers, 1)
+    for name, value, least in (
+        ("episodes", episodes, 1), ("n_way", n_way, 2), ("k_shot", k_shot, 1),
+        ("n_query", n_query, 1), ("seed", seed, 0), ("workers", workers, 1),
+    ):
+        check_count(name, value, least)
+    dataset.split_classes(split)
     jobs = [(split, n_way, k_shot, n_query, episode_seed(seed, 0, i)) for i in range(episodes)]
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (model, dataset)) as pool:
@@ -213,6 +217,7 @@ ABLATION_VARIANTS: tuple[tuple[str, bool, bool, bool], ...] = (
     ("ttm+sc", True, False, True),
     ("ttm+tc+sc", True, True, True),
     ("tc", False, True, False),
+    ("sc", False, False, True),
     ("tc+sc", False, True, True),
 )
 

@@ -9,11 +9,10 @@ features, and every other stage applies one affine map to each cell alike,
 which commutes with the mean over cells. So without SC, stage one averages
 each video over H, W before the tape, and every stage runs on 1 x 1 maps.
 
-Stage one, the embedder and the temporal transform, runs once per block:
-all support videos of an episode go through one embed -> TTM -> warp chain,
-all its queries through another, and the (N, C, T, H, W) prototype block
-holds the mean of each class's warped shots. Every block is batch-first,
-(videos, channels, ...), as ``autodiff`` documents.
+Stage one, the embedder and the temporal transform, runs once per episode:
+its N*K shots and Q queries go through one embed -> TTM -> warp chain, each
+video alone, and the (N, C, T, H, W) prototype block holds the mean of each
+class's warped shots. Every block is batch-first, (videos, channels, ...).
 
 Stage two takes the prototype block and the (Q, C, T, H, W) query block
 whole. Once per block run TC's pooled projections and value maps. Once per
@@ -189,12 +188,12 @@ class AlignmentModel:
             )
         if not episode.query:
             raise ValueError("the episode needs at least one query, got an empty query list")
-        # stage one: one embed (+ temporal transform) chain per block, supports then queries
+        # stage one: one embed (+ temporal transform) chain, the N*K shots then the Q queries
         n_way, k_shot = len(shots), shots[0]
-        support = self._stage_one(tape, [v for s in episode.support for v in s])
-        by_class = ad.reshape(support, (n_way, k_shot, *support.shape[1:]))
-        prototypes = ad.reduce_mean(by_class, axis=1)
-        query = self._stage_one(tape, episode.query)
+        block = self._stage_one(tape, [v for s in episode.support for v in s] + episode.query)
+        by_class = np.arange(n_way * k_shot).reshape(n_way, k_shot)
+        prototypes = ad.reduce_mean(ad.take(block, by_class), axis=1)
+        query = ad.take(block, np.arange(n_way * k_shot, block.shape[0]))
         pairs = self._stage_two(tape, prototypes, query, training, epoch)
         probs = [
             metric.classify(pairs[qi * n_way : (qi + 1) * n_way])

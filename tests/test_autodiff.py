@@ -287,7 +287,10 @@ class TestGradientsMatchFiniteDifferences:
             v = tape.param(p)
             s = ad.stack([ad.take(v, 0), ad.take(v, 3), ad.take(v, 4)])
             rows = ad.stack([v, ad.mul(v, v)])  # (2, 5)
-            return ad.add(ad.reduce_sum(ad.mul(s, s)), ad.reduce_sum(ad.mul(rows, rows)))
+            # an index array replaces the axis with its own shape: (2, 2, 2)
+            grid = ad.take(rows, np.array([[4, 0], [2, 1]]), axis=1)
+            total = ad.add(ad.reduce_sum(ad.mul(s, s)), ad.reduce_sum(ad.mul(rows, rows)))
+            return ad.add(total, scalarize(tape, grid, np.random.default_rng(31)))
 
         check_op(build, [p])
 

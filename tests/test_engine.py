@@ -162,6 +162,14 @@ def test_ablation_run_smoke(dataset):
     assert all(r.history[0].episodes_seen == 2 for r in rows)
 
 
+def test_ablation_variants_cover_every_toggle_combination():
+    # eight distinct (use_ttm, use_tc, use_sc) triples, each named by the modules it turns on
+    triples = {tuple(t) for _, *t in engine.ABLATION_VARIANTS}
+    assert len(engine.ABLATION_VARIANTS) == len(triples) == 8
+    for name, *toggles in engine.ABLATION_VARIANTS:
+        assert name == ("+".join(m for m, on in zip(("ttm", "tc", "sc"), toggles) if on) or "baseline")
+
+
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", -1e-3),
     ("learning_rate", float("nan")),
@@ -230,6 +238,15 @@ def queryless(dataset):
         lambda ds: engine.evaluate(AlignmentModel(TINY_MODEL), ds, "test", 2, 2, 1, 1, seed=-1),
         id="negative-eval-seed",
     ),
+    # one class used to raise "classification needs at least two classes", naming no field
+    *[
+        pytest.param(
+            "n_way",
+            lambda ds, w=w: engine.evaluate(AlignmentModel(TINY_MODEL), ds, "test", 2, 1, 1, 1, 9, workers=w),
+            id=f"one-way-eval-workers-{w}",
+        )
+        for w in (1, 2)
+    ],
     pytest.param("seed", lambda ds: replace(TINY_TRAIN, seed=-1).validate(), id="negative-train-seed"),
     *[
         pytest.param("init_seed", lambda ds, s=s: AlignmentModel(replace(TINY_MODEL, init_seed=s)), id=f"init_seed-{i}")
@@ -248,6 +265,23 @@ def test_bad_counts_raise_value_error_naming_the_field(dataset, field, call):
     # empty or silently serial result
     with pytest.raises(ValueError, match=field):
         call(dataset)
+
+
+@pytest.mark.parametrize("field, update", [
+    ("n_way", dict(n_way=1)),
+    ("k_shot", dict(k_shot=0)),
+    ("n_query", dict(n_query=2.5)),
+    ("split", dict(split="nope")),
+])
+def test_evaluate_validates_before_starting_a_pool(dataset, monkeypatch, field, update):
+    # a bad episode shape fails in the caller, naming the field, before any worker starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(engine.multiprocessing, "Pool", no_pool)
+    args = dict(split="test", episodes=2, n_way=2, k_shot=1, n_query=1, seed=9, workers=2)
+    with pytest.raises(ValueError, match=field):
+        engine.evaluate(AlignmentModel(TINY_MODEL), dataset, **{**args, **update})
 
 
 def test_train_validates_before_training(dataset):

@@ -273,6 +273,29 @@ class TestEpisodeForward:
         change = np.abs(episode_probs(model, spatially_shuffled(ep, 0)) - episode_probs(model, ep)).max()
         assert change > 1e-3 if model.sc is not None else change < 1e-12
 
+    @pytest.mark.parametrize("use_sc", [True, False], ids=["SC", "noSC"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_stage_one_runs_once_and_each_video_alone(self, dataset, monkeypatch, use_sc, training):
+        # the episode's one stage-one block holds the 2x2 shots, then the 4
+        # queries, and each video's row is bit-identical to that video run
+        # alone: no op of the chain mixes videos
+        model = AlignmentModel(tiny_config(use_sc=use_sc))
+        model.ttm.head_b.value[0] = -0.4  # a warp to a shorter window, not the identity
+        ep = sample_episode(dataset, "train", 2, 2, 2, seed=7)
+        blocks = []
+        stage_one = model._stage_one
+
+        def recording(tape, videos):
+            blocks.append(stage_one(tape, videos))
+            return blocks[-1]
+
+        monkeypatch.setattr(model, "_stage_one", recording)
+        model.episode_forward(Tape(grad=training), ep, training=training)
+        videos = [v for shots in ep.support for v in shots] + ep.query
+        assert len(blocks) == 1 and blocks[0].shape[0] == len(videos) == 8
+        for row, video in zip(blocks[0].value, videos):
+            assert np.array_equal(row, stage_one(Tape(grad=training), [video]).value[0])
+
     def test_training_step_op_census(self, monkeypatch):
         # ModelConfig(), 5-way 1-shot 1-query: the offset predictor's first
         # layer is one conv3d entry over per-video inputs, so the
@@ -285,21 +308,22 @@ class TestEpisodeForward:
         # each 2x2 pool drops the trailing odd row and column, so the 7x7 and
         # 3x3 convs compute their top-left 6x6 and 2x2 outputs
         assert conv_shapes(ops, shapes) == [(25, 128, 8, 6, 6), (25, 128, 8, 2, 2)]
-        # stage one: one embed -> TTM -> warp chain for the supports, one for
-        # the queries; a warp is one mix_time by the videos' warp matrices
-        assert ops.count("warp_matrix") == ops.count("conv1d_temporal") == 2
+        # stage one: one embed -> TTM -> warp chain for the shots and queries
+        # alike; a warp is one mix_time by the videos' warp matrices
+        assert ops.count("warp_matrix") == ops.count("conv1d_temporal") == 1
         assert "time_linear_sample" not in ops
         # stage two: one correlation per pair, one rearrangement of every pair
         assert ops.count("matmul") == 25
-        assert ops.count("mix_time") == 2 + 1
+        assert ops.count("mix_time") == 1 + 1
         assert_fused_metric_head(ops)
-        # offsets, masks and masked means broadcast: no reshape inside SC pooling
-        assert ops.count("reshape") == 6
+        # offsets, masks and masked means broadcast: no reshape inside SC pooling,
+        # and ``take`` splits stage one's block into shots by class and queries
+        assert ops.count("reshape") == 5
         # batch-first blocks: only TC's keys and the offset head's (B, T, 2) output
         assert ops.count("transpose") == 2
         # each layer's batch norm, 2x2 max pool and ReLU are one entry
         assert ops.count("batchnorm_train") == 2 and "max_pool_spatial2" not in ops
-        assert len(ops) == 227 < 581
+        assert len(ops) == 213 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC stage one averages every video over space before the
@@ -307,14 +331,15 @@ class TestEpisodeForward:
         # space and stage two's one rearrangement mixes 1x1 maps
         ops, shapes = step_census(ModelConfig(use_sc=False), monkeypatch)
         assert ops.count("matmul") == 25
-        assert ops.count("warp_matrix") == 2 and "time_linear_sample" not in ops
-        assert ops.count("mix_time") == 2 + 1
+        assert ops.count("warp_matrix") == 1 and "time_linear_sample" not in ops
+        assert ops.count("mix_time") == 1 + 1  # one warp, one rearrangement
         blocks = [shape for shape in shapes if len(shape) >= 5]
         assert (5, 5, 16, 8, 1, 1) in blocks
         assert all(shape[-2:] == (1, 1) for shape in blocks)
         assert_fused_metric_head(ops)
         assert ops.count("transpose") == 1  # TC's keys
-        assert len(ops) == 178 < 522
+        assert ops.count("reshape") == 4
+        assert len(ops) == 164 < 522
 
     def test_training_and_eval_convolve_the_same_positions(self, monkeypatch):
         # ModelConfig(): training batch norm takes its statistics over the
