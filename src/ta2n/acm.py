@@ -4,21 +4,21 @@ Temporal coordination builds a row-stochastic correlation matrix between
 support and query timesteps from spatially pooled projections, and
 ``ad.mix_time`` applies it to rearrange the query's frames onto the
 support's evolution. The projections and value maps depend on one video
-only, so they are computed once per block of videos; the correlation is
-computed once per pair, one :meth:`TemporalCoordination.forward` call each,
-which is what the benchmark counts. Spatial coordination predicts a
-per-frame (x, y) offset for every pair and compares soft-masked regions
-around the offset (support) and its negation (query) instead of whole
-frames. The offset predictor takes every pair of an episode in one call,
-and the masks and masked means follow numpy's broadcasting rules, with no
-reshape from the offsets to the means, so the pairs are pooled in one call
-as well. The predictor's convolutions compute only the conv outputs its
-2x2 pools read, since each pool drops its grid's trailing odd row and
-column; training batch norm takes its statistics over those outputs, so
-training and eval convolve the same positions. Each layer's batch norm,
-2x2 max pool and ReLU run as one ``ad.batchnorm_maxpool_relu`` op that
-normalizes only the inputs its pool selects, so backward keeps each conv
-output once and no normalized copy of it.
+only, so they are computed once per block of videos; each pair's logits come
+from one :meth:`TemporalCoordination.forward` call, which is what the
+benchmark counts, and one softmax normalizes all pairs of an episode.
+Spatial coordination predicts a per-frame (x, y) offset for every pair and
+compares soft-masked regions around the offset (support) and its negation
+(query) instead of whole frames. The offset predictor takes every pair of an
+episode in one call, and the masks and masked means follow numpy's
+broadcasting rules, with no reshape from the offsets to the means, so the
+pairs are pooled in one call as well. The predictor's convolutions compute
+only the conv outputs its 2x2 pools read, since each pool drops its grid's
+trailing odd row and column; training batch norm takes its statistics over
+those outputs, so training and eval convolve the same positions. Each
+layer's batch norm, 2x2 max pool and ReLU run as one
+``ad.batchnorm_maxpool_relu`` op that normalizes only the inputs its pool
+selects, so backward keeps each conv output once and no normalized copy.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ PERTURB_INTERVAL_EPOCHS = 40
 
 
 class TemporalCoordination:
-    """Attention over timesteps that rearranges a query onto a support.
-
-    :meth:`support_side` and :meth:`query_side` project a block of videos at
-    once; :meth:`forward` is one pair's T x T correlation.
-    """
+    """Attention over timesteps that rearranges each query onto each support;
+    :meth:`forward` gives one pair's T x T logits, :meth:`coordinate` an episode's mix."""
 
     def __init__(self, channels: int, proj_dim: int, rng: np.random.Generator):
         self.proj_dim = proj_dim
@@ -65,40 +62,33 @@ class TemporalCoordination:
     def parameters(self) -> list[Parameter]:
         return [self.key_w, self.key_b, self.query_w, self.value_w, self.value_b]
 
-    def _values(self, tape: Tape, block: Var) -> Var:
-        return ad.channel_linear(block, tape.param(self.value_w), tape.param(self.value_b))
-
-    def support_side(self, tape: Tape, block: Var) -> tuple[Var, Var]:
-        """Scaled keys (N, T, P) of the spatially pooled (N, C, T, H, W)
-        support block, and its (N, P, T, H, W) values."""
-        keys = ad.channel_linear(
-            ad.reduce_mean(block, axis=(-2, -1)), tape.param(self.key_w), tape.param(self.key_b)
-        )
-        keys = ad.affine(ad.transpose(keys, (0, 2, 1)), 1.0 / np.sqrt(self.proj_dim))
-        return keys, self._values(tape, block)
-
-    def query_side(self, tape: Tape, block: Var) -> tuple[Var, Var]:
-        """Queries (Q, P, T) of the spatially pooled (Q, C, T, H, W) query
-        block, and its (Q, P, T, H, W) values.
-
-        The queries have no bias: it would add ``k_i . b`` to every logit of
-        support row ``i``, which the softmax over query columns cancels.
+    def coordinate(self, tape: Tape, prototypes: Var, query: Var) -> tuple[Var, Var, Var]:
+        """(N, P, T, H, W) support values, (Q, P, T, H, W) query values and the
+        (Q, N, T, T) mix of the (N, C, T, H, W) prototype and (Q, C, T, H, W)
+        query blocks. Keys, queries and values are computed once per block,
+        :meth:`forward` gives each (query, class) pair's logits, and one softmax
+        over query timesteps makes every mix row-stochastic. The queries have
+        no bias: it would add ``k_i . b`` to every logit of support row ``i``,
+        which that softmax cancels.
         """
-        queries = ad.channel_linear(
-            ad.reduce_mean(block, axis=(-2, -1)), tape.param(self.query_w)
-        )
-        return queries, self._values(tape, block)
+        pooled = ad.reduce_mean(prototypes, axis=(-2, -1))
+        keys = ad.channel_linear(pooled, tape.param(self.key_w), tape.param(self.key_b))
+        keys = ad.affine(ad.transpose(keys, (0, 2, 1)), 1.0 / np.sqrt(self.proj_dim))  # (N, T, P)
+        supports = ad.channel_linear(prototypes, tape.param(self.value_w), tape.param(self.value_b))
+        queries = ad.channel_linear(ad.reduce_mean(query, axis=(-2, -1)), tape.param(self.query_w))
+        values = ad.channel_linear(query, tape.param(self.value_w), tape.param(self.value_b))
+        key_rows = [ad.take(keys, n) for n in range(keys.shape[0])]
+        query_rows = [ad.take(queries, q) for q in range(queries.shape[0])]
+        logits = ad.stack([self.forward(k, q) for q in query_rows for k in key_rows])
+        logits = ad.reshape(logits, (len(query_rows), len(key_rows), *logits.shape[1:]))
+        return supports, values, ad.softmax(logits, axis=-1)
 
     def forward(self, keys: Var, queries: Var) -> Var:
-        """One pair's correlation, from a support's (T, P) keys and a query's (P, T) queries.
-
-        A row-stochastic T x T matrix (row = support timestep, column = query
-        timestep) computed from pooled features; ``ad.mix_time`` applies it to
-        the full-resolution value maps, which spatial coordination consumes.
-        """
+        """One pair's T x T logits, from a support's (T, P) keys and a query's
+        (P, T) queries (row = support timestep, column = query timestep)."""
         if keys.shape[::-1] != queries.shape:
             raise ValueError(f"keys {keys.shape} do not match queries {queries.shape}")
-        return ad.softmax(ad.matmul(keys, queries), axis=1)
+        return ad.matmul(keys, queries)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from . import metric
 from .autodiff import Parameter, Tape
 from .model import AlignmentModel, ModelConfig
-from .synth import Dataset, check_count, check_real, sample_episode
+from .synth import Dataset, check_count, check_real, check_supply, sample_episode
 
 log = logging.getLogger(__name__)
 
@@ -187,15 +187,16 @@ def evaluate(
     order, so any worker count (including 1) yields the same report. A pool
     receives the model and dataset once per worker, through its initializer.
     A single episode has no spread, so its interval is 0. A non-int count,
-    ``n_way`` below 2, another count below 1, ``seed`` below 0, or an unknown
-    ``split`` raises ``ValueError`` before any episode runs or a pool starts.
-    """
+    ``n_way`` below 2, another count below 1, ``seed`` below 0, an unknown
+    ``split``, or one with fewer than ``n_way`` classes or a class of fewer
+    than ``k_shot + n_query`` videos raises ``ValueError`` before any episode
+    runs or a pool starts."""
     for name, value, least in (
         ("episodes", episodes, 1), ("n_way", n_way, 2), ("k_shot", k_shot, 1),
         ("n_query", n_query, 1), ("seed", seed, 0), ("workers", workers, 1),
     ):
         check_count(name, value, least)
-    dataset.split_classes(split)
+    check_supply(dataset, split, n_way, k_shot, n_query)
     jobs = [(split, n_way, k_shot, n_query, episode_seed(seed, 0, i)) for i in range(episodes)]
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (model, dataset)) as pool:

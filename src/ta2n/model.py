@@ -15,18 +15,18 @@ video alone, and the (N, C, T, H, W) prototype block holds the mean of each
 class's warped shots. Every block is batch-first, (videos, channels, ...).
 
 Stage two takes the prototype block and the (Q, C, T, H, W) query block
-whole. Once per block run TC's pooled projections and value maps. Once per
-episode run the rearrangement of every query onto every class (one
-``ad.mix_time`` over (Q, N) leading axes, whose mix is the identity
-without TC), and, with SC, the offset predictor and the masks and masked
-means of all pairs (one broadcast ``acm.spatial_coordinate`` call); without
-SC the rearranged 1 x 1 maps are the pooled pair maps as they stand. Once
-per pair run only TC's T x T correlation and the metric, on rows taken from
-the pooled blocks: the benchmark counts one ``TemporalCoordination.forward``
-and one ``metric.frame_cosine_distance`` call per pair, and reads
-``EpisodeOutput.probs`` as one entry per query. Each pair's distance is a
-single ``ad.cosine_distance`` tape entry, and the episode loss a single
-``ad.nll`` entry over the stacked probabilities.
+whole. Once per episode run TC (one ``TemporalCoordination.coordinate``
+call, whose softmax makes the (Q, N, T, T) mix), one ``ad.mix_time`` over
+(Q, N) leading axes that rearranges every query onto every class (by the
+identity without TC), and, with SC, the offset predictor and one broadcast
+``acm.spatial_coordinate`` call for the masks and masked means of all pairs;
+without SC the rearranged 1 x 1 maps are the pooled pair maps. Once per pair
+run only TC's T x T logits and the metric, on rows of the pooled blocks: the
+benchmark counts one ``TemporalCoordination.forward`` and one
+``metric.frame_cosine_distance`` call per pair, and reads
+``EpisodeOutput.probs`` as one entry per query. Each pair's distance is one
+``ad.cosine_distance`` tape entry, and the episode loss one ``ad.nll`` entry
+over the stacked probabilities.
 
 The offset predictor takes all pairs of an episode in one call, so
 batch-norm statistics are per-episode during training, and its first layer
@@ -209,11 +209,7 @@ class AlignmentModel:
         if any, pools the one rearrangement of every query onto every class."""
         n_way, n_query, t = prototypes.shape[0], query.shape[0], prototypes.shape[2]
         if self.tc is not None:
-            keys, supports = self.tc.support_side(tape, prototypes)  # (N, d, T, H, W) values
-            projected, queries = self.tc.query_side(tape, query)  # (Q, d, T, H, W) values
-            key_rows = _rows(keys)
-            corrs = [self.tc.forward(k, q) for q in _rows(projected) for k in key_rows]
-            mix = ad.reshape(ad.stack(corrs), (n_query, n_way, t, t))
+            supports, queries, mix = self.tc.coordinate(tape, prototypes, query)
         else:
             supports, queries = prototypes, query
             mix = tape.const(np.broadcast_to(np.eye(t), (n_query, n_way, t, t)))

@@ -319,6 +319,17 @@ def generate_dataset(
 # episodes
 
 
+def check_supply(dataset: Dataset, split: str, n_way: int, k_shot: int, n_query: int) -> None:
+    """``ValueError`` unless ``split`` has ``n_way`` classes or more, each of at least
+    ``k_shot + n_query`` videos; :func:`sample_episode` checks only those it draws."""
+    class_ids = dataset.split_classes(split)
+    if len(class_ids) < n_way:
+        raise ValueError(f"split {split!r} has {len(class_ids)} classes, need {n_way}")
+    have, class_id = min((len(dataset.videos_of_class(c)), c) for c in class_ids)
+    if have < k_shot + n_query:
+        raise ValueError(f"class {class_id} has {have} videos, need {k_shot + n_query}")
+
+
 def sample_episode(
     dataset: Dataset,
     split: str,

@@ -1,6 +1,13 @@
 import gc
+import os
 
-import pytest
+# One BLAS thread, set before anything imports numpy: with it, and with no
+# faulthandler watchdog thread, ``evaluate(workers=2)`` forks its pool from a
+# single-threaded process, as ``bench/run.py`` does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture

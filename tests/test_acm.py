@@ -35,14 +35,6 @@ def predict(pred, support, query, training=False):
     ).value[0]
 
 
-def coordinate(tc, tape, support, query):
-    """(rearranged query values, correlation) of one pair of (C, T, H, W) maps."""
-    keys, _ = tc.support_side(tape, ad.stack([support]))
-    queries, values = tc.query_side(tape, ad.stack([query]))
-    corr = tc.forward(ad.take(keys, 0), ad.take(queries, 0))
-    return ad.mix_time(corr, ad.take(values, 0)), corr
-
-
 def weighted_sum(tape, v, seed):
     """Project an output to a scalar with a fixed random weighting."""
     w = tape.const(np.random.default_rng(seed).standard_normal(v.value.shape))
@@ -68,34 +60,39 @@ def identity_tc(channels):
     return tc
 
 
+def pair_mix(tc, tape, support, query):
+    """The (T, T) mix of one support and one query (C, T, H, W) map."""
+    return tc.coordinate(tape, ad.stack([support]), ad.stack([query]))[2].value[0, 0]
+
+
 class TestTemporalCoordination:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         tc = TemporalCoordination(6, proj_dim=4, rng=rng)
         for _ in range(20):
             tape = Tape(grad=False)
-            s = tape.const(rng.standard_normal((6, 8, 5, 5)))
-            q = tape.const(rng.standard_normal((6, 8, 5, 5)))
-            _, corr = coordinate(tc, tape, s, q)
-            npt.assert_allclose(corr.value.sum(axis=1), np.ones(8), atol=1e-9)
-            assert corr.value.min() >= 0.0 and corr.value.max() <= 1.0
+            s = tape.const(rng.standard_normal((3, 6, 8, 5, 5)))
+            q = tape.const(rng.standard_normal((2, 6, 8, 5, 5)))
+            mix = tc.coordinate(tape, s, q)[2].value
+            assert mix.shape == (2, 3, 8, 8)
+            npt.assert_allclose(mix.sum(axis=-1), np.ones((2, 3, 8)), atol=1e-9)
+            assert mix.min() >= 0.0 and mix.max() <= 1.0
 
     def test_identity_correlation_keeps_order(self):
         rng = np.random.default_rng(1)
         tc = identity_tc(4)
         tape = Tape(grad=False)
-        q = tape.const(rng.standard_normal((4, 6, 5, 5)))
-        values = ad.take(tc.query_side(tape, ad.stack([q]))[1], 0)
+        q = tape.const(rng.standard_normal((1, 4, 6, 5, 5)))
+        values = ad.take(tc.coordinate(tape, q, q)[1], 0)
         out = ad.mix_time(tape.const(np.eye(6)), values)
-        npt.assert_allclose(out.value, values.value, atol=1e-12)
+        npt.assert_allclose(out.value, q.value[0], atol=1e-12)
 
     def test_uniform_features_give_uniform_correlation(self):
         tc = TemporalCoordination(4, proj_dim=4, rng=np.random.default_rng(2))
         frames = np.tile(np.array([0.3, -1.2, 0.7, 0.1])[:, None], (1, 8))
         tape = Tape(grad=False)
         s = tape.const(spatially_constant(frames))
-        _, corr = coordinate(tc, tape, s, s)
-        npt.assert_allclose(corr.value, np.full((8, 8), 1 / 8), atol=1e-12)
+        npt.assert_allclose(pair_mix(tc, tape, s, s), np.full((8, 8), 1 / 8), atol=1e-12)
 
     def test_permutation_recovery(self):
         rng = np.random.default_rng(3)
@@ -111,42 +108,84 @@ class TestTemporalCoordination:
             tape = Tape(grad=False)
             s = tape.const(spatially_constant(support_frames))
             q = tape.const(spatially_constant(query_frames))
-            _, corr = coordinate(tc, tape, s, q)
-            npt.assert_array_equal(corr.value.argmax(axis=1), perm)
+            npt.assert_array_equal(pair_mix(tc, tape, s, q).argmax(axis=1), perm)
 
     def test_block_equals_single_videos(self):
-        # a block of three videos through each side against three one-video blocks
+        # three videos as both blocks against each (support, query) pair of one-video blocks
         rng = np.random.default_rng(4)
         tc = TemporalCoordination(5, proj_dim=4, rng=rng)
         tape = Tape(grad=False)
         videos = [tape.const(rng.standard_normal((5, 6, 4, 3))) for _ in range(3)]
-        for side in (tc.support_side, tc.query_side):
-            proj, values = side(tape, ad.stack(videos))
-            for i, v in enumerate(videos):
-                one_proj, one_values = side(tape, ad.stack([v]))
-                npt.assert_allclose(proj.value[i], one_proj.value[0], rtol=0, atol=1e-12)
-                npt.assert_allclose(values.value[i], one_values.value[0], rtol=0, atol=1e-12)
+        block = ad.stack(videos)
+        supports, queries, mix = (v.value for v in tc.coordinate(tape, block, block))
+        for i, s in enumerate(videos):
+            for j, q in enumerate(videos):
+                one = [v.value for v in tc.coordinate(tape, ad.stack([s]), ad.stack([q]))]
+                npt.assert_allclose(one[0][0], supports[i], rtol=0, atol=1e-12)
+                npt.assert_allclose(one[1][0], queries[j], rtol=0, atol=1e-12)
+                npt.assert_allclose(one[2][0, 0], mix[j, i], rtol=0, atol=1e-12)
+
+    def test_coordinate_equals_the_per_pair_assembly(self):
+        # 3 classes x 2 queries: the one call against keys, queries and values
+        # rebuilt from primitives and one softmax per pair, bit for bit, in
+        # the values, the mix and the gradients of every input and parameter
+        rng = np.random.default_rng(26)
+        tc = TemporalCoordination(5, proj_dim=4, rng=rng)
+        inputs = [
+            Parameter(rng.standard_normal((3, 5, 6, 4, 3)), "prototypes"),
+            Parameter(rng.standard_normal((2, 5, 6, 4, 3)), "query"),
+        ]
+        params = inputs + tc.parameters()
+
+        def assembly(tape, prototypes, query):
+            def values(block):
+                return ad.channel_linear(block, tape.param(tc.value_w), tape.param(tc.value_b))
+
+            pooled = ad.reduce_mean(prototypes, axis=(-2, -1))
+            keys = ad.channel_linear(pooled, tape.param(tc.key_w), tape.param(tc.key_b))
+            keys = ad.affine(ad.transpose(keys, (0, 2, 1)), 1.0 / np.sqrt(tc.proj_dim))
+            supports = values(prototypes)
+            pooled = ad.reduce_mean(query, axis=(-2, -1))
+            queries = ad.channel_linear(pooled, tape.param(tc.query_w))
+            query_values = values(query)
+            key_rows = [ad.take(keys, n) for n in range(3)]
+            query_rows = [ad.take(queries, q) for q in range(2)]
+            corrs = [
+                ad.softmax(ad.matmul(k, q), axis=1) for q in query_rows for k in key_rows
+            ]
+            return supports, query_values, ad.reshape(ad.stack(corrs), (2, 3, 6, 6))
+
+        def run(build):
+            for p in params:
+                p.zero_grad()
+            tape = Tape()
+            outs = build(tape, *(tape.param(x) for x in inputs))
+            terms = [weighted_sum(tape, v, seed) for v, seed in zip(outs, (27, 28, 29))]
+            tape.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+            return [v.value for v in outs], [p.grad.copy() for p in params]
+
+        (got, got_grads), (want, want_grads) = run(tc.coordinate), run(assembly)
+        assert got[2].shape == (2, 3, 6, 6)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        for p, g, w in zip(params, got_grads, want_grads):
+            assert np.any(g != 0), p.name
+            assert np.array_equal(g, w), p.name
 
     def test_gradients(self):
-        # two supports x two queries, as the pipeline runs them: block sides,
-        # one correlation per pair and one batched rearrangement; support
-        # values, rearranged query values and correlations together
+        # two supports x two queries, as the pipeline runs them: one
+        # coordinate call and one batched rearrangement; support values,
+        # rearranged query values and the mix together
         rng = np.random.default_rng(12)
         tc = TemporalCoordination(5, proj_dim=4, rng=rng)
         support = Parameter(rng.standard_normal((2, 5, 6, 5, 5)), "support")
         query = Parameter(rng.standard_normal((2, 5, 6, 5, 5)), "query")
 
         def build(tape):
-            keys, s_values = tc.support_side(tape, tape.param(support))
-            queries, q_values = tc.query_side(tape, tape.param(query))
-            corr = ad.stack([
-                tc.forward(ad.take(keys, n), ad.take(queries, q))
-                for q in range(2) for n in range(2)
-            ])
-            corr = ad.reshape(corr, (2, 2, 6, 6))
-            rearranged = ad.mix_time(corr, ad.reshape(q_values, (2, 1, 4, 6, 5, 5)))
+            s_values, q_values, mix = tc.coordinate(tape, tape.param(support), tape.param(query))
+            rearranged = ad.mix_time(mix, ad.reshape(q_values, (2, 1, 4, 6, 5, 5)))
             z = ad.add(weighted_sum(tape, s_values, 17), weighted_sum(tape, rearranged, 18))
-            return ad.add(z, weighted_sum(tape, corr, 19))
+            return ad.add(z, weighted_sum(tape, mix, 19))
 
         stage_gradcheck(build, [support, query, *tc.parameters()])
 
@@ -154,8 +193,8 @@ class TestTemporalCoordination:
         tc = TemporalCoordination(4, proj_dim=16, rng=np.random.default_rng(0))
         tape = Tape(grad=False)
         with pytest.raises(ValueError):
-            coordinate(
-                tc, tape, tape.const(np.zeros((4, 8, 5, 5))), tape.const(np.zeros((4, 7, 5, 5)))
+            tc.coordinate(
+                tape, tape.const(np.zeros((1, 4, 8, 5, 5))), tape.const(np.zeros((1, 4, 7, 5, 5)))
             )
 
 
@@ -329,29 +368,21 @@ class TestOffsetPredictor:
                 p.zero_grad()
             tape = Tape()
             videos = [tape.param(f) for f in feats]
+            supports, queries = ad.stack(videos[:n]), ad.stack(videos[n:])
             if use_tc:
-                keys, s_values = tc.support_side(tape, ad.stack(videos[:n]))
-                q_proj, q_values = tc.query_side(tape, ad.stack(videos[n:]))
-                supports = [ad.take(s_values, i) for i in range(n)]
-                queries = [ad.take(q_values, i) for i in range(n)]
-                mixes = [
-                    tc.forward(ad.take(keys, ci), ad.take(q_proj, qi))
-                    for qi in range(n) for ci in range(n)
-                ]
+                supports, queries, mix = tc.coordinate(tape, supports, queries)
             else:
-                supports, queries = videos[:n], videos[n:]
-                mixes = [tape.const(np.eye(t)) for _ in range(n * n)]
+                mix = tape.const(np.broadcast_to(np.eye(t), (n, n, t, t)))
             w, b = tape.param(pred.conv1_w), tape.param(pred.conv1_b)
             if factored:
-                mix = ad.reshape(ad.stack(mixes), (n, n, t, t))
-                out = ad.pair_conv3d(ad.stack(supports), ad.stack(queries), mix, w, b)
+                out = ad.pair_conv3d(supports, queries, mix, w, b)
             else:
                 stacks = []
                 for qi in range(n):
                     for ci in range(n):
-                        both = concat(
-                            (supports[ci], ad.mix_time(mixes[qi * n + ci], queries[qi])), axis=0
-                        )
+                        one_mix = ad.take(ad.take(mix, qi), ci)
+                        rearranged = ad.mix_time(one_mix, ad.take(queries, qi))
+                        both = concat((ad.take(supports, ci), rearranged), axis=0)
                         stacks.append(ad.reshape(both, (1, *both.shape)))
                 out = ad.conv3d(concat(stacks, axis=0), w, b)
             tape.backward(ad.reduce_sum(ad.mul(out, tape.const(upstream))))

@@ -1,6 +1,7 @@
 """The determinism claims of the engine docstring, its config checks, the
 lifetime of a training step's tape and the ablation harness."""
 
+import sys
 import weakref
 from dataclasses import replace
 
@@ -272,9 +273,15 @@ def test_bad_counts_raise_value_error_naming_the_field(dataset, field, call):
     ("k_shot", dict(k_shot=0)),
     ("n_query", dict(n_query=2.5)),
     ("split", dict(split="nope")),
+    # the test split has 2 classes of 3 videos each
+    pytest.param("split 'test' has 2 classes, need 3", dict(n_way=3), id="too-few-classes"),
+    pytest.param(
+        "class 6 has 3 videos, need 4", dict(k_shot=2, n_query=2), id="too-few-videos"
+    ),
 ])
 def test_evaluate_validates_before_starting_a_pool(dataset, monkeypatch, field, update):
-    # a bad episode shape fails in the caller, naming the field, before any worker starts
+    # a bad episode shape, or one the split cannot supply, fails in the
+    # caller, naming the field or the shortage, before any worker starts
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
@@ -282,6 +289,24 @@ def test_evaluate_validates_before_starting_a_pool(dataset, monkeypatch, field, 
     args = dict(split="test", episodes=2, n_way=2, k_shot=1, n_query=1, seed=9, workers=2)
     with pytest.raises(ValueError, match=field):
         engine.evaluate(AlignmentModel(TINY_MODEL), dataset, **{**args, **update})
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_evaluate_forks_its_pool_from_a_single_thread(dataset, monkeypatch):
+    # a fork copies only the forking thread, so a lock another thread holds
+    # (a BLAS worker's, a watchdog's) stays held in the child for good
+    threads = []
+    pool = engine.multiprocessing.Pool
+
+    def spy(*args, **kwargs):
+        with open("/proc/self/status") as status:
+            threads.extend(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(engine.multiprocessing, "Pool", spy)
+    np.ones((64, 64)) @ np.ones((64, 64))  # the first BLAS call starts its threads, if any
+    engine.evaluate(AlignmentModel(TINY_MODEL), dataset, "test", 2, 2, 1, 1, seed=9, workers=2)
+    assert threads == [1]
 
 
 def test_train_validates_before_training(dataset):

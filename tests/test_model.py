@@ -312,8 +312,10 @@ class TestEpisodeForward:
         # alike; a warp is one mix_time by the videos' warp matrices
         assert ops.count("warp_matrix") == ops.count("conv1d_temporal") == 1
         assert "time_linear_sample" not in ops
-        # stage two: one correlation per pair, one rearrangement of every pair
+        # stage two: one logits matmul per pair, one softmax per episode for
+        # the mix, one rearrangement of every pair
         assert ops.count("matmul") == 25
+        assert ops.count("softmax") == 1 + 5  # the mix, then one per query in metric.classify
         assert ops.count("mix_time") == 1 + 1
         assert_fused_metric_head(ops)
         # offsets, masks and masked means broadcast: no reshape inside SC pooling,
@@ -323,14 +325,16 @@ class TestEpisodeForward:
         assert ops.count("transpose") == 2
         # each layer's batch norm, 2x2 max pool and ReLU are one entry
         assert ops.count("batchnorm_train") == 2 and "max_pool_spatial2" not in ops
-        assert len(ops) == 213 < 581
+        assert len(ops) == 189 < 581
 
     def test_training_step_op_census_without_sc(self, monkeypatch):
         # without SC stage one averages every video over space before the
         # embed, so every block on the tape, (..., C, T, H, W), is 1x1 in
         # space and stage two's one rearrangement mixes 1x1 maps
         ops, shapes = step_census(ModelConfig(use_sc=False), monkeypatch)
+        # one logits matmul per pair, one softmax per episode for the mix
         assert ops.count("matmul") == 25
+        assert ops.count("softmax") == 1 + 5
         assert ops.count("warp_matrix") == 1 and "time_linear_sample" not in ops
         assert ops.count("mix_time") == 1 + 1  # one warp, one rearrangement
         blocks = [shape for shape in shapes if len(shape) >= 5]
@@ -339,7 +343,7 @@ class TestEpisodeForward:
         assert_fused_metric_head(ops)
         assert ops.count("transpose") == 1  # TC's keys
         assert ops.count("reshape") == 4
-        assert len(ops) == 164 < 522
+        assert len(ops) == 140 < 522
 
     def test_training_and_eval_convolve_the_same_positions(self, monkeypatch):
         # ModelConfig(): training batch norm takes its statistics over the
